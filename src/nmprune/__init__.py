@@ -27,10 +27,8 @@ from .graphs import (
     ENUM_VERTEX_LIMIT,
     BipartiteGraph,
     DegreeLawReport,
-    DegreeStats,
     ExpansionReport,
     brute_force_expansion,
-    degree_stats,
     mask_to_graph,
     verify_degree_laws,
 )
@@ -55,7 +53,6 @@ from .masks import (
     diagonal_select,
     eggs_prune,
     importance_select,
-    nm_prune_with_scores,
 )
 from .metrics import (
     DEFAULT_ALPHA,
@@ -67,9 +64,6 @@ from .metrics import (
     wanda_score,
 )
 from .partition import (
-    Block,
-    GroupPlan,
-    Strategy,
     assign_blocks,
     order_rows,
     plan_groups,
@@ -78,7 +72,6 @@ from .partition import (
 from .permute import (
     ChannelPermutation,
     apply_to_columns,
-    apply_to_vector,
     build_permutation,
     load_permutation,
     save_permutation,

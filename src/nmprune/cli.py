@@ -24,7 +24,6 @@ from .graphs import (
 from .harness import (
     METHODS,
     PROFILES,
-    _masked_error,
     compare_methods,
     gen_synthetic,
     norms_from_batch,
@@ -74,11 +73,13 @@ def _fetch(bundle: TensorBundle, name: str):
     return bundle[name]
 
 
-def _norms_from_entry(arr, alpha: float) -> ActivationNorms:
+def _read_acts(bundle: TensorBundle, args):
+    """A 1-D entry holds activation norms; a 2-D entry is a calibration batch."""
+    arr = _fetch(bundle, args.acts)
     if arr.ndim == 1:
-        return ActivationNorms(arr, alpha)
+        return ActivationNorms(arr, args.alpha)
     if arr.ndim == 2:
-        return norms_from_batch(arr, alpha)
+        return arr
     raise NMPruneError("activation tensor must be a norms vector or a channels x samples batch")
 
 
@@ -97,7 +98,9 @@ def _cmd_prune(args) -> int:
     w = _fetch(bundle, args.weights)
     acts = None
     if args.method != "magnitude":
-        acts = _norms_from_entry(_fetch(bundle, args.acts), args.alpha)
+        acts = _read_acts(bundle, args)
+        if not isinstance(acts, ActivationNorms):
+            acts = norms_from_batch(acts, args.alpha)
     res = prune_with_method(w, acts, cfg, args.method)
     pruned = apply_mask(res.weights, res.mask)
     entries = {
@@ -127,18 +130,18 @@ def _cmd_verify(args) -> int:
         raise NMPruneError("mask tensor must be 2-D")
     f_out, f_in = arr.shape
 
-    ok = True
-    lemma_pass = True
+    violation = None
     try:
         check_nm_pattern(arr, cfg.n, cfg.m)
-        verify_degree_laws(arr, cfg)
     except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        ok = False
-        lemma_pass = False
+        violation = str(exc)
+    laws = verify_degree_laws(arr, cfg)
+    violation = violation or laws.violation
+    if violation:
+        print(f"error: {violation}", file=sys.stderr)
+    ok = lemma_pass = violation is None
 
-    c_bound = min(Fraction(cfg.b, f_in), Fraction(f_in * (cfg.m - cfg.n), f_out * cfg.m))
-    c = args.c if args.c is not None else (c_bound / 2 if c_bound > 0 else None)
+    c = args.c if args.c is not None else (laws.c_bound / 2 if laws.c_bound > 0 else None)
     a_in = a_out = None
     if c is None or not 0 < c < 1:
         print("expansion enumeration skipped: no admissible subset fraction", file=sys.stderr)
@@ -156,11 +159,9 @@ def _cmd_verify(args) -> int:
         if a_out is not None and a_out <= 1:
             ok = False
 
-    in_deg = arr.astype(np.int64).sum(axis=0)
-    out_deg = arr.astype(np.int64).sum(axis=1)
     print(json.dumps({
-        "min_in_degree": int(in_deg.min()),
-        "min_out_degree": int(out_deg.min()),
+        "min_in_degree": laws.min_in_degree,
+        "min_out_degree": laws.min_out_degree,
         "a_I": _fraction_pair(a_in),
         "a_O": _fraction_pair(a_out),
         "c": _fraction_pair(c),
@@ -178,9 +179,7 @@ def _cmd_eval(args) -> int:
     w = _fetch(bundle, args.weights)
     acts = None
     if any(m != "magnitude" for m in methods):
-        acts = _fetch(bundle, args.acts)
-        if acts.ndim == 1:
-            acts = ActivationNorms(acts, args.alpha)
+        acts = _read_acts(bundle, args)
     reports = compare_methods(w, acts, cfg, methods)
     print(reports_to_json(reports))
     if args.csv:
@@ -198,24 +197,13 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad block-count range {b_lo}..{b_hi}")
     bundle = load_bundle(args.infile)
     w = _fetch(bundle, args.weights)
-    acts_arr = _fetch(bundle, args.acts)
-    acts = _norms_from_entry(acts_arr, args.alpha)
-    z_eval = np.asarray(acts_arr) if acts_arr.ndim == 2 else None
+    acts = _read_acts(bundle, args)
 
     rows = ["B,error,corrupted,min_in_degree,lemma1_pass"]
     for b in range(b_lo, b_hi + 1):
-        cfg = PruneConfig(args.n, args.m, b, args.alpha)
-        res = prune_with_method(w, acts, cfg, "eggs")
-        z_m = None if z_eval is None else z_eval[res.permutation.forward, :]
-        error = _masked_error(res.weights, res.mask, z_m)
-        corrupted = int((res.mask.sum(axis=0) == 0).sum())
-        min_in = int(res.mask.astype(np.int64).sum(axis=0).min())
-        try:
-            verify_degree_laws(res.mask, cfg)
-            passed = True
-        except VerificationError:
-            passed = False
-        rows.append(f"{b},{error!r},{corrupted},{min_in},{str(passed).lower()}")
+        (r,) = compare_methods(w, acts, PruneConfig(args.n, args.m, b, args.alpha), ["eggs"])
+        rows.append(f"{b},{r.error!r},{r.corrupted},{r.min_in_degree},"
+                    f"{str(r.lemma1_pass).lower()}")
     print("\n".join(rows))
     return 0
 
@@ -294,7 +282,7 @@ def main(argv=None) -> int:
     except NMPruneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

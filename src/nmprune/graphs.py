@@ -31,21 +31,12 @@ class BipartiteGraph:
 
 
 @dataclass(frozen=True)
-class DegreeStats:
-    in_min: int
-    in_max: int
-    in_mean: float
-    in_zero: int
-    out_min: int
-    out_max: int
-    out_mean: float
-    out_zero: int
-
-
-@dataclass(frozen=True)
 class DegreeLawReport:
     """Outcome of the structural degree checks plus the admissible subset
-    fractions they imply for expansion on each side."""
+    fractions they imply for expansion on each side.
+
+    ``violation`` says which law fails first, or is None when both hold.
+    """
 
     min_in_degree: int
     min_out_degree: int
@@ -54,6 +45,7 @@ class DegreeLawReport:
     c_input: Fraction
     c_output: Fraction
     c_bound: Fraction
+    violation: str | None
 
 
 @dataclass(frozen=True)
@@ -84,55 +76,35 @@ def mask_to_graph(mask) -> BipartiteGraph:
     return BipartiteGraph(arr.shape[1], arr.shape[0], adjacency)
 
 
-def degree_stats(g: BipartiteGraph) -> DegreeStats:
-    """Exact degree statistics for both sides."""
-    out_deg = np.array([len(nbrs) for nbrs in g.adjacency], dtype=np.int64)
-    in_deg = np.zeros(g.n_inputs, dtype=np.int64)
-    for nbrs in g.adjacency:
-        for j in nbrs:
-            in_deg[j] += 1
-    return DegreeStats(
-        in_min=int(in_deg.min()),
-        in_max=int(in_deg.max()),
-        in_mean=float(in_deg.mean()),
-        in_zero=int((in_deg == 0).sum()),
-        out_min=int(out_deg.min()),
-        out_max=int(out_deg.max()),
-        out_mean=float(out_deg.mean()),
-        out_zero=int((out_deg == 0).sum()),
-    )
-
-
 def verify_degree_laws(mask, cfg: PruneConfig) -> DegreeLawReport:
     """Check the exact output-degree law and the input-degree floor.
 
     Every output must have degree (f_in / m) * (m - n); every input must
-    have degree >= min(b, f_out // m). Raises VerificationError naming the
-    first offending vertex. The returned report carries the admissible
-    subset-fraction endpoint implied by each side.
+    have degree >= min(b, f_out // m). The report's ``violation`` names the
+    first offending vertex, outputs first, or a column count that m does not
+    divide; it is None when both laws hold. The report also carries the
+    admissible subset-fraction endpoint implied by each side.
     """
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise ShapeError("mask must be 2-D")
     f_out, f_in = arr.shape
-    if f_in % cfg.m:
-        raise ShapeError(f"{f_in} columns not divisible by window width {cfg.m}")
     expected_out = (f_in // cfg.m) * (cfg.m - cfg.n)
-    out_deg = arr.astype(np.int64).sum(axis=1)
-    bad = np.flatnonzero(out_deg != expected_out)
-    if bad.size:
-        i = int(bad[0])
-        raise VerificationError(
-            f"output {i} has degree {int(out_deg[i])}, expected {expected_out}"
-        )
     floor = min(cfg.b, f_out // cfg.m)
-    in_deg = arr.astype(np.int64).sum(axis=0)
-    bad = np.flatnonzero(in_deg < floor)
-    if bad.size:
-        j = int(bad[0])
-        raise VerificationError(
-            f"input {j} has degree {int(in_deg[j])}, below the guaranteed floor {floor}"
-        )
+    counts = arr.astype(np.int64)
+    out_deg = counts.sum(axis=1)
+    in_deg = counts.sum(axis=0)
+    bad_out = np.flatnonzero(out_deg != expected_out)
+    bad_in = np.flatnonzero(in_deg < floor)
+    violation = None
+    if f_in % cfg.m:
+        violation = f"{f_in} columns not divisible by window width {cfg.m}"
+    elif bad_out.size:
+        i = int(bad_out[0])
+        violation = f"output {i} has degree {int(out_deg[i])}, expected {expected_out}"
+    elif bad_in.size:
+        j = int(bad_in[0])
+        violation = f"input {j} has degree {int(in_deg[j])}, below the guaranteed floor {floor}"
     c_input = Fraction(cfg.b, f_in)
     c_output = Fraction(f_in * (cfg.m - cfg.n), f_out * cfg.m)
     return DegreeLawReport(
@@ -143,6 +115,7 @@ def verify_degree_laws(mask, cfg: PruneConfig) -> DegreeLawReport:
         c_input=c_input,
         c_output=c_output,
         c_bound=min(c_input, c_output),
+        violation=violation,
     )
 
 

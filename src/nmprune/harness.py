@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, ShapeError, VerificationError
+from .errors import ConfigError, DegenerateError, ShapeError
 from .graphs import verify_degree_laws
-from .masks import PruneConfig, apply_mask, eggs_prune, nm_prune_with_scores
+from .masks import PruneConfig, apply_mask, eggs_prune, importance_select
 from .metrics import ActivationNorms, channel_scores, magnitude_score, ria, wanda_score
 from .permute import ChannelPermutation, apply_to_columns, build_permutation
 
@@ -110,18 +110,18 @@ def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     if method == "magnitude":
-        mask = nm_prune_with_scores(w, magnitude_score(w), cfg.n, cfg.m)
+        mask = importance_select(magnitude_score(w), cfg.n, cfg.m)
         return PruneResult(method, mask, np.asarray(w), None, acts)
     if acts is None:
         raise ConfigError(f"method {method!r} requires activation norms")
     if method == "wanda":
-        mask = nm_prune_with_scores(w, wanda_score(w, acts), cfg.n, cfg.m)
+        mask = importance_select(wanda_score(w, acts), cfg.n, cfg.m)
         return PruneResult(method, mask, np.asarray(w), None, acts)
     perm = build_permutation(channel_scores(ria(w, acts)), cfg.m)
     w_perm = apply_to_columns(np.asarray(w), perm)
     acts_perm = ActivationNorms(acts.norms[perm.forward], acts.alpha)
     if method == "ria":
-        mask = nm_prune_with_scores(w_perm, ria(w_perm, acts_perm), cfg.n, cfg.m)
+        mask = importance_select(ria(w_perm, acts_perm), cfg.n, cfg.m)
     else:
         mask = eggs_prune(w_perm, acts_perm, cfg)
     return PruneResult(method, mask, w_perm, perm, acts_perm)
@@ -145,9 +145,13 @@ def _masked_error(weights, mask, z) -> float:
 
 @dataclass(frozen=True)
 class MethodReport:
+    """One method's scores on a layer. ``to_dict`` and the CSV summary leave
+    out ``min_in_degree``."""
+
     method: str
     error: float
     corrupted: int
+    min_in_degree: int
     retained_fraction: float
     lemma1_pass: bool | None = None
 
@@ -191,19 +195,16 @@ def compare_methods(w, acts, cfg: PruneConfig, methods=METHODS) -> list[MethodRe
         else:
             z_m = z_eval[res.permutation.forward, :]
         error = _masked_error(res.weights, res.mask, z_m)
-        corrupted = int((res.mask.sum(axis=0) == 0).sum())
+        in_deg = res.mask.sum(axis=0)
         retained = float(
             np.abs(apply_mask(np.asarray(res.weights, dtype=np.float64), res.mask)).sum()
             / abs_total
         )
         lemma = None
         if method == "eggs":
-            try:
-                verify_degree_laws(res.mask, cfg)
-                lemma = True
-            except VerificationError:
-                lemma = False
-        reports.append(MethodReport(method, error, corrupted, retained, lemma))
+            lemma = verify_degree_laws(res.mask, cfg).violation is None
+        reports.append(MethodReport(method, error, int((in_deg == 0).sum()), int(in_deg.min()),
+                                    retained, lemma))
     return reports
 
 

@@ -128,15 +128,6 @@ def connectivity_select(block_w, block_scores, n: int, m: int) -> np.ndarray:
     return mask
 
 
-def nm_prune_with_scores(w, scores, n: int, m: int) -> np.ndarray:
-    """Generic score-driven N:M pruning: top m-n per row window."""
-    w_arr = np.asarray(w)
-    s = np.asarray(scores)
-    if w_arr.shape != s.shape:
-        raise ShapeError(f"scores shape {s.shape} does not match weights shape {w_arr.shape}")
-    return importance_select(s, n, m)
-
-
 def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarray:
     """Mask a channel-permuted matrix with mixed selection strategies.
 

@@ -53,15 +53,6 @@ class ChannelPermutation:
         inv[fwd] = np.arange(fwd.shape[0])
         return cls(fwd, inv)
 
-    @classmethod
-    def identity(cls, n: int) -> "ChannelPermutation":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(idx, idx.copy())
-
-    def inverted(self) -> "ChannelPermutation":
-        """The permutation that undoes this one."""
-        return ChannelPermutation(self.inverse.copy(), self.forward.copy())
-
 
 def build_permutation(scores, m: int) -> ChannelPermutation:
     """Assign channels to pruning groups round-robin by descending score.
@@ -96,14 +87,6 @@ def apply_to_columns(w, perm: ChannelPermutation) -> np.ndarray:
             f"permutation of length {len(perm)}"
         )
     return np.ascontiguousarray(arr[:, perm.forward])
-
-
-def apply_to_vector(v, perm: ChannelPermutation) -> np.ndarray:
-    """Reorder a per-channel vector into the permuted layout."""
-    arr = np.asarray(v)
-    if arr.ndim != 1 or arr.shape[0] != len(perm):
-        raise ShapeError("vector length does not match permutation length")
-    return np.ascontiguousarray(arr[perm.forward])
 
 
 def unpermute_mask(mask, perm: ChannelPermutation) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,16 +44,6 @@ class TensorBundle:
 
     def __post_init__(self):
         self.entries = {name: _check_entry(name, arr) for name, arr in self.entries.items()}
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "TensorBundle":
-        """Build a bundle from (name, array) pairs, rejecting duplicate names."""
-        entries = {}
-        for name, arr in pairs:
-            if name in entries:
-                raise InvariantError(f"duplicate entry name {name!r}")
-            entries[name] = arr
-        return cls(entries)
 
     def __getitem__(self, name) -> np.ndarray:
         return self.entries[name]
@@ -132,7 +122,10 @@ def load_bundle(path) -> TensorBundle:
 
 
 def save_bundle(bundle: TensorBundle, path) -> None:
-    """Write a bundle atomically (temp file + rename); byte-deterministic."""
+    """Write a bundle atomically (temp file + rename); byte-deterministic.
+
+    The file gets the umask's default mode, like any other new file.
+    """
     blobs = []
     header = {}
     offset = 0
@@ -153,7 +146,9 @@ def save_bundle(bundle: TensorBundle, path) -> None:
 
     directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".nmprune-")
+        tmp_path = os.path.join(directory, f".nmprune-{uuid.uuid4().hex}")
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+        fd = os.open(tmp_path, flags, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(len(header_bytes).to_bytes(8, "little"))

@@ -17,6 +17,7 @@ import helpers
 from nmprune import (
     METHODS,
     ActivationNorms,
+    ChannelPermutation,
     PruneConfig,
     TensorBundle,
     apply_to_columns,
@@ -102,6 +103,7 @@ def test_criterion_02_degree_laws(suite):
         for b in B_VALUES:
             cfg = PruneConfig(layer.n, layer.m, b)
             rep = verify_degree_laws(layer.eggs_masks[b], cfg)
+            assert rep.violation is None
             assert rep.min_in_degree >= min(b, layer.w.shape[0] // layer.m)
             checked += 1
     report(2, "degree laws", f"{checked} masks, B grid {B_VALUES}")
@@ -202,7 +204,8 @@ def test_criterion_07_permutation_semantics():
         assert perm.inverse[ranked[0]] == 0  # group 1 leads with the top channel
         assert perm.inverse[ranked[1]] == 4  # group 2 gets the runner-up
         np.testing.assert_array_equal(np.sort(perm.forward), np.arange(8))
-        back = apply_to_columns(apply_to_columns(w, perm), perm.inverted())
+        back = apply_to_columns(apply_to_columns(w, perm),
+                                ChannelPermutation.from_forward(perm.inverse))
         assert back.tobytes() == w.tobytes()
     report(7, "channel-permutation semantics", "4x8 top-channel placement + 100 round-trips")
 

@@ -1,6 +1,8 @@
 """CLI contract: exit codes, output files, and stream separation."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -94,8 +96,22 @@ class TestPrune:
                        "--method", "ria", "--n", "2", "--m", "4") == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_bundle_mode_matches_sidecar(self, tmp_path):
+        src = gen_layer(tmp_path)
+        out = tmp_path / "pruned.tensors"
+        assert run("prune", "--in", str(src), "--out", str(out),
+                   "--method", "ria", "--n", "2", "--m", "4") == 0
+        sidecar = tmp_path / "pruned.tensors.perm.json"
+        assert stat.S_IMODE(os.stat(out).st_mode) == stat.S_IMODE(os.stat(sidecar).st_mode)
+
 
 class TestVerify:
+    def test_directory_input_is_pipeline_error(self, tmp_path, capsys):
+        assert run("verify", "--in", str(tmp_path), "--n", "2", "--m", "4") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_eggs_output_passes(self, tmp_path, capsys):
         src = gen_layer(tmp_path)
         out = tmp_path / "pruned.tensors"
@@ -168,6 +184,18 @@ class TestEval:
                    "--n", "2", "--m", "4", "--b", "1", "--csv", str(csv_path)) == 0
         assert csv_path.read_text().startswith("method,error,corrupted,lemma1_pass")
 
+    def test_acts_read_as_prune_and_sweep_read_them(self, tmp_path, capsys):
+        from nmprune import TensorBundle, save_bundle
+        path = tmp_path / "acts3d.tensors"
+        save_bundle(TensorBundle({"W": np.ones((8, 8), dtype=np.float32),
+                                  "Z": np.ones((8, 2, 2), dtype=np.float32)}), path)
+        capsys.readouterr()
+        for argv in (["eval"], ["sweep", "--b-range", "0..1"],
+                     ["prune", "--out", str(tmp_path / "x"), "--method", "ria"]):
+            assert run(*argv, "--in", str(path), "--n", "2", "--m", "4") == 1
+            assert capsys.readouterr().err == (
+                "error: activation tensor must be a norms vector or a channels x samples batch\n")
+
 
 class TestSweep:
     def test_rows_and_flags(self, tmp_path, capsys):
@@ -182,6 +210,31 @@ class TestSweep:
             fields = line.split(",")
             assert fields[0] == str(i)
             assert fields[4] == "true"
+
+    def test_rows_agree_with_eval(self, tmp_path, capsys):
+        src = gen_layer(tmp_path, dims="12x16", profile="dead-columns", seed=4, k=3)
+        nm = ["--n", "2", "--m", "4"]
+        capsys.readouterr()
+        assert run("sweep", "--in", str(src), "--b-range", "0..3", *nm) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+
+        def eval_row(method, b):
+            assert run("eval", "--in", str(src), "--methods", method, *nm, "--b", str(b)) == 0
+            (doc,) = json.loads(capsys.readouterr().out)
+            return doc
+
+        for b, (_, error, corrupted, min_in, passed) in enumerate(rows):
+            doc = eval_row("eggs", b)
+            assert float(error) == doc["error"]
+            assert int(corrupted) == doc["corrupted"]
+            assert passed == str(doc["lemma1_pass"]).lower()
+            out = tmp_path / f"eggs-{b}.tensors"
+            assert run("prune", "--in", str(src), "--out", str(out), "--method", "eggs",
+                       *nm, "--b", str(b)) == 0
+            assert int(min_in) == int(load_bundle(out)["mask"].sum(axis=0).min())
+        assert int(rows[0][2]) > 0  # B=0 is plain ria and strands the dead columns
+        assert float(rows[0][1]) == eval_row("ria", 0)["error"]
 
     def test_bad_range_is_usage_error(self, tmp_path):
         src = gen_layer(tmp_path)

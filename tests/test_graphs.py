@@ -1,4 +1,4 @@
-"""Graph view of masks: degree stats, degree laws, exhaustive expansion."""
+"""Graph view of masks: adjacency, degree laws, exhaustive expansion."""
 
 from fractions import Fraction
 
@@ -10,9 +10,7 @@ from nmprune import (
     CapacityError,
     DomainError,
     PruneConfig,
-    VerificationError,
     brute_force_expansion,
-    degree_stats,
     eggs_prune,
     mask_to_graph,
     verify_degree_laws,
@@ -30,33 +28,37 @@ class TestMaskToGraph:
 
     def test_zero_column_gives_zero_degree(self):
         mask = np.array([[1, 0], [1, 0]], dtype=np.uint8)
-        stats = degree_stats(mask_to_graph(mask))
-        assert stats.in_zero == 1 and stats.in_min == 0
+        g = mask_to_graph(mask)
+        assert g.n_inputs == 2
+        assert all(1 not in nbrs for nbrs in g.adjacency)
 
     def test_edge_count_preserved(self):
         rng = np.random.default_rng(1)
         mask = (rng.uniform(size=(6, 9)) < 0.4).astype(np.uint8)
         g = mask_to_graph(mask)
-        total = int(mask.sum())
-        assert sum(len(n) for n in g.adjacency) == total
-        stats = degree_stats(g)
-        assert round(stats.in_mean * g.n_inputs) == total
+        assert sum(len(n) for n in g.adjacency) == int(mask.sum())
+        in_deg = np.bincount([j for nbrs in g.adjacency for j in nbrs], minlength=g.n_inputs)
+        np.testing.assert_array_equal(in_deg, mask.sum(axis=0))
 
 
 class TestDegreeStats:
+    """The degree extremes a degree-law report carries, whether or not the
+    laws hold."""
+
     def test_complete_bipartite_degrees(self):
-        stats = degree_stats(mask_to_graph(np.ones((2, 2), dtype=np.uint8)))
-        assert (stats.in_min, stats.in_max, stats.out_min, stats.out_max) == (2, 2, 2, 2)
+        report = verify_degree_laws(np.ones((2, 2), dtype=np.uint8), PruneConfig(1, 2, b=0))
+        assert (report.min_in_degree, report.min_out_degree) == (2, 2)
 
     def test_empty_graph(self):
-        stats = degree_stats(mask_to_graph(np.zeros((3, 4), dtype=np.uint8)))
-        assert stats.in_zero == 4 and stats.out_zero == 3
+        report = verify_degree_laws(np.zeros((3, 4), dtype=np.uint8), PruneConfig(2, 4, b=0))
+        assert (report.min_in_degree, report.min_out_degree) == (0, 0)
+        assert report.violation == "output 0 has degree 0, expected 2"
 
     def test_regular_output_side(self):
         w, act = helpers.random_layer(4, 8, 16)
-        mask = eggs_prune(w, act, PruneConfig(2, 4, b=1))
-        stats = degree_stats(mask_to_graph(mask))
-        assert stats.out_min == stats.out_max == (16 // 4) * 2
+        cfg = PruneConfig(2, 4, b=1)
+        report = verify_degree_laws(eggs_prune(w, act, cfg), cfg)
+        assert report.min_out_degree == report.out_degree == (16 // 4) * 2
 
 
 class TestVerifyDegreeLaws:
@@ -64,6 +66,7 @@ class TestVerifyDegreeLaws:
         w, act = helpers.random_layer(5, 8, 8)
         cfg = PruneConfig(2, 4, b=1)
         report = verify_degree_laws(eggs_prune(w, act, cfg), cfg)
+        assert report.violation is None
         assert report.out_degree == 4
         assert report.input_floor == 1
         assert report.c_bound == Fraction(1, 8)
@@ -73,18 +76,30 @@ class TestVerifyDegreeLaws:
         mask = np.array(
             [[1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0]], dtype=np.uint8
         )
-        with pytest.raises(VerificationError, match="input 3"):
-            verify_degree_laws(mask, PruneConfig(2, 4, b=1))
+        report = verify_degree_laws(mask, PruneConfig(2, 4, b=1))
+        assert report.violation == "input 3 has degree 0, below the guaranteed floor 1"
+        assert report.min_in_degree == 0
 
     def test_wrong_output_degree_fails(self):
         mask = np.array([[1, 1, 1, 0]], dtype=np.uint8)
-        with pytest.raises(VerificationError, match="output 0"):
-            verify_degree_laws(mask, PruneConfig(2, 4, b=0))
+        report = verify_degree_laws(mask, PruneConfig(2, 4, b=0))
+        assert report.violation == "output 0 has degree 3, expected 2"
+
+    def test_outputs_checked_before_inputs(self):
+        mask = np.array([[1, 1, 1, 0]] + [[1, 1, 0, 0]] * 3, dtype=np.uint8)
+        report = verify_degree_laws(mask, PruneConfig(2, 4, b=1))
+        assert report.violation.startswith("output 0 ")
+
+    def test_columns_not_divisible_by_m(self):
+        mask = np.array([[1, 1, 0, 0, 1, 0]] * 4, dtype=np.uint8)
+        report = verify_degree_laws(mask, PruneConfig(2, 4, b=1))
+        assert report.violation == "6 columns not divisible by window width 4"
 
     def test_floor_two(self):
         w, act = helpers.random_layer(6, 8, 8)
         cfg = PruneConfig(2, 4, b=2)
         report = verify_degree_laws(eggs_prune(w, act, cfg), cfg)
+        assert report.violation is None
         assert report.input_floor == 2
         assert report.min_in_degree >= 2
 

@@ -12,8 +12,8 @@ from nmprune import (
     PruneConfig,
     compare_methods,
     gen_synthetic,
+    importance_select,
     norms_from_batch,
-    nm_prune_with_scores,
     reconstruction_error,
     reports_to_csv,
     reports_to_json,
@@ -85,7 +85,7 @@ class TestReconstructionError:
         rng = np.random.default_rng(44)
         for seed in range(5):
             w, z = gen_synthetic(seed, 16, 32, "gaussian")
-            mask = nm_prune_with_scores(w, np.abs(w), 2, 4)
+            mask = importance_select(np.abs(w), 2, 4)
             err = reconstruction_error(w, mask, z)
             assert 0.0 < err < 1.0
 
@@ -120,7 +120,7 @@ class TestCompareMethods:
         w = rng.standard_normal((8, 8)).astype(np.float32)
         act = ActivationNorms(rng.uniform(0.5, 1.5, size=8))
         reports = compare_methods(w, act, PruneConfig(2, 4, 0), ["magnitude"])
-        mask = nm_prune_with_scores(w, np.abs(w.astype(np.float64)), 2, 4)
+        mask = importance_select(np.abs(w.astype(np.float64)), 2, 4)
         expected = np.linalg.norm(w * (1 - mask)) / np.linalg.norm(w)
         np.testing.assert_allclose(reports[0].error, expected, rtol=1e-6)
 

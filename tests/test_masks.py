@@ -19,7 +19,6 @@ from nmprune import (
     diagonal_select,
     eggs_prune,
     importance_select,
-    nm_prune_with_scores,
     ria,
 )
 
@@ -56,6 +55,23 @@ class TestImportanceSelect:
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError):
             importance_select(np.ones((2, 6)), 2, 4)
+
+    def test_diag_dominant_keeps_diagonal(self):
+        w = np.full((4, 8), 0.01)
+        for i in range(4):
+            w[i, i] = 10.0
+            w[i, i + 4] = 9.0
+        mask = importance_select(np.abs(w), 2, 4)
+        for i in range(4):
+            assert mask[i, i] == 1 and mask[i, i + 4] == 1
+
+    def test_one_of_two_windows(self):
+        mask = importance_select(np.array([[3.0, 1.0, 2.0, 9.0]]), 1, 2)
+        np.testing.assert_array_equal(mask, [[1, 0, 0, 1]])
+
+    def test_odd_m_accepted_for_baselines(self):
+        mask = importance_select(np.array([[1.0, 3.0, 2.0, 6.0, 5.0, 4.0]]), 1, 3)
+        np.testing.assert_array_equal(mask, [[0, 1, 1, 1, 1, 0]])
 
     def test_matches_plain_python_oracle(self):
         rng = np.random.default_rng(31)
@@ -148,7 +164,7 @@ class TestEggsPrune:
         for seed in range(10):
             w, act = helpers.random_layer(seed, 8, 16)
             cfg = PruneConfig(2, 4, b=0)
-            baseline = nm_prune_with_scores(w, ria(w, act), 2, 4)
+            baseline = importance_select(ria(w, act), 2, 4)
             np.testing.assert_array_equal(eggs_prune(w, act, cfg), baseline)
 
     def test_degree_laws_on_8x8(self):
@@ -164,7 +180,7 @@ class TestEggsPrune:
         norms = rng.uniform(0.5, 1.5, size=8)
         norms[7] *= 1e-9
         act = ActivationNorms(norms, 0.5)
-        plain = nm_prune_with_scores(w, ria(w, act), 2, 4)
+        plain = importance_select(ria(w, act), 2, 4)
         assert plain[:, 7].sum() == 0
         mask = eggs_prune(w, act, PruneConfig(2, 4, b=1))
         assert mask[:, 7].sum() >= 1
@@ -187,37 +203,6 @@ class TestEggsPrune:
         a = eggs_prune(w, act, PruneConfig(2, 4, b=2))
         b = eggs_prune(w, act, PruneConfig(2, 4, b=2))
         assert a.tobytes() == b.tobytes()
-
-
-class TestNmPruneWithScores:
-    def test_diag_dominant_keeps_diagonal(self):
-        w = np.full((4, 8), 0.01)
-        for i in range(4):
-            w[i, i] = 10.0
-            w[i, i + 4] = 9.0
-        mask = nm_prune_with_scores(w, np.abs(w), 2, 4)
-        for i in range(4):
-            assert mask[i, i] == 1 and mask[i, i + 4] == 1
-
-    def test_matches_importance_select(self):
-        rng = np.random.default_rng(80)
-        w = rng.standard_normal((4, 8))
-        scores = rng.uniform(size=(4, 8))
-        np.testing.assert_array_equal(
-            nm_prune_with_scores(w, scores, 2, 4), importance_select(scores, 2, 4)
-        )
-
-    def test_one_of_two_windows(self):
-        mask = nm_prune_with_scores(np.ones((1, 4)), np.array([[3.0, 1.0, 2.0, 9.0]]), 1, 2)
-        np.testing.assert_array_equal(mask, [[1, 0, 0, 1]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            nm_prune_with_scores(np.ones((2, 4)), np.ones((2, 8)), 2, 4)
-
-    def test_odd_m_accepted_for_baselines(self):
-        mask = nm_prune_with_scores(np.ones((1, 6)), np.array([[1.0, 3.0, 2.0, 6.0, 5.0, 4.0]]), 1, 3)
-        np.testing.assert_array_equal(mask, [[0, 1, 1, 1, 1, 0]])
 
 
 class TestApplyMask:

@@ -5,13 +5,13 @@ import pytest
 
 from nmprune import (
     ShapeError,
-    Strategy,
     assign_blocks,
     order_rows,
     plan_groups,
     rri,
     split_groups,
 )
+from nmprune.partition import Strategy
 
 
 class TestSplitGroups:

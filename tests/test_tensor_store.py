@@ -115,11 +115,6 @@ class TestFormatRejection:
 
 
 class TestBundleInvariants:
-    def test_duplicate_pairs_rejected(self):
-        a = np.zeros((2,), dtype=np.float32)
-        with pytest.raises(InvariantError):
-            TensorBundle.from_pairs([("w", a), ("w", a)])
-
     def test_empty_name_rejected(self):
         with pytest.raises(InvariantError):
             TensorBundle({"": np.zeros((1,), dtype=np.float32)})

@@ -67,7 +67,6 @@ from .partition import (
     assign_blocks,
     order_rows,
     plan_groups,
-    split_groups,
 )
 from .permute import (
     ChannelPermutation,

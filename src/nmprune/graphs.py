@@ -83,12 +83,15 @@ def verify_degree_laws(mask, cfg: PruneConfig) -> DegreeLawReport:
     have degree >= min(b, f_out // m). The report's ``violation`` names the
     first offending vertex, outputs first, or a column count that m does not
     divide; it is None when both laws hold. The report also carries the
-    admissible subset-fraction endpoint implied by each side.
+    admissible subset-fraction endpoint implied by each side. A mask that is
+    not 2-D, or has no rows or no columns, raises ShapeError.
     """
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise ShapeError("mask must be 2-D")
     f_out, f_in = arr.shape
+    if not f_out or not f_in:
+        raise ShapeError(f"mask has no {'columns' if f_out else 'rows'} (shape {f_out}x{f_in})")
     expected_out = (f_in // cfg.m) * (cfg.m - cfg.n)
     floor = min(cfg.b, f_out // cfg.m)
     counts = arr.astype(np.int64)

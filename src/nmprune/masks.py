@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, VerificationError
 from .metrics import ActivationNorms, check_weights, ria, rri
-from .partition import Strategy, plan_groups
+from .partition import plan_groups
 
 
 @dataclass(frozen=True)
@@ -74,36 +74,36 @@ def diagonal_select(block) -> np.ndarray:
     the main diagonal). The (top-left, bottom-right) picks form one pair,
     (top-right, bottom-left) the other; the pair with the larger combined
     sum is retained (ties take the first pair). The result has exactly one
-    1 per row and per column.
+    1 per row and per column. A stack of shape (..., m, m) is selected
+    block by block.
     """
     b = np.asarray(block, dtype=np.float64)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
         raise ShapeError(f"diagonal selection needs a square block, got shape {b.shape}")
-    m = b.shape[0]
+    m = b.shape[-1]
     if m < 2 or m % 2:
         raise ConfigError(f"diagonal selection needs an even block size, got {m}")
     h = m // 2
     a = np.abs(b)
 
-    picks = {}
-    for key, (r0, c0) in (("tl", (0, 0)), ("tr", (0, h)), ("bl", (h, 0)), ("br", (h, h))):
-        quad = a[r0 : r0 + h, c0 : c0 + h]
-        main = float(np.trace(quad))
-        anti = float(np.trace(quad[:, ::-1]))
-        use_main = main >= anti
-        picks[key] = (r0, c0, use_main, main if use_main else anti)
+    # quadrants tl, tr, bl, br by their top-left corner
+    r0 = np.array([0, 0, h, h])[:, None]
+    c0 = np.array([0, h, 0, h])[:, None]
+    i = np.arange(h)
+    main = a[..., r0 + i, c0 + i].sum(axis=-1)
+    anti = a[..., r0 + i, c0 + h - 1 - i].sum(axis=-1)
+    use_main = main >= anti
+    best = np.where(use_main, main, anti)
+    first_pair = best[..., 0] + best[..., 3] >= best[..., 1] + best[..., 2]
 
-    if picks["tl"][3] + picks["br"][3] >= picks["tr"][3] + picks["bl"][3]:
-        chosen = ("tl", "br")
-    else:
-        chosen = ("tr", "bl")
-
-    mask = np.zeros((m, m), dtype=np.uint8)
-    for key in chosen:
-        r0, c0, use_main, _ = picks[key]
-        rows = np.arange(h) + r0
-        cols = (np.arange(h) if use_main else np.arange(h)[::-1]) + c0
-        mask[rows, cols] = 1
+    # column of the retained entry in each row of each quadrant; the top rows
+    # take tl or tr, the bottom rows br or bl
+    picked = c0 + np.where(use_main[..., None], i, h - 1 - i)
+    pair = np.where(first_pair, 0, 1)[..., None, None]
+    cols = np.take_along_axis(picked, np.concatenate([pair, 3 - pair], axis=-2), axis=-2)
+    cols = cols.reshape(b.shape[:-1])
+    mask = np.zeros(b.shape, dtype=np.uint8)
+    np.put_along_axis(mask, cols[..., None], 1, axis=-1)
     return mask
 
 
@@ -111,20 +111,20 @@ def connectivity_select(block_w, block_scores, n: int, m: int) -> np.ndarray:
     """Diagonal selection plus per-row top-(m-n-1) fill from the scores.
 
     The diagonal position is excluded from the fill contest, so each row
-    ends with exactly m-n ones and each column keeps at least one.
+    ends with exactly m-n ones and each column keeps at least one. Stacks
+    of shape (..., m, m) are selected block by block.
     """
     _check_nm(n, m)
     w = np.asarray(block_w, dtype=np.float64)
     s = np.asarray(block_scores, dtype=np.float64)
-    if w.shape != (m, m) or s.shape != (m, m):
+    if w.shape[-2:] != (m, m) or s.shape != w.shape:
         raise ShapeError(f"connectivity selection needs {m}x{m} blocks, got {w.shape} and {s.shape}")
     mask = diagonal_select(w)
     extra = m - n - 1
     if extra:
-        fill = s.copy()
-        fill[mask == 1] = -np.inf
-        keep = np.argsort(-fill, axis=1, kind="stable")[:, :extra]
-        np.put_along_axis(mask, keep, 1, axis=1)
+        fill = np.where(mask == 1, -np.inf, s)
+        keep = np.argsort(-fill, axis=-1, kind="stable")[..., :extra]
+        np.put_along_axis(mask, keep, 1, axis=-1)
     return mask
 
 
@@ -143,16 +143,12 @@ def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarra
     mask = importance_select(ria_scores, cfg.n, cfg.m)
     if cfg.b == 0:
         return mask
-    rri_scores = rri(w)
-    for plan in plan_groups(rri_scores, cfg.m, cfg.b):
-        cols = np.arange(plan.col_start, plan.col_stop)
-        for block in plan.blocks:
-            if block.strategy is Strategy.CONNECTIVITY:
-                rows = np.asarray(block.row_indices)
-                sub = connectivity_select(
-                    w[np.ix_(rows, cols)], ria_scores[np.ix_(rows, cols)], cfg.n, cfg.m
-                )
-                mask[np.ix_(rows, cols)] = sub
+    # (groups, blocks, m) connectivity rows against each group's m columns;
+    # groups own disjoint columns and blocks disjoint rows
+    rows = plan_groups(rri(w), cfg.m, cfg.b)
+    cols = np.arange(w.shape[1]).reshape(-1, cfg.m)
+    cells = rows[..., None], cols[:, None, None, :]
+    mask[cells] = connectivity_select(w[cells], ria_scores[cells], cfg.n, cfg.m)
     return mask
 
 

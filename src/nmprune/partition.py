@@ -1,94 +1,62 @@
-"""Pruning-group layout: column ranges, row ordering, block strategies.
+"""Pruning-group layout: per-group row order and connectivity rows.
 
-Rows are ordered virtually for block assignment; masks are always written
-back at original row positions.
+A pruning group is a run of m adjacent columns. The plan is one integer
+array: for every group, the rows of its connectivity blocks. Rows are
+ordered virtually for block assignment; masks are always written back at
+original row positions.
 """
 
 from __future__ import annotations
 
-import enum
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 
 
-class Strategy(enum.Enum):
-    CONNECTIVITY = "connectivity"
-    IMPORTANCE = "importance"
+def order_rows(scores, m: int) -> np.ndarray:
+    """Per group of m columns, row indices sorted ascending by the row's
+    score sum over the group; ties keep the lower row index.
 
-
-@dataclass(frozen=True)
-class Block:
-    row_indices: tuple[int, ...]
-    strategy: Strategy
-
-
-@dataclass(frozen=True)
-class GroupPlan:
-    group_index: int
-    col_start: int
-    col_stop: int
-    row_order: np.ndarray
-    blocks: tuple[Block, ...]
-
-
-def split_groups(f_in: int, m: int) -> list[tuple[int, int]]:
-    """Contiguous disjoint column ranges of width m covering [0, f_in)."""
-    if m < 1 or f_in < m or f_in % m:
-        raise ShapeError(f"{f_in} columns cannot be split into groups of width {m}")
-    return [(k * m, (k + 1) * m) for k in range(f_in // m)]
-
-
-def order_rows(scores, col_range) -> np.ndarray:
-    """Row indices sorted ascending by in-range score sum; ties keep lower index."""
+    Returns shape (groups, rows).
+    """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
         raise ShapeError("score matrix must be 2-D")
-    start, stop = col_range
-    if not (0 <= start < stop <= s.shape[1]):
-        raise ShapeError(f"column range [{start}, {stop}) outside matrix with {s.shape[1]} columns")
-    return np.argsort(s[:, start:stop].sum(axis=1), kind="stable")
+    f_out, f_in = s.shape
+    if m < 1 or f_in < m or f_in % m:
+        raise ShapeError(f"{f_in} columns cannot be split into groups of width {m}")
+    sums = s.reshape(f_out, f_in // m, m).sum(axis=2)
+    return np.argsort(sums.T, axis=1, kind="stable")
 
 
-def assign_blocks(row_order, m: int, b: int) -> list[Block]:
-    """Chunk ordered rows into blocks of m rows each.
+def assign_blocks(order, m: int, b: int) -> np.ndarray:
+    """Connectivity rows of every group, shape (groups, b_eff, m), int64.
 
-    The first min(b, full block count) full blocks, i.e. those holding the
-    lowest-scoring rows, get the connectivity strategy; everything else,
-    including a trailing partial chunk, gets importance. b beyond the
-    available full blocks is clamped with a warning.
+    Each group's ordered rows are chunked into blocks of m; the first
+    b_eff = min(b, rows // m) full blocks, i.e. those holding the
+    lowest-scoring rows, get the connectivity strategy. Every other row,
+    including a trailing partial chunk, keeps importance selection. b
+    beyond the available full blocks is clamped with a warning per group.
     """
-    order = np.asarray(row_order)
-    n_rows = order.shape[0]
+    order = np.asarray(order, dtype=np.int64)
+    groups, n_rows = order.shape
     full = n_rows // m
     if b > full:
-        warnings.warn(
-            f"connectivity block count {b} exceeds {full} full blocks; clamping",
-            stacklevel=2,
-        )
+        for _ in range(groups):
+            warnings.warn(
+                f"connectivity block count {b} exceeds {full} full blocks; clamping",
+                stacklevel=2,
+            )
     effective = min(max(b, 0), full)
-    blocks = []
-    for i in range(0, n_rows, m):
-        chunk = tuple(int(r) for r in order[i : i + m])
-        if i // m < effective and len(chunk) == m:
-            blocks.append(Block(chunk, Strategy.CONNECTIVITY))
-        else:
-            blocks.append(Block(chunk, Strategy.IMPORTANCE))
-    return blocks
+    return order[:, : effective * m].reshape(groups, effective, m)
 
 
-def plan_groups(scores, m: int, b: int) -> list[GroupPlan]:
-    """One plan per pruning group: row order and block strategies.
+def plan_groups(scores, m: int, b: int) -> np.ndarray:
+    """Connectivity rows per pruning group, shape (groups, b_eff, m).
 
     Ordering is computed independently per group, so a row may sit in a
     connectivity block in one group and an importance block in another.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    plans = []
-    for k, (start, stop) in enumerate(split_groups(s.shape[1], m)):
-        order = order_rows(s, (start, stop))
-        plans.append(GroupPlan(k, start, stop, order, tuple(assign_blocks(order, m, b))))
-    return plans
+    return assign_blocks(order_rows(scores, m), m, b)

@@ -6,11 +6,13 @@ implementation mistakes rather than mirror them.
 """
 
 import itertools
+import warnings
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from nmprune import ActivationNorms
+from nmprune import ActivationNorms, ria, rri
 
 
 def random_layer(seed, f_out, f_in, alpha=0.5):
@@ -107,4 +109,53 @@ def top_k_per_window_oracle(scores, n, m):
             window = [(float(-s[i, start + j]), j) for j in range(m)]
             for _, j in sorted(window)[: m - n]:
                 mask[i, start + j] = 1
+    return mask
+
+
+def connectivity_select_oracle(block_w, block_scores, n, m):
+    """Enumerated diagonal pattern, then per row the m-n-1 highest scores
+    among the other columns, lower column first on ties."""
+    mask = diagonal_select_oracle(block_w)
+    s = np.asarray(block_scores, dtype=np.float64)
+    for r in range(m):
+        free = sorted((-float(s[r, c]), c) for c in range(m) if not mask[r, c])
+        for _, c in free[: m - n - 1]:
+            mask[r, c] = 1
+    return mask
+
+
+class Block(NamedTuple):
+    row_indices: tuple
+    connectivity: bool
+
+
+def eggs_prune_oracle(w_perm, act_perm, cfg):
+    """Group by group, block by block: order the rows of each group of m
+    columns by their rri sum (stable), chunk them into blocks of m, and give
+    the first min(b, rows // m) full blocks the connectivity pattern. Warns
+    once per group when b is clamped, like the library."""
+    w = np.asarray(w_perm, dtype=np.float64)
+    ria_scores = ria(w, act_perm)
+    mask = top_k_per_window_oracle(ria_scores, cfg.n, cfg.m)
+    if cfg.b == 0:
+        return mask
+    rri_scores = rri(w)
+    n_rows, n_cols = w.shape
+    m = cfg.m
+    full = n_rows // m
+    for start in range(0, n_cols, m):
+        cols = list(range(start, start + m))
+        sums = rri_scores[:, start : start + m].sum(axis=1)
+        order = sorted(range(n_rows), key=lambda r: (sums[r], r))
+        if cfg.b > full:
+            warnings.warn(f"connectivity block count {cfg.b} exceeds {full} full blocks; "
+                          "clamping", stacklevel=2)
+        blocks = [Block(tuple(order[i : i + m]), i // m < min(cfg.b, full) and i + m <= n_rows)
+                  for i in range(0, n_rows, m)]
+        for block in blocks:
+            if block.connectivity:
+                rows = list(block.row_indices)
+                sub = connectivity_select_oracle(w[np.ix_(rows, cols)],
+                                                 ria_scores[np.ix_(rows, cols)], cfg.n, m)
+                mask[np.ix_(rows, cols)] = sub
     return mask

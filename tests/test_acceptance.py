@@ -7,6 +7,7 @@ them. Criteria with runtime budgets assert the elapsed wall time.
 
 import json
 import time
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,6 +58,18 @@ class Layer:
     eggs_masks: dict = field(default_factory=dict)
 
 
+def prune_mask(w, acts, cfg, method):
+    """prune_with_method's mask; eggs must warn once per group exactly when
+    B exceeds the full row blocks, and nothing else may warn."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mask = prune_with_method(w, acts, cfg, method).mask
+    clamped = method == "eggs" and cfg.b > w.shape[0] // cfg.m
+    assert len(caught) == (w.shape[1] // cfg.m if clamped else 0)
+    assert all("clamping" in str(c.message) for c in caught)
+    return mask
+
+
 @pytest.fixture(scope="module")
 def suite():
     """200 randomized layers with masks from every method, plus eggs masks
@@ -73,13 +86,13 @@ def suite():
         acts = ActivationNorms(rng.uniform(0.1, 2.0, size=cols), 0.5)
         layer = Layer(n, m, w, acts)
         for method in METHODS:
-            layer.masks[method] = prune_with_method(w, acts, PruneConfig(n, m, 1), method).mask
+            layer.masks[method] = prune_mask(w, acts, PruneConfig(n, m, 1), method)
         layers.append(layer)
     elapsed = time.perf_counter() - t0
     for layer in layers:
         for b in B_VALUES:
             cfg = PruneConfig(layer.n, layer.m, b)
-            layer.eggs_masks[b] = prune_with_method(layer.w, layer.acts, cfg, "eggs").mask
+            layer.eggs_masks[b] = prune_mask(layer.w, layer.acts, cfg, "eggs")
     return layers, elapsed
 
 

@@ -112,6 +112,16 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("shape, empty", [((4, 0), "columns"), ((0, 4), "rows")])
+    def test_empty_mask_is_pipeline_error(self, tmp_path, capsys, shape, empty):
+        from nmprune import TensorBundle, save_bundle
+        path = tmp_path / "empty.tensors"
+        save_bundle(TensorBundle({"mask": np.zeros(shape, dtype=np.uint8)}), path)
+        assert run("verify", "--in", str(path), "--n", "2", "--m", "4") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: mask has no {empty} (shape {shape[0]}x{shape[1]})\n"
+
     def test_eggs_output_passes(self, tmp_path, capsys):
         src = gen_layer(tmp_path)
         out = tmp_path / "pruned.tensors"

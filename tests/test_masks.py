@@ -1,6 +1,8 @@
 """Mask construction: window selection, diagonal selection, and the
 combined pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,31 @@ class TestEggsPrune:
         a = eggs_prune(w, act, PruneConfig(2, 4, b=2))
         b = eggs_prune(w, act, PruneConfig(2, 4, b=2))
         assert a.tobytes() == b.tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8]), st.integers(1, 7),
+           st.integers(1, 26), st.integers(1, 4), st.integers(0, 5), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_group_by_group_oracle(self, seed, m, n, f_out, groups, b, integer):
+        n = 1 + (n - 1) % (m - 1)
+        rng = np.random.default_rng(seed)
+        shape = (f_out, groups * m)
+        if integer:
+            # equal row sums and equal fill scores exercise every tie-break
+            w = rng.choice([-2.0, -1.0, 1.0, 2.0], size=shape)
+            act = ActivationNorms(rng.integers(1, 3, size=shape[1]).astype(float), 0.5)
+        else:
+            w = rng.standard_normal(shape)
+            act = ActivationNorms(rng.uniform(0.1, 2.0, size=shape[1]), 0.5)
+        cfg = PruneConfig(n, m, b)
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = eggs_prune(w, act, cfg)
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = helpers.eggs_prune_oracle(w, act, cfg)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
+        assert [str(x.message) for x in got_warnings] == [str(x.message) for x in want_warnings]
 
 
 class TestApplyMask:

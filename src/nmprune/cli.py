@@ -104,12 +104,13 @@ def _cmd_prune(args) -> int:
     res = prune_with_method(w, acts, cfg, args.method)
     pruned = apply_mask(res.weights, res.mask)
     entries = {
-        "mask": res.mask.astype(np.uint8),
+        "mask": np.asarray(res.mask, dtype=np.uint8),
         "W_pruned": np.asarray(pruned, dtype=np.float32),
     }
     if res.permutation is not None:
         entries["W_perm"] = np.asarray(res.weights, dtype=np.float32)
-        entries["mask_unpermuted"] = unpermute_mask(res.mask, res.permutation).astype(np.uint8)
+        entries["mask_unpermuted"] = np.asarray(unpermute_mask(res.mask, res.permutation),
+                                                dtype=np.uint8)
     save_bundle(TensorBundle(entries), args.out)
     if res.permutation is not None:
         save_permutation(res.permutation, args.out + ".perm.json")
@@ -152,12 +153,15 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
     else:
-        report = brute_force_expansion(mask_to_graph(arr), c)
-        a_in, a_out = report.a_in, report.a_out
-        if a_in is not None and a_in <= 1:
-            ok = False
-        if a_out is not None and a_out <= 1:
-            ok = False
+        try:
+            graph = mask_to_graph(arr)
+        except VerificationError:
+            # check_nm_pattern has already reported the non-binary entries
+            print("expansion enumeration skipped: the mask is not binary", file=sys.stderr)
+        else:
+            report = brute_force_expansion(graph, c)
+            a_in, a_out = report.a_in, report.a_out
+            ok = ok and (a_in is None or a_in > 1) and (a_out is None or a_out > 1)
 
     print(json.dumps({
         "min_in_degree": laws.min_in_degree,

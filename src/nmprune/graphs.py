@@ -70,7 +70,7 @@ def mask_to_graph(mask) -> BipartiteGraph:
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise ShapeError("mask must be 2-D")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise VerificationError("mask entries must be 0 or 1")
     adjacency = tuple(tuple(int(j) for j in np.flatnonzero(row)) for row in arr)
     return BipartiteGraph(arr.shape[1], arr.shape[0], adjacency)
@@ -94,9 +94,8 @@ def verify_degree_laws(mask, cfg: PruneConfig) -> DegreeLawReport:
         raise ShapeError(f"mask has no {'columns' if f_out else 'rows'} (shape {f_out}x{f_in})")
     expected_out = (f_in // cfg.m) * (cfg.m - cfg.n)
     floor = min(cfg.b, f_out // cfg.m)
-    counts = arr.astype(np.int64)
-    out_deg = counts.sum(axis=1)
-    in_deg = counts.sum(axis=0)
+    out_deg = arr.sum(axis=1, dtype=np.int64)
+    in_deg = arr.sum(axis=0, dtype=np.int64)
     bad_out = np.flatnonzero(out_deg != expected_out)
     bad_in = np.flatnonzero(in_deg < floor)
     violation = None

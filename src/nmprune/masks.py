@@ -13,9 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, VerificationError
-from .metrics import ActivationNorms, check_weights, ria, rri
+from .errors import ConfigError, InvariantError, ShapeError, VerificationError
+from .metrics import ActivationNorms, ria_and_rri
 from .partition import plan_groups
+
+# scores per chunk of windows in importance_select: 2 MiB of float64
+_TOPK_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -59,11 +62,27 @@ def importance_select(scores, n: int, m: int) -> np.ndarray:
     rows, cols = s.shape
     if cols % m:
         raise ShapeError(f"{cols} columns not divisible by window width {m}")
-    windows = s.reshape(rows, cols // m, m)
-    keep = np.argsort(-windows, axis=2, kind="stable")[:, :, : m - n]
-    mask = np.zeros(windows.shape, dtype=np.uint8)
-    np.put_along_axis(mask, keep, 1, axis=2)
-    return mask.reshape(rows, cols)
+    if np.isnan(s).any():
+        raise InvariantError("scores must not be NaN")
+    windows = s.reshape(-1, m)
+    keep = np.empty(windows.shape, dtype=np.uint8)
+    # rank[k] counts the columns of its window that beat column k. It
+    # starts at k, as if every earlier column won; a later column beats an
+    # earlier one only when strictly larger, which moves that point from
+    # the later column's rank to the earlier one's. Windows go in chunks
+    # whose (m, chunk) planes stay small and contiguous.
+    rank_type = np.min_scalar_type(m - 1)
+    start_rank = np.arange(m, dtype=rank_type)[:, None]
+    step = max(_TOPK_CHUNK // m, 1)
+    for start in range(0, windows.shape[0], step):
+        planes = np.ascontiguousarray(windows[start : start + step].T)
+        rank = np.repeat(start_rank, planes.shape[1], axis=1)
+        for j in range(m - 1):
+            later_wins = planes[j + 1 :] > planes[j]
+            rank[j] += later_wins.sum(axis=0, dtype=rank_type)
+            rank[j + 1 :] -= later_wins
+        keep[start : start + step] = (rank < m - n).T
+    return keep.reshape(rows, cols)
 
 
 def diagonal_select(block) -> np.ndarray:
@@ -120,11 +139,10 @@ def connectivity_select(block_w, block_scores, n: int, m: int) -> np.ndarray:
     if w.shape[-2:] != (m, m) or s.shape != w.shape:
         raise ShapeError(f"connectivity selection needs {m}x{m} blocks, got {w.shape} and {s.shape}")
     mask = diagonal_select(w)
-    extra = m - n - 1
-    if extra:
-        fill = np.where(mask == 1, -np.inf, s)
-        keep = np.argsort(-fill, axis=-1, kind="stable")[..., :extra]
-        np.put_along_axis(mask, keep, 1, axis=-1)
+    if m - n - 1:
+        # each block row is one window; -inf keeps the diagonal out of the top m-n-1
+        fill = np.where(mask == 1, -np.inf, s).reshape(-1, m)
+        mask |= importance_select(fill, n + 1, m).reshape(mask.shape)
     return mask
 
 
@@ -138,16 +156,16 @@ def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarra
     With b = 0 this degenerates to plain score-driven pruning. Every input
     column ends with degree >= min(b, rows // m).
     """
-    w = check_weights(w_perm)
-    ria_scores = ria(w, act_perm)
+    ria_scores, rri_scores = ria_and_rri(w_perm, act_perm)
     mask = importance_select(ria_scores, cfg.n, cfg.m)
     if cfg.b == 0:
         return mask
     # (groups, blocks, m) connectivity rows against each group's m columns;
     # groups own disjoint columns and blocks disjoint rows
-    rows = plan_groups(rri(w), cfg.m, cfg.b)
-    cols = np.arange(w.shape[1]).reshape(-1, cfg.m)
+    rows = plan_groups(rri_scores, cfg.m, cfg.b)
+    cols = np.arange(mask.shape[1]).reshape(-1, cfg.m)
     cells = rows[..., None], cols[:, None, None, :]
+    w = np.asarray(w_perm)
     mask[cells] = connectivity_select(w[cells], ria_scores[cells], cfg.n, cfg.m)
     return mask
 
@@ -167,12 +185,18 @@ def check_nm_pattern(mask, n: int, m: int) -> None:
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise VerificationError("mask must be 2-D")
-    if not np.isin(arr, (0, 1)).all():
+    ones = arr == 1
+    if not (ones | (arr == 0)).all():
         raise VerificationError("mask entries must be 0 or 1")
     rows, cols = arr.shape
     if cols % m:
         raise ShapeError(f"{cols} columns not divisible by window width {m}")
-    counts = arr.reshape(rows, cols // m, m).astype(np.int64).sum(axis=2)
+    # integer counts are exact in any order; adding one window position at a
+    # time is faster than a sum over every m-wide window
+    windows = ones.reshape(rows, cols // m, m)
+    counts = np.zeros(windows.shape[:2], dtype=np.min_scalar_type(m))
+    for j in range(m):
+        counts += windows[..., j]
     bad = np.argwhere(counts != m - n)
     if bad.size:
         i, k = (int(x) for x in bad[0])

@@ -61,18 +61,54 @@ def _check_norms_length(act: ActivationNorms, f_in: int) -> None:
         raise ShapeError(f"activation norms length {len(act)} != input channels {f_in}")
 
 
+def _abs_weights(w) -> np.ndarray:
+    """|W| widened to float64 in a buffer of its own, validated like check_weights."""
+    arr = check_weights(w)
+    # check_weights copies unless w already is a float64 array; take abs in
+    # place only in such a copy
+    return np.abs(arr, out=arr if arr is not w and arr.base is None else None)
+
+
+def _row_sums(a) -> np.ndarray:
+    row_sums = a.sum(axis=1)
+    zero = np.flatnonzero(row_sums == 0.0)
+    if zero.size:
+        raise ZeroRowError(int(zero[0]))
+    return row_sums
+
+
 def rri(w) -> np.ndarray:
     """Weight magnitudes normalized by their row's absolute sum.
 
     Every row of the result sums to 1. Raises ZeroRowError for a row
     whose absolute sum is zero.
     """
-    a = np.abs(check_weights(w))
-    row_sums = a.sum(axis=1)
-    zero = np.flatnonzero(row_sums == 0.0)
+    a = _abs_weights(w)
+    return np.divide(a, _row_sums(a)[:, None], out=a)
+
+
+def ria_and_rri(w, act: ActivationNorms) -> tuple[np.ndarray, np.ndarray]:
+    """ria and rri of one matrix from one widened |W|.
+
+    rri is ria's row-relative term, so both share the same row sums. Each
+    equals what ria(w, act) and rri(w) return, bit for bit.
+    """
+    a = _abs_weights(w)
+    _check_norms_length(act, a.shape[1])
+    row_sums = _row_sums(a)
+    col_sums = a.sum(axis=0)
+    zero = np.flatnonzero(col_sums == 0.0)
     if zero.size:
-        raise ZeroRowError(int(zero[0]))
-    return a / row_sums[:, None]
+        raise ZeroColumnError(int(zero[0]))
+    if act.alpha < 0 and np.any(act.norms == 0.0):
+        raise DomainError("zero activation norm cannot be raised to a negative alpha")
+    row_rel = a / row_sums[:, None]
+    # |W| / col_sums in |W|'s buffer, then the sum in place; IEEE addition
+    # commutes, so this equals row_rel + col_rel
+    scores = np.divide(a, col_sums[None, :], out=a)
+    scores += row_rel
+    scores *= act.norms**act.alpha
+    return scores, row_rel
 
 
 def ria(w, act: ActivationNorms) -> np.ndarray:
@@ -80,20 +116,7 @@ def ria(w, act: ActivationNorms) -> np.ndarray:
 
     score[i][j] = (|w_ij| / sum_k |w_ik| + |w_ij| / sum_k |w_kj|) * norms[j]**alpha
     """
-    a = np.abs(check_weights(w))
-    _check_norms_length(act, a.shape[1])
-    row_sums = a.sum(axis=1)
-    zero = np.flatnonzero(row_sums == 0.0)
-    if zero.size:
-        raise ZeroRowError(int(zero[0]))
-    col_sums = a.sum(axis=0)
-    zero = np.flatnonzero(col_sums == 0.0)
-    if zero.size:
-        raise ZeroColumnError(int(zero[0]))
-    if act.alpha < 0 and np.any(act.norms == 0.0):
-        raise DomainError("zero activation norm cannot be raised to a negative alpha")
-    scale = act.norms**act.alpha
-    return (a / row_sums[:, None] + a / col_sums[None, :]) * scale[None, :]
+    return ria_and_rri(w, act)[0]
 
 
 def channel_scores(scores) -> np.ndarray:
@@ -106,11 +129,12 @@ def channel_scores(scores) -> np.ndarray:
 
 def magnitude_score(w) -> np.ndarray:
     """Plain absolute weight values."""
-    return np.abs(check_weights(w))
+    return _abs_weights(w)
 
 
 def wanda_score(w, act: ActivationNorms) -> np.ndarray:
     """Magnitude times the channel's activation norm (norm exponent fixed at 1)."""
-    a = np.abs(check_weights(w))
+    a = _abs_weights(w)
     _check_norms_length(act, a.shape[1])
-    return a * act.norms[None, :]
+    a *= act.norms
+    return a

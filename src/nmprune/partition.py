@@ -15,11 +15,12 @@ import numpy as np
 from .errors import ShapeError
 
 
-def order_rows(scores, m: int) -> np.ndarray:
+def order_rows(scores, m: int, count: int | None = None) -> np.ndarray:
     """Per group of m columns, row indices sorted ascending by the row's
     score sum over the group; ties keep the lower row index.
 
-    Returns shape (groups, rows).
+    Only the first ``count`` rows of each order are sorted and returned
+    (all rows by default). Returns shape (groups, min(count, rows)).
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
@@ -27,8 +28,20 @@ def order_rows(scores, m: int) -> np.ndarray:
     f_out, f_in = s.shape
     if m < 1 or f_in < m or f_in % m:
         raise ShapeError(f"{f_in} columns cannot be split into groups of width {m}")
-    sums = s.reshape(f_out, f_in // m, m).sum(axis=2)
-    return np.argsort(sums.T, axis=1, kind="stable")
+    sums = np.ascontiguousarray(s.reshape(f_out, f_in // m, m).sum(axis=2).T)
+    count = f_out if count is None else min(max(count, 0), f_out)
+    if not count:
+        return np.empty((sums.shape[0], 0), dtype=np.int64)
+    # candidates: the rows at or below each group's count-th smallest sum. A
+    # stable argsort of "above" lists them first, in row order; sorting as
+    # many leading rows as the widest group has candidates is enough, since
+    # any non-candidate among them sorts after every candidate
+    kth = np.partition(sums, count - 1, axis=1)[:, count - 1 : count]
+    above = sums > kth
+    width = f_out - int(above.sum(axis=1).min())
+    rows = np.argsort(above, axis=1, kind="stable")[:, :width]
+    ranked = np.argsort(np.take_along_axis(sums, rows, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(rows, ranked[:, :count], axis=1)
 
 
 def assign_blocks(order, m: int, b: int) -> np.ndarray:
@@ -59,4 +72,4 @@ def plan_groups(scores, m: int, b: int) -> np.ndarray:
     Ordering is computed independently per group, so a row may sit in a
     connectivity block in one group and an importance block in another.
     """
-    return assign_blocks(order_rows(scores, m), m, b)
+    return assign_blocks(order_rows(scores, m, max(b, 0) * m), m, b)

@@ -86,7 +86,7 @@ def apply_to_columns(w, perm: ChannelPermutation) -> np.ndarray:
             f"matrix with {arr.shape[-1] if arr.ndim else 0} columns does not match "
             f"permutation of length {len(perm)}"
         )
-    return np.ascontiguousarray(arr[:, perm.forward])
+    return np.take(arr, perm.forward, axis=1)
 
 
 def unpermute_mask(mask, perm: ChannelPermutation) -> np.ndarray:
@@ -99,7 +99,7 @@ def unpermute_mask(mask, perm: ChannelPermutation) -> np.ndarray:
     arr = np.asarray(mask)
     if arr.ndim != 2 or arr.shape[1] != len(perm):
         raise ShapeError("mask columns do not match permutation length")
-    return np.ascontiguousarray(arr[:, perm.inverse])
+    return np.take(arr, perm.inverse, axis=1)
 
 
 def save_permutation(perm: ChannelPermutation, path) -> None:

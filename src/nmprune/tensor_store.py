@@ -65,59 +65,65 @@ def _reject_duplicate_keys(pairs):
 
 
 def load_bundle(path) -> TensorBundle:
-    """Read a container file back into a bundle, bit-exactly."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise FormatError("file too short to hold the header length")
-    header_len = int.from_bytes(blob[:8], "little")
-    if len(blob) < 8 + header_len:
-        raise FormatError("declared header length exceeds file size")
-    try:
-        header = json.loads(
-            blob[8 : 8 + header_len].decode("utf-8"),
-            object_pairs_hook=_reject_duplicate_keys,
-        )
-    except FormatError:
-        raise
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise FormatError(f"malformed container header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError("container header must be a JSON object")
+    """Read a container file back into a bundle, bit-exactly.
 
-    payload = blob[8 + header_len :]
-    entries = {}
-    for name, meta in header.items():
-        if not name:
-            raise FormatError("container header has an empty entry name")
-        if not isinstance(meta, dict):
-            raise FormatError(f"entry {name!r}: header record must be an object")
+    Each entry is read from the file straight into its own array.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 8:
+            raise FormatError("file too short to hold the header length")
+        header_len = int.from_bytes(head, "little")
+        if size < 8 + header_len:
+            raise FormatError("declared header length exceeds file size")
         try:
-            tag = meta["dtype"]
-            shape = meta["shape"]
-            offset = meta["offset"]
-            nbytes = meta["nbytes"]
-        except KeyError as exc:
-            raise FormatError(f"entry {name!r}: missing header field {exc}") from exc
-        dtype = _TAG_TO_DTYPE.get(tag)
-        if dtype is None:
-            raise FormatError(f"entry {name!r}: unknown dtype tag {tag!r}")
-        if (
-            not isinstance(shape, list)
-            or not all(isinstance(d, int) and d >= 0 for d in shape)
-        ):
-            raise FormatError(f"entry {name!r}: shape must be a list of non-negative ints")
-        if not isinstance(offset, int) or not isinstance(nbytes, int) or offset < 0 or nbytes < 0:
-            raise FormatError(f"entry {name!r}: offset/nbytes must be non-negative ints")
-        count = math.prod(shape)
-        if nbytes != count * dtype.itemsize:
-            raise FormatError(
-                f"entry {name!r}: nbytes {nbytes} does not match shape {shape}"
+            header = json.loads(
+                fh.read(header_len).decode("utf-8"),
+                object_pairs_hook=_reject_duplicate_keys,
             )
-        if offset + nbytes > len(payload):
-            raise FormatError(f"entry {name!r}: truncated payload")
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-        entries[name] = arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+        except FormatError:
+            raise
+        except (UnicodeDecodeError, ValueError) as exc:
+            raise FormatError(f"malformed container header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError("container header must be a JSON object")
+
+        payload_start = 8 + header_len
+        entries = {}
+        for name, meta in header.items():
+            if not name:
+                raise FormatError("container header has an empty entry name")
+            if not isinstance(meta, dict):
+                raise FormatError(f"entry {name!r}: header record must be an object")
+            try:
+                tag = meta["dtype"]
+                shape = meta["shape"]
+                offset = meta["offset"]
+                nbytes = meta["nbytes"]
+            except KeyError as exc:
+                raise FormatError(f"entry {name!r}: missing header field {exc}") from exc
+            dtype = _TAG_TO_DTYPE.get(tag)
+            if dtype is None:
+                raise FormatError(f"entry {name!r}: unknown dtype tag {tag!r}")
+            if (
+                not isinstance(shape, list)
+                or not all(isinstance(d, int) and d >= 0 for d in shape)
+            ):
+                raise FormatError(f"entry {name!r}: shape must be a list of non-negative ints")
+            if not isinstance(offset, int) or not isinstance(nbytes, int) or offset < 0 or nbytes < 0:
+                raise FormatError(f"entry {name!r}: offset/nbytes must be non-negative ints")
+            if nbytes != math.prod(shape) * dtype.itemsize:
+                raise FormatError(
+                    f"entry {name!r}: nbytes {nbytes} does not match shape {shape}"
+                )
+            if payload_start + offset + nbytes > size:
+                raise FormatError(f"entry {name!r}: truncated payload")
+            arr = np.empty(shape, dtype=dtype)
+            fh.seek(payload_start + offset)
+            if fh.readinto(arr.data) != nbytes:
+                raise FormatError(f"entry {name!r}: truncated payload")
+            entries[name] = arr.astype(dtype.newbyteorder("="), copy=False)
     return TensorBundle(entries)
 
 
@@ -131,17 +137,15 @@ def save_bundle(bundle: TensorBundle, path) -> None:
     offset = 0
     for name in sorted(bundle.entries):
         arr = _check_entry(name, bundle.entries[name])
-        raw = np.ascontiguousarray(arr).astype(
-            arr.dtype.newbyteorder("<"), copy=False
-        ).tobytes()
+        raw = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False)
         header[name] = {
             "dtype": _DTYPE_TO_TAG[arr.dtype],
             "shape": list(arr.shape),
             "offset": offset,
-            "nbytes": len(raw),
+            "nbytes": raw.nbytes,
         }
         blobs.append(raw)
-        offset += len(raw)
+        offset += raw.nbytes
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     directory = os.path.dirname(os.path.abspath(path))
@@ -154,7 +158,7 @@ def save_bundle(bundle: TensorBundle, path) -> None:
                 fh.write(len(header_bytes).to_bytes(8, "little"))
                 fh.write(header_bytes)
                 for raw in blobs:
-                    fh.write(raw)
+                    fh.write(raw.data)
             os.replace(tmp_path, path)
         except BaseException:
             os.unlink(tmp_path)

@@ -112,6 +112,23 @@ def top_k_per_window_oracle(scores, n, m):
     return mask
 
 
+def ria_rri_oracle(w, act):
+    """ria and rri as plain whole-matrix expressions, with no buffer reuse."""
+    a = np.abs(np.asarray(w, dtype=np.float64))
+    row_sums = a.sum(axis=1)
+    col_sums = a.sum(axis=0)
+    scale = act.norms**act.alpha
+    return (a / row_sums[:, None] + a / col_sums[None, :]) * scale[None, :], a / row_sums[:, None]
+
+
+def order_rows_oracle(scores, m):
+    """One full stable argsort per group of the rows' score sums over the
+    group's m columns: shape (groups, rows), ties at the lower row."""
+    s = np.asarray(scores, dtype=np.float64)
+    f_out, f_in = s.shape
+    return np.argsort(s.reshape(f_out, f_in // m, m).sum(axis=2).T, axis=1, kind="stable")
+
+
 def connectivity_select_oracle(block_w, block_scores, n, m):
     """Enumerated diagonal pattern, then per row the m-n-1 highest scores
     among the other columns, lower column first on ties."""

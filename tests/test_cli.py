@@ -122,6 +122,20 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"error: mask has no {empty} (shape {shape[0]}x{shape[1]})\n"
 
+    def test_non_binary_mask_reports_once_with_json(self, tmp_path, capsys):
+        from nmprune import TensorBundle, save_bundle
+        path = tmp_path / "two.tensors"
+        save_bundle(TensorBundle({"mask": np.array([[2, 1, 0, 0]] * 4, dtype=np.uint8)}), path)
+        assert run("verify", "--in", str(path), "--n", "2", "--m", "4", "--b", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: mask entries must be 0 or 1",
+            "expansion enumeration skipped: the mask is not binary",
+        ]
+        report = json.loads(captured.out)
+        assert report["lemma1_pass"] is False
+        assert report["a_I"] is None and report["a_O"] is None
+
     def test_eggs_output_passes(self, tmp_path, capsys):
         src = gen_layer(tmp_path)
         out = tmp_path / "pruned.tensors"

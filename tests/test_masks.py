@@ -2,6 +2,7 @@
 combined pipeline."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from nmprune import masks
 from nmprune import (
     ActivationNorms,
     ConfigError,
+    InvariantError,
     PruneConfig,
     ShapeError,
     VerificationError,
@@ -81,6 +84,34 @@ class TestImportanceSelect:
             scores = rng.standard_normal((6, 12)) ** 2
             got = importance_select(scores, 2, 4)
             np.testing.assert_array_equal(got, helpers.top_k_per_window_oracle(scores, 2, 4))
+
+    def test_nan_rejected(self):
+        with pytest.raises(InvariantError, match="NaN"):
+            importance_select(np.array([[1.0, np.nan, 0.0, 2.0]]), 2, 4)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(1, 31), st.integers(1, 5),
+           st.integers(1, 5), st.sampled_from(["float", "integer", "equal", "zeros"]),
+           st.integers(1, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_at_every_width(self, seed, half_m, n, rows, windows, kind, chunk):
+        # a small chunk makes the windows go through several chunks, the
+        # last one partial
+        m = 2 * half_m
+        n = 1 + (n - 1) % (m - 1)
+        rng = np.random.default_rng(seed)
+        shape = (rows, windows * m)
+        if kind == "float":
+            scores = rng.standard_normal(shape)
+        elif kind == "integer":
+            scores = rng.integers(0, 3, size=shape).astype(float)
+        elif kind == "equal":
+            scores = np.repeat(rng.standard_normal((rows, windows, 1)), m, axis=2).reshape(shape)
+        else:
+            scores = rng.choice([0.0, -0.0], size=shape)
+        with mock.patch.object(masks, "_TOPK_CHUNK", chunk):
+            got = importance_select(scores, n, m)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, helpers.top_k_per_window_oracle(scores, n, m))
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 4), (2, 4), (4, 8), (2, 8)]))
     @settings(max_examples=40, deadline=None)
@@ -266,3 +297,33 @@ class TestCheckNmPattern:
     def test_non_binary_rejected(self):
         with pytest.raises(VerificationError):
             check_nm_pattern(np.array([[2, 0, 0, 0]]), 2, 4)
+
+    @pytest.mark.parametrize("value", [0.5, np.nan, -1.0])
+    def test_non_binary_float_rejected(self, value):
+        mask = np.array([[1.0, -0.0, 1.0, 0.0]], dtype=np.float32)
+        check_nm_pattern(mask, 2, 4)
+        mask[0, 1] = value
+        with pytest.raises(VerificationError, match="0 or 1"):
+            check_nm_pattern(mask, 2, 4)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(1, 31), st.integers(1, 5),
+           st.integers(1, 5), st.sampled_from([np.uint8, np.float32, bool]), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_names_the_first_bad_window(self, seed, half_m, n, rows, windows, dtype, flips):
+        m = 2 * half_m
+        n = 1 + (n - 1) % (m - 1)
+        rng = np.random.default_rng(seed)
+        mask = importance_select(rng.standard_normal((rows, windows * m)), n, m)
+        for _ in range(flips):
+            mask[rng.integers(rows), rng.integers(windows * m)] ^= 1
+        bad = [(i, k, int(mask[i, k * m : (k + 1) * m].sum()))
+               for i in range(rows) for k in range(windows)
+               if mask[i, k * m : (k + 1) * m].sum() != m - n]
+        mask = mask.astype(dtype)
+        if not bad:
+            check_nm_pattern(mask, n, m)
+            return
+        i, k, count = bad[0]
+        with pytest.raises(VerificationError) as info:
+            check_nm_pattern(mask, n, m)
+        assert str(info.value) == f"row {i} window {k}: {count} ones, expected {m - n}"

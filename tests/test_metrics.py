@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from nmprune import (
@@ -14,9 +16,12 @@ from nmprune import (
     channel_scores,
     magnitude_score,
     ria,
+    apply_to_columns,
+    build_permutation,
     rri,
     wanda_score,
 )
+from nmprune.metrics import ria_and_rri
 
 
 class TestRri:
@@ -140,6 +145,38 @@ class TestInvariances:
         a = ria(w, act)
         b = ria(w, act)
         assert a.tobytes() == b.tobytes()
+
+
+class TestScoreOnce:
+    """The eggs path takes ria and rri of the permuted layer from one pass."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 6),
+           st.sampled_from([2, 4, 8]), st.sampled_from([0.0, 0.5, 1.0, -0.5]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_ria_and_rri_bit_for_bit(self, seed, f_out, groups, m, alpha, integer):
+        rng = np.random.default_rng(seed)
+        shape = (f_out, groups * m)
+        if integer:
+            w = rng.choice([-2.0, -1.0, 1.0, 2.0], size=shape).astype(np.float32)
+        else:
+            w = rng.standard_normal(shape).astype(np.float32)
+        act = ActivationNorms(rng.uniform(0.1, 2.0, size=shape[1]), alpha)
+        perm = build_permutation(channel_scores(ria(w, act)), m)
+        w_perm = apply_to_columns(w, perm)
+        act_perm = ActivationNorms(act.norms[perm.forward], alpha)
+        got_ria, got_rri = ria_and_rri(w_perm, act_perm)
+        want_ria, want_rri = helpers.ria_rri_oracle(w_perm, act_perm)
+        assert got_ria.tobytes() == ria(w_perm, act_perm).tobytes() == want_ria.tobytes()
+        assert got_rri.tobytes() == rri(w_perm).tobytes() == want_rri.tobytes()
+
+    def test_float64_input_left_untouched(self):
+        w, act = helpers.random_layer(17, 6, 8)
+        w = -np.abs(w.astype(np.float64))
+        before = w.copy()
+        for score in (ria(w, act), rri(w), wanda_score(w, act), magnitude_score(w),
+                      *ria_and_rri(w, act)):
+            assert not np.shares_memory(score, w)
+        np.testing.assert_array_equal(w, before)
 
 
 class TestValidation:

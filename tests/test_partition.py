@@ -1,8 +1,13 @@
 """Group splitting, per-group row ordering, and the connectivity-row plan."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from nmprune import ShapeError, assign_blocks, order_rows, plan_groups, rri
 
 
@@ -40,6 +45,12 @@ class TestOrderRows:
 
     def test_single_row(self):
         np.testing.assert_array_equal(order_rows(np.array([[1.0, 2.0]]), 2), [[0]])
+
+    def test_count_truncates(self):
+        scores = np.array([[0.9], [0.1], [0.5]])
+        np.testing.assert_array_equal(order_rows(scores, 1, 2), [[1, 2]])
+        np.testing.assert_array_equal(order_rows(scores, 1, 5), [[1, 2, 0]])
+        assert order_rows(scores, 1, 0).shape == (1, 0)
 
     def test_range_checked(self):
         for cols, m in [(2, 4), (4, 0)]:
@@ -123,3 +134,39 @@ class TestPlanGroups:
             rows = plan_groups(rng.uniform(size=(6, 16)), 4, 3)
         assert rows.shape == (4, 1, 4)
         assert len(caught) == 4
+
+
+class TestPartialOrder:
+    """order_rows sorts only the rows it returns; plan_groups asks for the
+    first b * m. Both must agree with one full stable argsort per group."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 40),
+           st.integers(1, 4), st.integers(0, 6), st.sampled_from(["float", "integer", "equal"]),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_stable_argsort(self, seed, m, f_out, groups, b, kind, exact):
+        if exact and b:
+            f_out = b * m  # the blocks take every row: b_eff * m == f_out
+        rng = np.random.default_rng(seed)
+        shape = (f_out, groups * m)
+        if kind == "float":
+            scores = rng.uniform(size=shape)
+        elif kind == "integer":
+            scores = rng.integers(0, 3, size=shape).astype(float)
+        else:
+            scores = np.ones(shape)
+        want = helpers.order_rows_oracle(scores, m)
+        for count in range(f_out + 2):
+            np.testing.assert_array_equal(order_rows(scores, m, count), want[:, :count])
+        np.testing.assert_array_equal(order_rows(scores, m), want)
+
+        full = f_out // m
+        effective = min(b, full)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = plan_groups(scores, m, b)
+        assert rows.dtype == np.int64
+        np.testing.assert_array_equal(
+            rows, want[:, : effective * m].reshape(groups, effective, m))
+        clamp = f"connectivity block count {b} exceeds {full} full blocks; clamping"
+        assert [str(w.message) for w in caught] == [clamp] * (groups if b > full else 0)

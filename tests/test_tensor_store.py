@@ -55,6 +55,24 @@ class TestRoundTrip:
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, mask)
 
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 4), (0,), ()])
+    def test_empty_and_scalar_entries(self, tmp_path, shape):
+        path = tmp_path / "edge.tensors"
+        entries = {"a": np.zeros(shape, dtype=np.uint8), "b": np.ones((2, 3), dtype=np.float32)}
+        save_bundle(TensorBundle(entries), path)
+        out = load_bundle(path)
+        assert out["a"].shape == shape and out["a"].dtype == np.uint8
+        np.testing.assert_array_equal(out["b"], entries["b"])
+
+    def test_loaded_arrays_are_writable_and_separate(self, tmp_path):
+        path = tmp_path / "two.tensors"
+        save_bundle(TensorBundle({"a": np.ones((2, 2), np.float32),
+                                  "b": np.zeros(4, np.uint8)}), path)
+        out = load_bundle(path)
+        out["a"][0, 0] = 5.0
+        assert out["a"].flags.writeable and out["a"].flags.c_contiguous
+        assert not np.shares_memory(out["a"], out["b"])
+
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(5)
         entries = {"b": rng.standard_normal((2, 3)).astype(np.float32),
@@ -71,6 +89,15 @@ class TestFormatRejection:
         path = tmp_path / "short.tensors"
         path.write_bytes(craft_container(header, b"\x00" * 8))
         with pytest.raises(FormatError):
+            load_bundle(path)
+
+    def test_huge_declared_shape_is_truncated_payload(self, tmp_path):
+        # rejected before any array of that size is allocated
+        header = {"w": {"dtype": "f32", "shape": [1 << 20, 1 << 20], "offset": 0,
+                        "nbytes": 1 << 42}}
+        path = tmp_path / "huge.tensors"
+        path.write_bytes(craft_container(header, b"\x00" * 16))
+        with pytest.raises(FormatError, match="truncated payload"):
             load_bundle(path)
 
     def test_header_longer_than_file(self, tmp_path):

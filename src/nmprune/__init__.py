@@ -10,22 +10,15 @@ brute-forced vertex-expansion ratios at desk scale.
 """
 
 from .errors import (
-    CapacityError,
     ConfigError,
-    DegenerateError,
-    DomainError,
     FormatError,
-    InvariantError,
-    IoError,
     NMPruneError,
-    ShapeError,
     VerificationError,
     ZeroColumnError,
     ZeroRowError,
 )
 from .graphs import (
     ENUM_VERTEX_LIMIT,
-    BipartiteGraph,
     DegreeLawReport,
     ExpansionReport,
     brute_force_expansion,
@@ -55,7 +48,6 @@ from .masks import (
     importance_select,
 )
 from .metrics import (
-    DEFAULT_ALPHA,
     ActivationNorms,
     channel_scores,
     magnitude_score,
@@ -79,9 +71,7 @@ from .permute import (
 from .tensor_store import (
     TensorBundle,
     load_bundle,
-    load_csv_matrix,
     save_bundle,
-    save_csv_matrix,
 )
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from .harness import (
     reports_to_json,
 )
 from .masks import PruneConfig, apply_mask, check_nm_pattern
-from .metrics import ActivationNorms
+from .metrics import DEFAULT_ALPHA, ActivationNorms
 from .permute import save_permutation, unpermute_mask
 from .tensor_store import TensorBundle, load_bundle, save_bundle
 
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=METHODS, required=True)
     add_nm(p, b_default=1)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     add_names(p)
     p.set_defaults(func=_cmd_prune)
 
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--methods", default=",".join(METHODS))
     add_nm(p, b_default=1)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--csv", default=None, help="also write a CSV summary here")
     add_names(p)
     p.set_defaults(func=_cmd_eval)
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="LO..HI")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     add_names(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -283,10 +283,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NMPruneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NMPruneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit.
+
+The CLI exits 2 on ConfigError and 1 on any other NMPruneError; verify
+gathers VerificationError into its report.
+"""
 
 
 class NMPruneError(Exception):
@@ -7,18 +11,6 @@ class NMPruneError(Exception):
 
 class FormatError(NMPruneError):
     """A container or sidecar file does not conform to the on-disk format."""
-
-
-class IoError(NMPruneError):
-    """A file could not be written."""
-
-
-class InvariantError(NMPruneError):
-    """A value violates the invariants of its type."""
-
-
-class ShapeError(NMPruneError):
-    """Array dimensions are incompatible with the requested operation."""
 
 
 class ConfigError(NMPruneError):
@@ -41,17 +33,5 @@ class ZeroColumnError(NMPruneError):
         self.col = col
 
 
-class DomainError(NMPruneError):
-    """Inputs lie outside the mathematical domain of the operation."""
-
-
 class VerificationError(NMPruneError):
     """A mask failed a structural check."""
-
-
-class CapacityError(NMPruneError):
-    """Instance too large for exhaustive enumeration."""
-
-
-class DegenerateError(NMPruneError):
-    """A normalizing quantity is zero, so the result is undefined."""

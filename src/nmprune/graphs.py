@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ShapeError, VerificationError
+from .errors import NMPruneError, VerificationError
 from .masks import PruneConfig
 
 # 2**22 subsets is the enumeration ceiling
@@ -69,7 +69,7 @@ def mask_to_graph(mask) -> BipartiteGraph:
     """Edge (output o, input i) exists iff mask[o][i] is 1."""
     arr = np.asarray(mask)
     if arr.ndim != 2:
-        raise ShapeError("mask must be 2-D")
+        raise NMPruneError("mask must be 2-D")
     if not ((arr == 0) | (arr == 1)).all():
         raise VerificationError("mask entries must be 0 or 1")
     adjacency = tuple(tuple(int(j) for j in np.flatnonzero(row)) for row in arr)
@@ -84,14 +84,14 @@ def verify_degree_laws(mask, cfg: PruneConfig) -> DegreeLawReport:
     first offending vertex, outputs first, or a column count that m does not
     divide; it is None when both laws hold. The report also carries the
     admissible subset-fraction endpoint implied by each side. A mask that is
-    not 2-D, or has no rows or no columns, raises ShapeError.
+    not 2-D, or has no rows or no columns, raises NMPruneError.
     """
     arr = np.asarray(mask)
     if arr.ndim != 2:
-        raise ShapeError("mask must be 2-D")
+        raise NMPruneError("mask must be 2-D")
     f_out, f_in = arr.shape
     if not f_out or not f_in:
-        raise ShapeError(f"mask has no {'columns' if f_out else 'rows'} (shape {f_out}x{f_in})")
+        raise NMPruneError(f"mask has no {'columns' if f_out else 'rows'} (shape {f_out}x{f_in})")
     expected_out = (f_in // cfg.m) * (cfg.m - cfg.n)
     floor = min(cfg.b, f_out // cfg.m)
     out_deg = arr.sum(axis=1, dtype=np.int64)
@@ -149,18 +149,18 @@ def brute_force_expansion(g: BipartiteGraph, c) -> ExpansionReport:
     """Enumerate every non-empty subset up to fraction c of each side and
     return the minimal neighborhood/size ratios as exact fractions.
 
-    Raises CapacityError when a side that has admissible subsets exceeds
-    the enumeration ceiling, and DomainError unless 0 < c < 1.
+    Raises NMPruneError when a side that has admissible subsets exceeds
+    the enumeration ceiling, or unless 0 < c < 1.
     """
     frac = Fraction(c)
     if not 0 < frac < 1:
-        raise DomainError(f"subset fraction must be in (0, 1), got {c}")
+        raise NMPruneError(f"subset fraction must be in (0, 1), got {c}")
     max_in = int(frac * g.n_inputs)
     max_out = int(frac * g.n_outputs)
     if max_in >= 1 and g.n_inputs > ENUM_VERTEX_LIMIT:
-        raise CapacityError(f"{g.n_inputs} inputs exceed the enumeration limit {ENUM_VERTEX_LIMIT}")
+        raise NMPruneError(f"{g.n_inputs} inputs exceed the enumeration limit {ENUM_VERTEX_LIMIT}")
     if max_out >= 1 and g.n_outputs > ENUM_VERTEX_LIMIT:
-        raise CapacityError(f"{g.n_outputs} outputs exceed the enumeration limit {ENUM_VERTEX_LIMIT}")
+        raise NMPruneError(f"{g.n_outputs} outputs exceed the enumeration limit {ENUM_VERTEX_LIMIT}")
     in_masks, out_masks = _neighbor_bitmasks(g)
     return ExpansionReport(
         c=frac,

@@ -8,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, ShapeError
+from .errors import ConfigError, NMPruneError
 from .graphs import verify_degree_laws
 from .masks import PruneConfig, apply_mask, eggs_prune, importance_select
-from .metrics import ActivationNorms, channel_scores, magnitude_score, ria, wanda_score
+from .metrics import (DEFAULT_ALPHA, ActivationNorms, channel_scores, magnitude_score, ria,
+                      wanda_score)
 from .permute import ChannelPermutation, apply_to_columns, build_permutation
 
 METHODS = ("magnitude", "wanda", "ria", "eggs")
@@ -54,11 +55,11 @@ def gen_synthetic(seed, f_out: int, f_in: int, profile: str = "gaussian",
     return w.astype(np.float32), z.astype(np.float32)
 
 
-def norms_from_batch(z, alpha: float = 0.5) -> ActivationNorms:
+def norms_from_batch(z, alpha: float = DEFAULT_ALPHA) -> ActivationNorms:
     """Per-channel l2 norm over the sample axis of a calibration batch."""
     arr = np.asarray(z, dtype=np.float64)
     if arr.ndim != 2:
-        raise ShapeError("calibration batch must be channels x samples")
+        raise NMPruneError("calibration batch must be channels x samples")
     return ActivationNorms(np.sqrt((arr**2).sum(axis=1)), alpha)
 
 
@@ -66,19 +67,19 @@ def reconstruction_error(w, mask, z) -> float:
     """Relative Frobenius error of the masked layer on calibration inputs.
 
     ||W Z - (W * mask) Z||_F / ||W Z||_F, computed in float64. Raises
-    DegenerateError when the reference output is identically zero.
+    NMPruneError when the reference output is identically zero.
     """
     w_arr = np.asarray(w, dtype=np.float64)
     m_arr = np.asarray(mask)
     z_arr = np.asarray(z, dtype=np.float64)
     if w_arr.ndim != 2 or w_arr.shape != m_arr.shape:
-        raise ShapeError(f"mask shape {m_arr.shape} does not match weights shape {w_arr.shape}")
+        raise NMPruneError(f"mask shape {m_arr.shape} does not match weights shape {w_arr.shape}")
     if z_arr.ndim != 2 or z_arr.shape[0] != w_arr.shape[1]:
-        raise ShapeError("calibration batch rows must match the weight columns")
+        raise NMPruneError("calibration batch rows must match the weight columns")
     ref = w_arr @ z_arr
     denom = float(np.linalg.norm(ref))
     if denom == 0.0:
-        raise DegenerateError("reference output is identically zero")
+        raise NMPruneError("reference output is identically zero")
     removed = (w_arr - w_arr * m_arr) @ z_arr
     return float(np.linalg.norm(removed) / denom)
 
@@ -138,7 +139,7 @@ def _masked_error(weights, mask, z) -> float:
     w_arr = np.asarray(weights, dtype=np.float64)
     denom = float(np.linalg.norm(w_arr))
     if denom == 0.0:
-        raise DegenerateError("weights are identically zero")
+        raise NMPruneError("weights are identically zero")
     removed = w_arr - w_arr * np.asarray(mask)
     return float(np.linalg.norm(removed) / denom)
 

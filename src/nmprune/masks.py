@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, ShapeError, VerificationError
-from .metrics import ActivationNorms, ria_and_rri
+from .errors import ConfigError, NMPruneError, VerificationError
+from .metrics import DEFAULT_ALPHA, ActivationNorms, ria_and_rri
 from .partition import plan_groups
 
 # scores per chunk of windows in importance_select: 2 MiB of float64
@@ -31,7 +31,7 @@ class PruneConfig:
     n: int
     m: int
     b: int = 1
-    alpha: float = 0.5
+    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
         _check_nm(self.n, self.m)
@@ -58,12 +58,12 @@ def importance_select(scores, n: int, m: int) -> np.ndarray:
     _check_nm(n, m)
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
-        raise ShapeError("score matrix must be 2-D")
+        raise NMPruneError("score matrix must be 2-D")
     rows, cols = s.shape
     if cols % m:
-        raise ShapeError(f"{cols} columns not divisible by window width {m}")
+        raise NMPruneError(f"{cols} columns not divisible by window width {m}")
     if np.isnan(s).any():
-        raise InvariantError("scores must not be NaN")
+        raise NMPruneError("scores must not be NaN")
     windows = s.reshape(-1, m)
     keep = np.empty(windows.shape, dtype=np.uint8)
     # rank[k] counts the columns of its window that beat column k. It
@@ -98,7 +98,7 @@ def diagonal_select(block) -> np.ndarray:
     """
     b = np.asarray(block, dtype=np.float64)
     if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"diagonal selection needs a square block, got shape {b.shape}")
+        raise NMPruneError(f"diagonal selection needs a square block, got shape {b.shape}")
     m = b.shape[-1]
     if m < 2 or m % 2:
         raise ConfigError(f"diagonal selection needs an even block size, got {m}")
@@ -137,7 +137,7 @@ def connectivity_select(block_w, block_scores, n: int, m: int) -> np.ndarray:
     w = np.asarray(block_w, dtype=np.float64)
     s = np.asarray(block_scores, dtype=np.float64)
     if w.shape[-2:] != (m, m) or s.shape != w.shape:
-        raise ShapeError(f"connectivity selection needs {m}x{m} blocks, got {w.shape} and {s.shape}")
+        raise NMPruneError(f"connectivity selection needs {m}x{m} blocks, got {w.shape} and {s.shape}")
     mask = diagonal_select(w)
     if m - n - 1:
         # each block row is one window; -inf keeps the diagonal out of the top m-n-1
@@ -175,8 +175,9 @@ def apply_mask(w, mask) -> np.ndarray:
     w_arr = np.asarray(w)
     m_arr = np.asarray(mask)
     if w_arr.shape != m_arr.shape:
-        raise ShapeError(f"mask shape {m_arr.shape} does not match weights shape {w_arr.shape}")
-    return w_arr * m_arr.astype(w_arr.dtype)
+        raise NMPruneError(f"mask shape {m_arr.shape} does not match weights shape {w_arr.shape}")
+    # the ufunc casts the mask chunk by chunk, so no full-size cast copy is made
+    return np.multiply(w_arr, m_arr, dtype=w_arr.dtype, casting="unsafe")
 
 
 def check_nm_pattern(mask, n: int, m: int) -> None:
@@ -190,7 +191,7 @@ def check_nm_pattern(mask, n: int, m: int) -> None:
         raise VerificationError("mask entries must be 0 or 1")
     rows, cols = arr.shape
     if cols % m:
-        raise ShapeError(f"{cols} columns not divisible by window width {m}")
+        raise NMPruneError(f"{cols} columns not divisible by window width {m}")
     # integer counts are exact in any order; adding one window position at a
     # time is faster than a sum over every m-wide window
     windows = ones.reshape(rows, cols // m, m)

@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InvariantError,
-    ShapeError,
-    ZeroColumnError,
-    ZeroRowError,
-)
+from .errors import NMPruneError, ZeroColumnError, ZeroRowError
 
 DEFAULT_ALPHA = 0.5
 
@@ -35,11 +29,11 @@ class ActivationNorms:
     def __post_init__(self):
         arr = np.asarray(self.norms, dtype=np.float64)
         if arr.ndim != 1:
-            raise InvariantError("activation norms must be a 1-D vector")
+            raise NMPruneError("activation norms must be a 1-D vector")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise InvariantError("activation norms must be finite and non-negative")
+            raise NMPruneError("activation norms must be finite and non-negative")
         if not np.isfinite(self.alpha):
-            raise InvariantError("alpha must be finite")
+            raise NMPruneError("alpha must be finite")
         object.__setattr__(self, "norms", arr)
 
     def __len__(self) -> int:
@@ -50,15 +44,15 @@ def check_weights(w) -> np.ndarray:
     """Validate a dense weight matrix and widen it to float64."""
     arr = np.asarray(w, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise InvariantError("weights must be a 2-D matrix with at least one row and column")
+        raise NMPruneError("weights must be a 2-D matrix with at least one row and column")
     if not np.all(np.isfinite(arr)):
-        raise InvariantError("weights must be finite")
+        raise NMPruneError("weights must be finite")
     return arr
 
 
 def _check_norms_length(act: ActivationNorms, f_in: int) -> None:
     if len(act) != f_in:
-        raise ShapeError(f"activation norms length {len(act)} != input channels {f_in}")
+        raise NMPruneError(f"activation norms length {len(act)} != input channels {f_in}")
 
 
 def _abs_weights(w) -> np.ndarray:
@@ -101,7 +95,7 @@ def ria_and_rri(w, act: ActivationNorms) -> tuple[np.ndarray, np.ndarray]:
     if zero.size:
         raise ZeroColumnError(int(zero[0]))
     if act.alpha < 0 and np.any(act.norms == 0.0):
-        raise DomainError("zero activation norm cannot be raised to a negative alpha")
+        raise NMPruneError("zero activation norm cannot be raised to a negative alpha")
     row_rel = a / row_sums[:, None]
     # |W| / col_sums in |W|'s buffer, then the sum in place; IEEE addition
     # commutes, so this equals row_rel + col_rel
@@ -123,7 +117,7 @@ def channel_scores(scores) -> np.ndarray:
     """Column-wise sum of a score matrix: one aggregate per input channel."""
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
-        raise InvariantError("score matrix must be 2-D")
+        raise NMPruneError("score matrix must be 2-D")
     return s.sum(axis=0)
 
 

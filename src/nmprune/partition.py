@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NMPruneError
 
 
 def order_rows(scores, m: int, count: int | None = None) -> np.ndarray:
@@ -24,10 +24,10 @@ def order_rows(scores, m: int, count: int | None = None) -> np.ndarray:
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
-        raise ShapeError("score matrix must be 2-D")
+        raise NMPruneError("score matrix must be 2-D")
     f_out, f_in = s.shape
     if m < 1 or f_in < m or f_in % m:
-        raise ShapeError(f"{f_in} columns cannot be split into groups of width {m}")
+        raise NMPruneError(f"{f_in} columns cannot be split into groups of width {m}")
     sums = np.ascontiguousarray(s.reshape(f_out, f_in // m, m).sum(axis=2).T)
     count = f_out if count is None else min(max(count, 0), f_out)
     if not count:

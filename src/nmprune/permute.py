@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvariantError, IoError, ShapeError
+from .errors import FormatError, NMPruneError
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,11 @@ class ChannelPermutation:
         inv = np.asarray(self.inverse, dtype=np.int64)
         n = fwd.shape[0]
         if fwd.ndim != 1 or inv.shape != fwd.shape:
-            raise InvariantError("forward and inverse must be 1-D vectors of equal length")
+            raise NMPruneError("forward and inverse must be 1-D vectors of equal length")
         if not np.array_equal(np.sort(fwd), np.arange(n)):
-            raise InvariantError("forward is not a bijection on channel indices")
+            raise NMPruneError("forward is not a bijection on channel indices")
         if not np.array_equal(inv[fwd], np.arange(n)):
-            raise InvariantError("inverse does not invert forward")
+            raise NMPruneError("inverse does not invert forward")
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "inverse", inv)
 
@@ -46,10 +46,10 @@ class ChannelPermutation:
     def from_forward(cls, forward) -> "ChannelPermutation":
         fwd = np.asarray(forward, dtype=np.int64)
         if fwd.ndim != 1:
-            raise InvariantError("forward must be a 1-D vector")
+            raise NMPruneError("forward must be a 1-D vector")
         inv = np.empty_like(fwd)
         if not np.array_equal(np.sort(fwd), np.arange(fwd.shape[0])):
-            raise InvariantError("forward is not a bijection on channel indices")
+            raise NMPruneError("forward is not a bijection on channel indices")
         inv[fwd] = np.arange(fwd.shape[0])
         return cls(fwd, inv)
 
@@ -64,12 +64,12 @@ def build_permutation(scores, m: int) -> ChannelPermutation:
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
-        raise InvariantError("channel scores must be a 1-D vector")
+        raise NMPruneError("channel scores must be a 1-D vector")
     if not np.all(np.isfinite(s)):
-        raise InvariantError("channel scores must be finite")
+        raise NMPruneError("channel scores must be finite")
     f_in = s.shape[0]
     if m < 1 or f_in < m or f_in % m:
-        raise ShapeError(f"{f_in} channels cannot form groups of width {m}")
+        raise NMPruneError(f"{f_in} channels cannot form groups of width {m}")
     g = f_in // m
     ranked = np.argsort(-s, kind="stable")
     ranks = np.arange(f_in)
@@ -82,7 +82,7 @@ def apply_to_columns(w, perm: ChannelPermutation) -> np.ndarray:
     """Reorder the columns of a matrix into the permuted layout."""
     arr = np.asarray(w)
     if arr.ndim != 2 or arr.shape[1] != len(perm):
-        raise ShapeError(
+        raise NMPruneError(
             f"matrix with {arr.shape[-1] if arr.ndim else 0} columns does not match "
             f"permutation of length {len(perm)}"
         )
@@ -98,7 +98,7 @@ def unpermute_mask(mask, perm: ChannelPermutation) -> np.ndarray:
     """
     arr = np.asarray(mask)
     if arr.ndim != 2 or arr.shape[1] != len(perm):
-        raise ShapeError("mask columns do not match permutation length")
+        raise NMPruneError("mask columns do not match permutation length")
     return np.take(arr, perm.inverse, axis=1)
 
 
@@ -111,7 +111,7 @@ def save_permutation(perm: ChannelPermutation, path) -> None:
             fh.write(doc)
         os.replace(tmp, path)
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise NMPruneError(f"cannot write {path}: {exc}") from exc
 
 
 def load_permutation(path) -> ChannelPermutation:
@@ -128,5 +128,5 @@ def load_permutation(path) -> ChannelPermutation:
         raise FormatError("'forward' must be a list of integers")
     try:
         return ChannelPermutation.from_forward(forward)
-    except InvariantError as exc:
+    except NMPruneError as exc:
         raise FormatError(str(exc)) from exc

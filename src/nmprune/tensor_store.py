@@ -1,4 +1,4 @@
-"""Binary tensor container and a CSV debug format.
+"""Binary tensor container.
 
 Container layout: an 8-byte little-endian unsigned header length, a UTF-8
 JSON header mapping entry names to ``{"dtype", "shape", "offset", "nbytes"}``,
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InvariantError, IoError, ShapeError
+from .errors import FormatError, NMPruneError
 
 _TAG_TO_DTYPE = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 _DTYPE_TO_TAG = {np.dtype(np.float32): "f32", np.dtype(np.uint8): "u8"}
@@ -24,10 +24,10 @@ _DTYPE_TO_TAG = {np.dtype(np.float32): "f32", np.dtype(np.uint8): "u8"}
 
 def _check_entry(name, arr) -> np.ndarray:
     if not isinstance(name, str) or not name:
-        raise InvariantError(f"entry names must be non-empty strings, got {name!r}")
+        raise NMPruneError(f"entry names must be non-empty strings, got {name!r}")
     arr = np.asarray(arr)
     if arr.dtype not in _DTYPE_TO_TAG:
-        raise InvariantError(
+        raise NMPruneError(
             f"entry {name!r} has dtype {arr.dtype}; only float32 and uint8 are stored"
         )
     return arr
@@ -82,8 +82,6 @@ def load_bundle(path) -> TensorBundle:
                 fh.read(header_len).decode("utf-8"),
                 object_pairs_hook=_reject_duplicate_keys,
             )
-        except FormatError:
-            raise
         except (UnicodeDecodeError, ValueError) as exc:
             raise FormatError(f"malformed container header: {exc}") from exc
         if not isinstance(header, dict):
@@ -164,25 +162,5 @@ def save_bundle(bundle: TensorBundle, path) -> None:
             os.unlink(tmp_path)
             raise
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise NMPruneError(f"cannot write {path}: {exc}") from exc
 
-
-def save_csv_matrix(matrix, path) -> None:
-    """Write one matrix as comma-separated decimals, one row per line."""
-    arr = np.asarray(matrix)
-    if arr.ndim != 2:
-        raise ShapeError(f"csv export needs a 2-D matrix, got shape {arr.shape}")
-    try:
-        # %.9g round-trips any float32 value exactly
-        np.savetxt(path, arr.astype(np.float32), fmt="%.9g", delimiter=",")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def load_csv_matrix(path) -> np.ndarray:
-    """Read a headerless comma-separated matrix as float32."""
-    try:
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise FormatError(f"malformed csv matrix: {exc}") from exc
-    return arr.astype(np.float32)

@@ -7,8 +7,7 @@ import pytest
 
 import helpers
 from nmprune import (
-    CapacityError,
-    DomainError,
+    NMPruneError,
     PruneConfig,
     brute_force_expansion,
     eggs_prune,
@@ -143,7 +142,7 @@ class TestBruteForceExpansion:
 
     def test_capacity_guard(self):
         mask = np.ones((2, 23), dtype=np.uint8)
-        with pytest.raises(CapacityError):
+        with pytest.raises(NMPruneError, match="23 inputs exceed the enumeration limit 22"):
             brute_force_expansion(mask_to_graph(mask), Fraction(1, 2))
 
     def test_capacity_ignored_when_side_vacuous(self):
@@ -153,7 +152,7 @@ class TestBruteForceExpansion:
 
     def test_c_domain(self):
         g = mask_to_graph(np.eye(2, dtype=np.uint8))
-        with pytest.raises(DomainError):
+        with pytest.raises(NMPruneError, match=r"subset fraction must be in \(0, 1\)"):
             brute_force_expansion(g, Fraction(3, 2))
-        with pytest.raises(DomainError):
+        with pytest.raises(NMPruneError, match=r"subset fraction must be in \(0, 1\)"):
             brute_force_expansion(g, 0)

@@ -8,7 +8,7 @@ import pytest
 from nmprune import (
     ActivationNorms,
     ConfigError,
-    DegenerateError,
+    NMPruneError,
     PruneConfig,
     compare_methods,
     gen_synthetic,
@@ -78,7 +78,7 @@ class TestReconstructionError:
         np.testing.assert_allclose(got, 1 / np.sqrt(2))
 
     def test_degenerate_reference(self):
-        with pytest.raises(DegenerateError):
+        with pytest.raises(NMPruneError, match="reference output is identically zero"):
             reconstruction_error(np.zeros((2, 2)), np.ones((2, 2), dtype=np.uint8), np.eye(2))
 
     def test_below_one_on_gaussian_layers(self):

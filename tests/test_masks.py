@@ -14,9 +14,8 @@ from nmprune import masks
 from nmprune import (
     ActivationNorms,
     ConfigError,
-    InvariantError,
+    NMPruneError,
     PruneConfig,
-    ShapeError,
     VerificationError,
     apply_mask,
     check_nm_pattern,
@@ -58,7 +57,7 @@ class TestImportanceSelect:
         np.testing.assert_array_equal(mask, [[0, 1, 0, 0]])
 
     def test_non_divisible_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(NMPruneError, match="6 columns not divisible by window width 4"):
             importance_select(np.ones((2, 6)), 2, 4)
 
     def test_diag_dominant_keeps_diagonal(self):
@@ -86,7 +85,7 @@ class TestImportanceSelect:
             np.testing.assert_array_equal(got, helpers.top_k_per_window_oracle(scores, 2, 4))
 
     def test_nan_rejected(self):
-        with pytest.raises(InvariantError, match="NaN"):
+        with pytest.raises(NMPruneError, match="scores must not be NaN"):
             importance_select(np.array([[1.0, np.nan, 0.0, 2.0]]), 2, 4)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(1, 31), st.integers(1, 5),
@@ -155,7 +154,7 @@ class TestDiagonalSelect:
             diagonal_select(np.ones((3, 3)))
 
     def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(NMPruneError, match="needs a square block"):
             diagonal_select(np.ones((4, 6)))
 
 
@@ -281,8 +280,28 @@ class TestApplyMask:
         np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, 4.0]])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(NMPruneError, match=r"mask shape \(2, 3\) does not match"):
             apply_mask(np.ones((2, 2)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("w_dtype, mask_dtype", [
+        (np.float32, np.uint8),
+        (np.float32, np.bool_),
+        (np.float32, np.int64),
+        (np.float32, np.float64),
+        (np.float64, np.uint8),
+        (np.int64, np.float64),
+    ])
+    def test_bytes_match_cast_then_multiply(self, w_dtype, mask_dtype):
+        rng = np.random.default_rng(11)
+        # negative weights under a 0 mask give -0.0 in float layouts
+        w = (rng.standard_normal((16, 8)) * 100).astype(w_dtype)
+        w[0, :] = -np.abs(w[0, :])
+        mask = rng.integers(0, 2, size=w.shape).astype(mask_dtype)
+        mask[0, :] = 0
+        got = apply_mask(w, mask)
+        want = w * mask.astype(w.dtype)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCheckNmPattern:

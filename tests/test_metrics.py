@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 import helpers
 from nmprune import (
     ActivationNorms,
-    DomainError,
-    InvariantError,
-    ShapeError,
+    NMPruneError,
     ZeroColumnError,
     ZeroRowError,
     channel_scores,
@@ -75,7 +73,7 @@ class TestRia:
         assert info.value.col == 1
 
     def test_zero_norm_negative_alpha(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(NMPruneError, match="zero activation norm cannot be raised"):
             ria(np.ones((2, 2)), ActivationNorms(np.array([1.0, 0.0]), alpha=-0.5))
 
     def test_zero_norm_alpha_zero_ok(self):
@@ -83,7 +81,7 @@ class TestRia:
         assert np.all(out > 0)
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(NMPruneError, match="norms length 2 != input channels 3"):
             ria(np.ones((2, 3)), ActivationNorms(np.ones(2)))
 
 
@@ -181,13 +179,13 @@ class TestScoreOnce:
 
 class TestValidation:
     def test_non_finite_rejected(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(NMPruneError, match="weights must be finite"):
             rri(np.array([[1.0, np.nan]]))
 
     def test_non_matrix_rejected(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(NMPruneError, match="weights must be a 2-D matrix"):
             rri(np.ones(4))
 
     def test_negative_norms_rejected(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(NMPruneError, match="finite and non-negative"):
             ActivationNorms(np.array([1.0, -0.5]))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from nmprune import ShapeError, assign_blocks, order_rows, plan_groups, rri
+from nmprune import NMPruneError, assign_blocks, order_rows, plan_groups, rri
 
 
 class TestSplitGroups:
@@ -21,7 +21,7 @@ class TestSplitGroups:
         assert order_rows(np.ones((3, 4)), 4).shape == (1, 3)
 
     def test_non_divisible(self):
-        with pytest.raises(ShapeError, match="groups of width 4"):
+        with pytest.raises(NMPruneError, match="groups of width 4"):
             order_rows(np.ones((2, 6)), 4)
 
     def test_cover_and_disjoint(self):
@@ -54,9 +54,9 @@ class TestOrderRows:
 
     def test_range_checked(self):
         for cols, m in [(2, 4), (4, 0)]:
-            with pytest.raises(ShapeError, match="groups of width"):
+            with pytest.raises(NMPruneError, match="groups of width"):
                 order_rows(np.ones((2, cols)), m)
-        with pytest.raises(ShapeError, match="2-D"):
+        with pytest.raises(NMPruneError, match="2-D"):
             order_rows(np.ones(8), 4)
 
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from nmprune import (
     ChannelPermutation,
     FormatError,
-    InvariantError,
-    ShapeError,
+    NMPruneError,
     apply_to_columns,
     build_permutation,
     load_permutation,
@@ -39,7 +38,7 @@ class TestBuildPermutation:
         np.testing.assert_array_equal(perm.forward, [0, 2, 4, 6, 1, 3, 5, 7])
 
     def test_non_divisible_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(NMPruneError, match="6 channels cannot form groups of width 4"):
             build_permutation(np.ones(6), 4)
 
     def test_group_balance(self):
@@ -94,7 +93,7 @@ class TestApply:
         )
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(NMPruneError, match="does not match permutation of length 4"):
             apply_to_columns(np.ones((2, 3)), ChannelPermutation.from_forward(np.arange(4)))
 
     def test_total_importance_preserved(self):
@@ -149,5 +148,5 @@ class TestSidecar:
             load_permutation(path)
 
     def test_non_bijection_rejected(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(NMPruneError, match="not a bijection"):
             ChannelPermutation.from_forward([0, 2, 2])

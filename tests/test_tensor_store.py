@@ -1,4 +1,4 @@
-"""Container round-trips, format rejection, and the CSV debug format."""
+"""Container round-trips and format rejection."""
 
 import json
 
@@ -7,14 +7,10 @@ import pytest
 
 from nmprune import (
     FormatError,
-    InvariantError,
-    IoError,
-    ShapeError,
+    NMPruneError,
     TensorBundle,
     load_bundle,
-    load_csv_matrix,
     save_bundle,
-    save_csv_matrix,
 )
 
 
@@ -143,41 +139,15 @@ class TestFormatRejection:
 
 class TestBundleInvariants:
     def test_empty_name_rejected(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(NMPruneError, match="entry names must be non-empty strings"):
             TensorBundle({"": np.zeros((1,), dtype=np.float32)})
 
     def test_unsupported_dtype_rejected(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(NMPruneError, match="only float32 and uint8 are stored"):
             TensorBundle({"w": np.zeros((1,), dtype=np.float64)})
 
     def test_unwritable_path(self, tmp_path):
         bundle = TensorBundle({"w": np.zeros((1,), dtype=np.float32)})
-        with pytest.raises(IoError):
+        with pytest.raises(NMPruneError, match="cannot write"):
             save_bundle(bundle, tmp_path / "missing" / "dir" / "x.tensors")
 
-
-class TestCsv:
-    def test_csv_matches_container_values(self, tmp_path):
-        rng = np.random.default_rng(3)
-        w = (rng.standard_normal((5, 7)) * 10).astype(np.float32)
-        csv_path = tmp_path / "w.csv"
-        bin_path = tmp_path / "w.tensors"
-        save_csv_matrix(w, csv_path)
-        save_bundle(TensorBundle({"w": w}), bin_path)
-        np.testing.assert_array_equal(load_csv_matrix(csv_path), load_bundle(bin_path)["w"])
-
-    def test_no_header_row(self, tmp_path):
-        path = tmp_path / "w.csv"
-        save_csv_matrix(np.eye(2, dtype=np.float32), path)
-        first = path.read_text().splitlines()[0]
-        assert first.split(",")[0] == "1"
-
-    def test_ragged_rows_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,2,3\n4,5\n")
-        with pytest.raises(FormatError):
-            load_csv_matrix(path)
-
-    def test_export_needs_matrix(self, tmp_path):
-        with pytest.raises(ShapeError):
-            save_csv_matrix(np.zeros(3, dtype=np.float32), tmp_path / "v.csv")

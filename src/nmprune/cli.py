@@ -15,22 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, NMPruneError, VerificationError
-from .graphs import (
-    ENUM_VERTEX_LIMIT,
-    brute_force_expansion,
-    mask_to_graph,
-    verify_degree_laws,
-)
-from .harness import (
-    METHODS,
-    PROFILES,
-    compare_methods,
-    gen_synthetic,
-    norms_from_batch,
-    prune_with_method,
-    reports_to_csv,
-    reports_to_json,
-)
+from .graphs import ENUM_VERTEX_LIMIT, brute_force_expansion, mask_to_graph, verify_degree_laws
+from .harness import (METHODS, PROFILES, compare_methods, gen_synthetic, norms_from_batch,
+                      prune_with_method, reports_to_csv, reports_to_json, sweep_blocks)
 from .masks import PruneConfig, apply_mask, check_nm_pattern
 from .metrics import DEFAULT_ALPHA, ActivationNorms
 from .permute import save_permutation, unpermute_mask
@@ -74,13 +61,22 @@ def _fetch(bundle: TensorBundle, name: str):
 
 
 def _read_acts(bundle: TensorBundle, args):
-    """A 1-D entry holds activation norms; a 2-D entry is a calibration batch."""
+    """Activation norms with --alpha, and the calibration batch or None: a 1-D
+    entry holds norms, a 2-D entry is a batch the norms are taken from."""
     arr = _fetch(bundle, args.acts)
     if arr.ndim == 1:
-        return ActivationNorms(arr, args.alpha)
+        return ActivationNorms(arr, args.alpha), None
     if arr.ndim == 2:
-        return arr
+        return norms_from_batch(arr, args.alpha), arr
     raise NMPruneError("activation tensor must be a norms vector or a channels x samples batch")
+
+
+def _config(args) -> PruneConfig:
+    """prune's and eval's config; alpha is checked even where no norms are built."""
+    cfg = PruneConfig(args.n, args.m, args.b)
+    if not np.isfinite(args.alpha):
+        raise ConfigError("alpha must be finite")
+    return cfg
 
 
 def _cmd_gen(args) -> int:
@@ -93,20 +89,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    cfg = PruneConfig(args.n, args.m, args.b, args.alpha)
+    cfg = _config(args)
     bundle = load_bundle(args.infile)
     w = _fetch(bundle, args.weights)
-    acts = None
-    if args.method != "magnitude":
-        acts = _read_acts(bundle, args)
-        if not isinstance(acts, ActivationNorms):
-            acts = norms_from_batch(acts, args.alpha)
-    res = prune_with_method(w, acts, cfg, args.method)
+    norms = None if args.method == "magnitude" else _read_acts(bundle, args)[0]
+    res = prune_with_method(w, norms, cfg, args.method)
     pruned = apply_mask(res.weights, res.mask)
-    entries = {
-        "mask": np.asarray(res.mask, dtype=np.uint8),
-        "W_pruned": np.asarray(pruned, dtype=np.float32),
-    }
+    entries = {"mask": np.asarray(res.mask, dtype=np.uint8),
+               "W_pruned": np.asarray(pruned, dtype=np.float32)}
     if res.permutation is not None:
         entries["W_perm"] = np.asarray(res.weights, dtype=np.float32)
         entries["mask_unpermuted"] = np.asarray(unpermute_mask(res.mask, res.permutation),
@@ -175,16 +165,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = PruneConfig(args.n, args.m, args.b, args.alpha)
+    cfg = _config(args)
     methods = [s.strip() for s in args.methods.split(",") if s.strip()]
     if not methods:
         raise ConfigError("no methods requested")
     bundle = load_bundle(args.infile)
     w = _fetch(bundle, args.weights)
-    acts = None
+    norms, z = None, None
     if any(m != "magnitude" for m in methods):
-        acts = _read_acts(bundle, args)
-    reports = compare_methods(w, acts, cfg, methods)
+        norms, z = _read_acts(bundle, args)
+    reports = compare_methods(w, norms, cfg, methods, z)
     print(reports_to_json(reports))
     if args.csv:
         try:
@@ -201,11 +191,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad block-count range {b_lo}..{b_hi}")
     bundle = load_bundle(args.infile)
     w = _fetch(bundle, args.weights)
-    acts = _read_acts(bundle, args)
-
+    norms, z = _read_acts(bundle, args)
+    bs = range(b_lo, b_hi + 1)
     rows = ["B,error,corrupted,min_in_degree,lemma1_pass"]
-    for b in range(b_lo, b_hi + 1):
-        (r,) = compare_methods(w, acts, PruneConfig(args.n, args.m, b, args.alpha), ["eggs"])
+    for b, r in zip(bs, sweep_blocks(w, norms, args.n, args.m, bs, z)):
         rows.append(f"{b},{r.error!r},{r.corrupted},{r.min_in_degree},"
                     f"{str(r.lemma1_pass).lower()}")
     print("\n".join(rows))

@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, NMPruneError
 from .graphs import verify_degree_laws
-from .masks import PruneConfig, apply_mask, eggs_prune, importance_select
+from .masks import PruneConfig, eggs_prune, importance_select, overlay_blocks
 from .metrics import (DEFAULT_ALPHA, ActivationNorms, channel_scores, magnitude_score, ria,
-                      wanda_score)
+                      ria_and_rri, wanda_score)
+from .partition import assign_blocks, order_rows
 from .permute import ChannelPermutation, apply_to_columns, build_permutation
 
 METHODS = ("magnitude", "wanda", "ria", "eggs")
@@ -100,50 +102,6 @@ class PruneResult:
     norms: ActivationNorms | None
 
 
-def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,
-                      method: str) -> PruneResult:
-    """Run one pruning method end to end, channel permutation included.
-
-    magnitude and wanda score the original layout directly; ria and eggs
-    first permute channels round-robin by aggregated channel score and
-    build the mask in the permuted layout.
-    """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
-    if method == "magnitude":
-        mask = importance_select(magnitude_score(w), cfg.n, cfg.m)
-        return PruneResult(method, mask, np.asarray(w), None, acts)
-    if acts is None:
-        raise ConfigError(f"method {method!r} requires activation norms")
-    if method == "wanda":
-        mask = importance_select(wanda_score(w, acts), cfg.n, cfg.m)
-        return PruneResult(method, mask, np.asarray(w), None, acts)
-    perm = build_permutation(channel_scores(ria(w, acts)), cfg.m)
-    w_perm = apply_to_columns(np.asarray(w), perm)
-    acts_perm = ActivationNorms(acts.norms[perm.forward], acts.alpha)
-    if method == "ria":
-        mask = importance_select(ria(w_perm, acts_perm), cfg.n, cfg.m)
-    else:
-        mask = eggs_prune(w_perm, acts_perm, cfg)
-    return PruneResult(method, mask, w_perm, perm, acts_perm)
-
-
-def _masked_error(weights, mask, z) -> float:
-    """Relative error on a batch, or in weight space when z is None.
-
-    With identity inputs the batch formula reduces to
-    ||W - W*mask||_F / ||W||_F, so compute that directly.
-    """
-    if z is not None:
-        return reconstruction_error(weights, mask, z)
-    w_arr = np.asarray(weights, dtype=np.float64)
-    denom = float(np.linalg.norm(w_arr))
-    if denom == 0.0:
-        raise NMPruneError("weights are identically zero")
-    removed = w_arr - w_arr * np.asarray(mask)
-    return float(np.linalg.norm(removed) / denom)
-
-
 @dataclass(frozen=True)
 class MethodReport:
     """One method's scores on a layer. ``to_dict`` and the CSV summary leave
@@ -157,56 +115,144 @@ class MethodReport:
     lemma1_pass: bool | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "method": self.method,
-            "error": self.error,
-            "corrupted": self.corrupted,
-            "retained_fraction": self.retained_fraction,
-        }
+        doc = {"method": self.method, "error": self.error, "corrupted": self.corrupted,
+               "retained_fraction": self.retained_fraction}
         if self.lemma1_pass is not None:
             doc["lemma1_pass"] = self.lemma1_pass
         return doc
 
 
-def compare_methods(w, acts, cfg: PruneConfig, methods=METHODS) -> list[MethodReport]:
-    """One report per method, in the caller's order.
+class _ScoredLayer:
+    """The layer-only work of one command, each piece done at most once: the
+    ria channel permutation, the permuted ria scores with their top-k mask
+    and, taken right after scoring, the rri row order for ``max_b`` blocks,
+    of which every smaller B's order is a prefix. With ``max_b`` None, eggs
+    masks come from eggs_prune. The error reference is kept per layout, and
+    no float64 copy of W is held.
+    """
 
-    ``acts`` may be ActivationNorms, a calibration batch (channels x
-    samples, from which norms are derived with cfg.alpha), or None when no
-    requested method needs activations. Without a batch, reconstruction
-    error is measured on identity inputs, i.e. on the weights themselves.
+    def __init__(self, w, norms, n: int, m: int, z=None, max_b: int | None = None):
+        if norms is not None and not isinstance(norms, ActivationNorms):
+            raise NMPruneError("norms must be ActivationNorms or None; pass a batch as z")
+        self.w, self.norms, self.z = np.asarray(w), norms, None if z is None else np.asarray(z)
+        self.n, self.m, self.max_b, self._refs = n, m, max_b, {}
+
+    @cached_property
+    def perm(self) -> ChannelPermutation:
+        return build_permutation(channel_scores(ria(self.w, self.norms)), self.m)
+
+    @cached_property
+    def w_perm(self) -> np.ndarray:
+        return apply_to_columns(self.w, self.perm)
+
+    @cached_property
+    def norms_perm(self) -> ActivationNorms:
+        return ActivationNorms(self.norms.norms[self.perm.forward], self.norms.alpha)
+
+    @cached_property
+    def _scored(self):
+        scores, rri_scores = ria_and_rri(self.w_perm, self.norms_perm)
+        order = order_rows(rri_scores, self.m, self.max_b * self.m) if self.max_b else None
+        del rri_scores
+        return scores, order, importance_select(scores, self.n, self.m)
+
+    def mask(self, method: str, cfg: PruneConfig) -> np.ndarray:
+        """The method's mask, in the permuted layout for ria and eggs."""
+        if method == "magnitude":
+            return importance_select(magnitude_score(self.w), self.n, self.m)
+        if self.norms is None:
+            raise ConfigError(f"method {method!r} requires activation norms")
+        if method == "wanda":
+            return importance_select(wanda_score(self.w, self.norms), self.n, self.m)
+        if method == "eggs" and self.max_b is None:
+            return eggs_prune(self.w_perm, self.norms_perm, cfg)
+        scores, order, base = self._scored
+        if method == "ria" or cfg.b == 0:
+            return base
+        mask = base.copy()
+        rows = assign_blocks(order[:, : cfg.b * self.m], self.m, cfg.b)
+        overlay_blocks(mask, self.w_perm, scores, rows, self.n, self.m)
+        return mask
+
+    def _reference(self, permuted: bool):
+        """A layout's float64 batch (None for identity inputs) and reference norm."""
+        if permuted not in self._refs:
+            w = self.w_perm if permuted else self.w
+            z64, ref = None, np.asarray(w, dtype=np.float64)
+            if self.z is not None:
+                if self.z.ndim != 2 or self.z.shape[0] != w.shape[1]:
+                    raise NMPruneError("calibration batch rows must match the weight columns")
+                z64 = np.asarray(self.z[self.perm.forward] if permuted else self.z, np.float64)
+                ref = ref @ z64
+            denom = float(np.linalg.norm(ref))
+            if denom == 0.0:
+                what = "weights are" if z64 is None else "reference output is"
+                raise NMPruneError(f"{what} identically zero")
+            self._refs[permuted] = z64, denom
+        return self._refs[permuted]
+
+    @cached_property
+    def _abs_total(self) -> float:
+        a = np.array(self.w, dtype=np.float64)
+        return float(np.abs(a, out=a).sum())
+
+    def report(self, method: str, cfg: PruneConfig) -> MethodReport:
+        """One method's error, input degrees and retained magnitude."""
+        abs_total = self._abs_total  # before the first mask: its float64 copy meets no scores
+        mask = self.mask(method, cfg)
+        weights = self.w_perm if method in ("ria", "eggs") else self.w
+        z64, denom = self._reference(method in ("ria", "eggs"))
+        # for a 0/1 mask these equal W - W*mask and W*mask up to the sign of
+        # a zero, which neither a norm nor an absolute sum sees
+        removed = np.where(mask == 1, 0, weights).astype(np.float64, copy=False)
+        error = float(np.linalg.norm(removed if z64 is None else removed @ z64) / denom)
+        del removed
+        kept = np.where(mask == 1, weights, 0).astype(np.float64, copy=False)
+        retained = float(np.abs(kept, out=kept).sum() / abs_total)
+        in_deg = mask.sum(axis=0)
+        lemma = verify_degree_laws(mask, cfg).violation is None if method == "eggs" else None
+        return MethodReport(method, error, int((in_deg == 0).sum()), int(in_deg.min()),
+                            retained, lemma)
+
+
+def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,
+                      method: str) -> PruneResult:
+    """Run one pruning method end to end, channel permutation included.
+
+    magnitude and wanda score the original layout directly; ria and eggs
+    first permute channels round-robin by aggregated channel score and
+    build the mask in the permuted layout.
+    """
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    layer = _ScoredLayer(w, acts, cfg.n, cfg.m)
+    mask = layer.mask(method, cfg)
+    if method in ("magnitude", "wanda"):
+        return PruneResult(method, mask, layer.w, None, acts)
+    return PruneResult(method, mask, layer.w_perm, layer.perm, layer.norms_perm)
+
+
+def compare_methods(w, norms: ActivationNorms | None, cfg: PruneConfig, methods=METHODS,
+                    z=None) -> list[MethodReport]:
+    """One report per method, in the caller's order, from one scored layer.
+
+    ``norms`` may be None when no requested method needs activations. The
+    error is measured on the calibration batch ``z`` (channels x samples)
+    when given, else on identity inputs, i.e. on the weights themselves.
     """
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown method {unknown[0]!r}")
-    w_arr = np.asarray(w)
-    if isinstance(acts, ActivationNorms) or acts is None:
-        norms = acts
-        z_eval = None
-    else:
-        z = np.asarray(acts)
-        norms = norms_from_batch(z, cfg.alpha)
-        z_eval = z
-    reports = []
-    abs_total = float(np.abs(np.asarray(w_arr, dtype=np.float64)).sum())
-    for method in methods:
-        res = prune_with_method(w_arr, norms, cfg, method)
-        if z_eval is None or res.permutation is None:
-            z_m = z_eval
-        else:
-            z_m = z_eval[res.permutation.forward, :]
-        error = _masked_error(res.weights, res.mask, z_m)
-        in_deg = res.mask.sum(axis=0)
-        retained = float(
-            np.abs(apply_mask(np.asarray(res.weights, dtype=np.float64), res.mask)).sum()
-            / abs_total
-        )
-        lemma = None
-        if method == "eggs":
-            lemma = verify_degree_laws(res.mask, cfg).violation is None
-        reports.append(MethodReport(method, error, int((in_deg == 0).sum()), int(in_deg.min()),
-                                    retained, lemma))
-    return reports
+    layer = _ScoredLayer(w, norms, cfg.n, cfg.m, z, cfg.b if "eggs" in methods else 0)
+    return [layer.report(method, cfg) for method in methods]
+
+
+def sweep_blocks(w, norms: ActivationNorms, n: int, m: int, bs, z=None) -> list[MethodReport]:
+    """One eggs report per block count in ``bs``, equal to compare_methods'
+    for that B; every B shares one scored layer and one row order."""
+    cfgs = [PruneConfig(n, m, b) for b in bs]
+    layer = _ScoredLayer(w, norms, n, m, z, max((cfg.b for cfg in cfgs), default=0))
+    return [layer.report("eggs", cfg) for cfg in cfgs]
 
 
 def reports_to_json(reports) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NMPruneError, VerificationError
-from .metrics import DEFAULT_ALPHA, ActivationNorms, ria_and_rri
+from .metrics import ActivationNorms, ria_and_rri
 from .partition import plan_groups
 
 # scores per chunk of windows in importance_select: 2 MiB of float64
@@ -31,7 +31,6 @@ class PruneConfig:
     n: int
     m: int
     b: int = 1
-    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
         _check_nm(self.n, self.m)
@@ -39,8 +38,6 @@ class PruneConfig:
             raise ConfigError(f"M must be even, got {self.m}")
         if self.b < 0:
             raise ConfigError(f"B must be non-negative, got {self.b}")
-        if not np.isfinite(self.alpha):
-            raise ConfigError("alpha must be finite")
 
 
 def _check_nm(n, m) -> None:
@@ -158,16 +155,20 @@ def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarra
     """
     ria_scores, rri_scores = ria_and_rri(w_perm, act_perm)
     mask = importance_select(ria_scores, cfg.n, cfg.m)
-    if cfg.b == 0:
-        return mask
-    # (groups, blocks, m) connectivity rows against each group's m columns;
-    # groups own disjoint columns and blocks disjoint rows
-    rows = plan_groups(rri_scores, cfg.m, cfg.b)
-    cols = np.arange(mask.shape[1]).reshape(-1, cfg.m)
-    cells = rows[..., None], cols[:, None, None, :]
-    w = np.asarray(w_perm)
-    mask[cells] = connectivity_select(w[cells], ria_scores[cells], cfg.n, cfg.m)
+    if cfg.b:
+        rows = plan_groups(rri_scores, cfg.m, cfg.b)
+        overlay_blocks(mask, w_perm, ria_scores, rows, cfg.n, cfg.m)
     return mask
+
+
+def overlay_blocks(mask, w, scores, rows, n: int, m: int) -> None:
+    """Give the blocks of a (groups, blocks, m) row plan connectivity
+    selection on their cells of ``w`` and ``scores``, in the mask in place.
+    Groups own disjoint columns and blocks disjoint rows."""
+    cols = np.arange(mask.shape[1]).reshape(-1, m)
+    cells = rows[..., None], cols[:, None, None, :]
+    w = np.asarray(w)
+    mask[cells] = connectivity_select(w[cells], scores[cells], n, m)
 
 
 def apply_mask(w, mask) -> np.ndarray:

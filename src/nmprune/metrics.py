@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NMPruneError, ZeroColumnError, ZeroRowError
+from .errors import ConfigError, NMPruneError, ZeroColumnError, ZeroRowError
 
 DEFAULT_ALPHA = 0.5
 
@@ -33,7 +33,7 @@ class ActivationNorms:
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise NMPruneError("activation norms must be finite and non-negative")
         if not np.isfinite(self.alpha):
-            raise NMPruneError("alpha must be finite")
+            raise ConfigError("alpha must be finite")
         object.__setattr__(self, "norms", arr)
 
     def __len__(self) -> int:

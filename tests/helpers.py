@@ -12,7 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nmprune import ActivationNorms, ria, rri
+from nmprune import (METHODS, ActivationNorms, ConfigError, MethodReport, NMPruneError, PruneConfig,
+                     apply_mask, prune_with_method, reconstruction_error, ria, rri,
+                     verify_degree_laws)
 
 
 def random_layer(seed, f_out, f_in, alpha=0.5):
@@ -176,3 +178,53 @@ def eggs_prune_oracle(w_perm, act_perm, cfg):
                                                  ria_scores[np.ix_(rows, cols)], cfg.n, m)
                 mask[np.ix_(rows, cols)] = sub
     return mask
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the error it raised, plus the
+    category and text of every warning it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except Exception as exc:  # an error is an outcome to compare too
+            out = (type(exc), str(exc))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def compare_methods_oracle(w, norms, cfg, methods=METHODS, z=None):
+    """compare_methods as a plain loop: every method is pruned from scratch
+    by prune_with_method and scored with whole-matrix float64 expressions."""
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ConfigError(f"unknown method {unknown[0]!r}")
+    w_arr = np.asarray(w)
+    abs_total = float(np.abs(np.asarray(w_arr, dtype=np.float64)).sum())
+    reports = []
+    for method in methods:
+        res = prune_with_method(w_arr, norms, cfg, method)
+        if z is None:
+            w64 = np.asarray(res.weights, dtype=np.float64)
+            denom = float(np.linalg.norm(w64))
+            if denom == 0.0:
+                raise NMPruneError("weights are identically zero")
+            error = float(np.linalg.norm(w64 - w64 * res.mask) / denom)
+        else:
+            z_m = z if res.permutation is None else z[res.permutation.forward, :]
+            error = reconstruction_error(res.weights, res.mask, z_m)
+        in_deg = res.mask.sum(axis=0)
+        retained = float(
+            np.abs(apply_mask(np.asarray(res.weights, dtype=np.float64), res.mask)).sum()
+            / abs_total
+        )
+        lemma = None
+        if method == "eggs":
+            lemma = verify_degree_laws(res.mask, cfg).violation is None
+        reports.append(MethodReport(method, error, int((in_deg == 0).sum()), int(in_deg.min()),
+                                    retained, lemma))
+    return reports
+
+
+def sweep_oracle(w, norms, n, m, bs, z=None):
+    """One compare_methods_oracle eggs report per block count."""
+    return [compare_methods_oracle(w, norms, PruneConfig(n, m, b), ["eggs"], z)[0] for b in bs]

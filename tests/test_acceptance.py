@@ -196,7 +196,8 @@ def test_criterion_06_channel_corruption_guarantee():
     for i in range(100):
         k = (i % 3) + 1
         w, z = gen_synthetic(600 + i, 16, 32, "dead-columns", k=k)
-        reports = compare_methods(w, z, PruneConfig(2, 4, 1), ["ria", "eggs"])
+        reports = compare_methods(w, norms_from_batch(z), PruneConfig(2, 4, 1), ["ria", "eggs"],
+                                  z=z)
         by_method = {r.method: r for r in reports}
         assert by_method["eggs"].corrupted == 0
         if by_method["ria"].corrupted >= 1:

@@ -3,11 +3,13 @@
 import json
 import os
 import stat
+import sys
 
 import numpy as np
 import pytest
 
-from nmprune import load_bundle, load_permutation
+from nmprune import TensorBundle, load_bundle, load_permutation, save_bundle
+from nmprune import metrics, partition
 from nmprune.cli import main
 
 
@@ -264,3 +266,63 @@ class TestSweep:
         src = gen_layer(tmp_path)
         assert run("sweep", "--in", str(src), "--b-range", "4..1",
                    "--n", "2", "--m", "4") == 2
+
+
+class TestAlpha:
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["prune", "--out", "x.t", "--method", "magnitude", "--n", "2", "--m", "4"],
+        ["prune", "--out", "x.t", "--method", "eggs", "--n", "2", "--m", "4"],
+        ["eval", "--n", "2", "--m", "4"],
+        ["eval", "--methods", "magnitude", "--n", "2", "--m", "4"],
+        ["sweep", "--b-range", "0..2", "--n", "2", "--m", "4"],
+    ])
+    def test_non_finite_alpha_is_usage_error(self, tmp_path, capsys, command, alpha):
+        path = gen_layer(tmp_path)
+        capsys.readouterr()
+        argv = [command[0], "--in", str(path), *command[1:], "--alpha", alpha]
+        argv = [str(tmp_path / a) if a == "x.t" else a for a in argv]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == "error: alpha must be finite\n"
+
+    def test_non_finite_alpha_with_a_norms_entry(self, tmp_path, capsys):
+        path = tmp_path / "norms.t"
+        w = np.random.default_rng(1).standard_normal((8, 8)).astype(np.float32)
+        save_bundle(TensorBundle({"W": w, "Z": np.ones(8, dtype=np.float32)}), path)
+        for command in (["prune", "--out", str(tmp_path / "o.t"), "--method", "ria"], ["eval"],
+                        ["sweep", "--b-range", "0..1"]):
+            assert run(*command, "--in", str(path), "--n", "2", "--m", "4", "--alpha", "nan") == 2
+            assert capsys.readouterr().err == "error: alpha must be finite\n"
+
+
+class TestScoredOnce:
+    """eval and sweep score, permute and order the layer once per command."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for fn in (metrics.ria_and_rri, partition.order_rows):
+            def counted(*args, _fn=fn, **kwargs):
+                counts[_fn.__name__] = counts.get(_fn.__name__, 0) + 1
+                return _fn(*args, **kwargs)
+            for name, module in list(sys.modules.items()):
+                if name == "nmprune" or name.startswith("nmprune."):
+                    for attr, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, attr, counted)
+        return counts
+
+    def test_sweep_scores_and_orders_once(self, tmp_path, capsys, calls):
+        path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
+        calls.clear()
+        assert run("sweep", "--in", str(path), "--b-range", "0..4", "--n", "2", "--m", "4") == 0
+        # ria on the original layout for the permutation, then the permuted layout
+        assert calls == {"ria_and_rri": 2, "order_rows": 1}
+        assert len(capsys.readouterr().out.splitlines()) == 6
+
+    def test_eval_scores_once(self, tmp_path, capsys, calls):
+        path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
+        calls.clear()
+        assert run("eval", "--in", str(path), "--n", "2", "--m", "4") == 0
+        assert calls["ria_and_rri"] == 2
+        assert len(json.loads(capsys.readouterr().out)) == 4

@@ -4,8 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from nmprune import (
+    METHODS,
+    PROFILES,
     ActivationNorms,
     ConfigError,
     NMPruneError,
@@ -18,6 +23,7 @@ from nmprune import (
     reports_to_csv,
     reports_to_json,
 )
+from nmprune.harness import sweep_blocks
 
 
 class TestGenSynthetic:
@@ -93,8 +99,8 @@ class TestReconstructionError:
 class TestCompareMethods:
     def test_order_and_fields(self):
         w, z = gen_synthetic(10, 16, 16, "gaussian")
-        reports = compare_methods(w, z, PruneConfig(2, 4, 1),
-                                  ["eggs", "magnitude", "ria", "wanda"])
+        reports = compare_methods(w, norms_from_batch(z), PruneConfig(2, 4, 1),
+                                  ["eggs", "magnitude", "ria", "wanda"], z)
         assert [r.method for r in reports] == ["eggs", "magnitude", "ria", "wanda"]
         eggs = reports[0]
         assert eggs.lemma1_pass is True
@@ -103,7 +109,7 @@ class TestCompareMethods:
 
     def test_dead_columns_separate_methods(self):
         w, z = gen_synthetic(11, 16, 32, "dead-columns", k=1)
-        reports = compare_methods(w, z, PruneConfig(2, 4, 1))
+        reports = compare_methods(w, norms_from_batch(z), PruneConfig(2, 4, 1), z=z)
         by_method = {r.method: r for r in reports}
         assert by_method["eggs"].corrupted == 0
         for name in ("magnitude", "wanda", "ria"):
@@ -111,7 +117,7 @@ class TestCompareMethods:
 
     def test_single_method_json_has_no_lemma_field(self):
         w, z = gen_synthetic(12, 8, 8, "gaussian")
-        reports = compare_methods(w, z, PruneConfig(2, 4, 1), ["ria"])
+        reports = compare_methods(w, norms_from_batch(z), PruneConfig(2, 4, 1), ["ria"], z)
         doc = json.loads(reports_to_json(reports))
         assert len(doc) == 1 and "lemma1_pass" not in doc[0]
 
@@ -127,19 +133,64 @@ class TestCompareMethods:
     def test_unknown_method_rejected(self):
         w, z = gen_synthetic(1, 8, 8, "gaussian")
         with pytest.raises(ConfigError):
-            compare_methods(w, z, PruneConfig(2, 4, 1), ["sparsegpt"])
+            compare_methods(w, norms_from_batch(z), PruneConfig(2, 4, 1), ["sparsegpt"], z)
 
     def test_json_determinism(self):
         w, z = gen_synthetic(14, 8, 8, "gaussian")
         cfg = PruneConfig(2, 4, 1)
-        a = reports_to_json(compare_methods(w, z, cfg))
-        b = reports_to_json(compare_methods(w, z, cfg))
+        a = reports_to_json(compare_methods(w, norms_from_batch(z), cfg, z=z))
+        b = reports_to_json(compare_methods(w, norms_from_batch(z), cfg, z=z))
         assert a == b
 
     def test_csv_summary_shape(self):
         w, z = gen_synthetic(15, 8, 8, "gaussian")
-        text = reports_to_csv(compare_methods(w, z, PruneConfig(2, 4, 1), ["ria", "eggs"]))
+        text = reports_to_csv(compare_methods(w, norms_from_batch(z), PruneConfig(2, 4, 1),
+                                              ["ria", "eggs"], z))
         lines = text.strip().splitlines()
         assert lines[0] == "method,error,corrupted,lemma1_pass"
         assert lines[1].startswith("ria,") and lines[1].endswith(",")
         assert lines[2].startswith("eggs,") and lines[2].endswith(",true")
+
+
+class TestSharedLayer:
+    """compare_methods and sweep_blocks score the layer once; every field and
+    warning must equal a method-by-method, B-by-B run."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(PROFILES),
+           st.sampled_from([(16, 16), (10, 16), (3, 8), (8, 24)]),
+           st.sampled_from([(1, 4), (2, 4), (2, 8), (4, 8)]),
+           st.lists(st.sampled_from(METHODS), min_size=1, max_size=6), st.integers(0, 5),
+           st.integers(0, 5), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_method_loop(self, seed, profile, shape, nm, methods, b, b_hi, batch,
+                                     alpha):
+        (f_out, f_in), (n, m) = shape, nm  # every f_in is a multiple of every m
+        w, z = gen_synthetic(seed, f_out, f_in, profile, k=1)
+        norms = norms_from_batch(z, alpha)
+        if not batch:
+            norms, z = ActivationNorms(norms.norms[::-1].copy(), alpha), None
+        cfg = PruneConfig(n, m, b)
+        want = helpers.outcome(helpers.compare_methods_oracle, w, norms, cfg, methods, z)
+        assert helpers.outcome(compare_methods, w, norms, cfg, methods, z) == want
+        bs = range(min(b, b_hi), b_hi + 1)  # b_hi = 5 is above every shape's full blocks
+        want = helpers.outcome(helpers.sweep_oracle, w, norms, n, m, bs, z)
+        assert helpers.outcome(sweep_blocks, w, norms, n, m, bs, z) == want
+
+    def test_errors_match_per_method_loop(self):
+        w = np.zeros((4, 4), dtype=np.float32)
+        w[:, 0] = 1.0
+        norms = ActivationNorms(np.ones(4))
+        for methods in (["magnitude"], ["ria"], ["wanda", "magnitude"]):
+            for z in (None, np.zeros((4, 2), dtype=np.float32), np.ones((3, 2))):
+                args = (w, norms, PruneConfig(2, 4, 1), methods, z)
+                want = helpers.outcome(helpers.compare_methods_oracle, *args)
+                assert helpers.outcome(compare_methods, *args) == want
+
+    def test_without_norms(self):
+        w, z = gen_synthetic(3, 8, 8, "gaussian")
+        for methods in (["magnitude"], ["magnitude", "eggs"]):
+            args = (w, None, PruneConfig(2, 4, 1), methods, z)
+            want = helpers.outcome(helpers.compare_methods_oracle, *args)
+            assert helpers.outcome(compare_methods, *args) == want
+        with pytest.raises(NMPruneError, match="pass a batch as z"):
+            compare_methods(w, z, PruneConfig(2, 4, 1))

@@ -170,3 +170,38 @@ class TestPartialOrder:
             rows, want[:, : effective * m].reshape(groups, effective, m))
         clamp = f"connectivity block count {b} exceeds {full} full blocks; clamping"
         assert [str(w.message) for w in caught] == [clamp] * (groups if b > full else 0)
+
+
+class TestSharedOrder:
+    """One order_rows call at the largest count serves every smaller count,
+    so a sweep over B can order rows once and slice per B."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8).map(lambda h: 2 * h), st.integers(1, 24),
+           st.integers(1, 3), st.integers(0, 30), st.sampled_from(["float", "integer"]))
+    @settings(max_examples=150, deadline=None)
+    def test_counts_are_prefixes_of_the_largest(self, seed, m, f_out, groups, big, kind):
+        rng = np.random.default_rng(seed)
+        shape = (f_out, groups * m)
+        if kind == "float":
+            scores = rng.uniform(size=shape)
+        else:  # integer sums tie often
+            scores = rng.integers(0, 3, size=shape).astype(float)
+        oracle = helpers.order_rows_oracle(scores, m)
+        shared = order_rows(scores, m, big)
+        assert shared.shape == (groups, min(big, f_out))
+        for k in range(big + 1):  # big may exceed f_out
+            np.testing.assert_array_equal(order_rows(scores, m, k), shared[:, :k])
+            np.testing.assert_array_equal(shared[:, :k], oracle[:, :k])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8).map(lambda h: 2 * h), st.integers(1, 24),
+           st.integers(1, 3), st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_sliced_blocks_match_plan_groups(self, seed, m, f_out, groups, max_b):
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 3, size=(f_out, groups * m)).astype(float)
+        shared = order_rows(scores, m, max_b * m)
+        for b in range(max_b + 1):  # b above f_out // m is clamped, with its warnings
+            got, got_warnings = helpers.outcome(assign_blocks, shared[:, : b * m], m, b)
+            want, want_warnings = helpers.outcome(plan_groups, scores, m, b)
+            np.testing.assert_array_equal(got, want)
+            assert got.shape == want.shape and got_warnings == want_warnings

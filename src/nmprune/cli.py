@@ -15,9 +15,23 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, NMPruneError, VerificationError
-from .graphs import ENUM_VERTEX_LIMIT, brute_force_expansion, mask_to_graph, verify_degree_laws
-from .harness import (METHODS, PROFILES, compare_methods, gen_synthetic, norms_from_batch,
-                      prune_with_method, reports_to_csv, reports_to_json, sweep_blocks)
+from .graphs import (
+    ENUM_VERTEX_LIMIT,
+    brute_force_expansion,
+    mask_to_graph,
+    verify_degree_laws,
+)
+from .harness import (
+    METHODS,
+    PROFILES,
+    compare_methods,
+    gen_synthetic,
+    norms_from_batch,
+    prune_with_method,
+    reports_to_csv,
+    reports_to_json,
+    sweep_blocks,
+)
 from .masks import PruneConfig, apply_mask, check_nm_pattern
 from .metrics import DEFAULT_ALPHA, ActivationNorms
 from .permute import save_permutation, unpermute_mask
@@ -95,8 +109,10 @@ def _cmd_prune(args) -> int:
     norms = None if args.method == "magnitude" else _read_acts(bundle, args)[0]
     res = prune_with_method(w, norms, cfg, args.method)
     pruned = apply_mask(res.weights, res.mask)
-    entries = {"mask": np.asarray(res.mask, dtype=np.uint8),
-               "W_pruned": np.asarray(pruned, dtype=np.float32)}
+    entries = {
+        "mask": np.asarray(res.mask, dtype=np.uint8),
+        "W_pruned": np.asarray(pruned, dtype=np.float32),
+    }
     if res.permutation is not None:
         entries["W_perm"] = np.asarray(res.weights, dtype=np.float32)
         entries["mask_unpermuted"] = np.asarray(unpermute_mask(res.mask, res.permutation),

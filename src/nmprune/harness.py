@@ -76,14 +76,26 @@ def reconstruction_error(w, mask, z) -> float:
     z_arr = np.asarray(z, dtype=np.float64)
     if w_arr.ndim != 2 or w_arr.shape != m_arr.shape:
         raise NMPruneError(f"mask shape {m_arr.shape} does not match weights shape {w_arr.shape}")
-    if z_arr.ndim != 2 or z_arr.shape[0] != w_arr.shape[1]:
-        raise NMPruneError("calibration batch rows must match the weight columns")
-    ref = w_arr @ z_arr
-    denom = float(np.linalg.norm(ref))
-    if denom == 0.0:
-        raise NMPruneError("reference output is identically zero")
+    z_arr, denom = _reference(w_arr, z_arr)
     removed = (w_arr - w_arr * m_arr) @ z_arr
     return float(np.linalg.norm(removed) / denom)
+
+
+def _reference(w64, z, rows=None):
+    """The checked float64 batch, rows in ``rows`` order if given, and ||W Z||_F;
+    z None means identity inputs: no batch and ||W||_F."""
+    z64, ref = None, w64
+    if z is not None:
+        z = np.asarray(z)
+        if z.ndim != 2 or z.shape[0] != w64.shape[1]:
+            raise NMPruneError("calibration batch rows must match the weight columns")
+        z64 = np.asarray(z if rows is None else z[rows], dtype=np.float64)
+        ref = w64 @ z64
+    denom = float(np.linalg.norm(ref))
+    if denom == 0.0:
+        what = "weights are" if z is None else "reference output is"
+        raise NMPruneError(f"{what} identically zero")
+    return z64, denom
 
 
 @dataclass(frozen=True)
@@ -115,8 +127,12 @@ class MethodReport:
     lemma1_pass: bool | None = None
 
     def to_dict(self) -> dict:
-        doc = {"method": self.method, "error": self.error, "corrupted": self.corrupted,
-               "retained_fraction": self.retained_fraction}
+        doc = {
+            "method": self.method,
+            "error": self.error,
+            "corrupted": self.corrupted,
+            "retained_fraction": self.retained_fraction,
+        }
         if self.lemma1_pass is not None:
             doc["lemma1_pass"] = self.lemma1_pass
         return doc
@@ -134,7 +150,7 @@ class _ScoredLayer:
     def __init__(self, w, norms, n: int, m: int, z=None, max_b: int | None = None):
         if norms is not None and not isinstance(norms, ActivationNorms):
             raise NMPruneError("norms must be ActivationNorms or None; pass a batch as z")
-        self.w, self.norms, self.z = np.asarray(w), norms, None if z is None else np.asarray(z)
+        self.w, self.norms, self.z = np.asarray(w), norms, z
         self.n, self.m, self.max_b, self._refs = n, m, max_b, {}
 
     @cached_property
@@ -177,18 +193,9 @@ class _ScoredLayer:
     def _reference(self, permuted: bool):
         """A layout's float64 batch (None for identity inputs) and reference norm."""
         if permuted not in self._refs:
-            w = self.w_perm if permuted else self.w
-            z64, ref = None, np.asarray(w, dtype=np.float64)
-            if self.z is not None:
-                if self.z.ndim != 2 or self.z.shape[0] != w.shape[1]:
-                    raise NMPruneError("calibration batch rows must match the weight columns")
-                z64 = np.asarray(self.z[self.perm.forward] if permuted else self.z, np.float64)
-                ref = ref @ z64
-            denom = float(np.linalg.norm(ref))
-            if denom == 0.0:
-                what = "weights are" if z64 is None else "reference output is"
-                raise NMPruneError(f"{what} identically zero")
-            self._refs[permuted] = z64, denom
+            w64 = np.asarray(self.w_perm if permuted else self.w, dtype=np.float64)
+            rows = self.perm.forward if permuted else None
+            self._refs[permuted] = _reference(w64, self.z, rows)
         return self._refs[permuted]
 
     @cached_property

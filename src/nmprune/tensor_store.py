@@ -64,12 +64,10 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def load_bundle(path, names=None) -> TensorBundle:
+def load_bundle(path) -> TensorBundle:
     """Read a container file back into a bundle, bit-exactly.
 
-    Each entry is read from the file straight into its own array. Given a
-    list of ``names``, every header record and extent is still checked but
-    only those entries are read; a name the file lacks is a FormatError.
+    Each entry is read from the file straight into its own array.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -119,16 +117,11 @@ def load_bundle(path, names=None) -> TensorBundle:
                 )
             if payload_start + offset + nbytes > size:
                 raise FormatError(f"entry {name!r}: truncated payload")
-            if names is not None and name not in names:
-                continue
             arr = np.empty(shape, dtype=dtype)
             fh.seek(payload_start + offset)
             if fh.readinto(arr.data) != nbytes:
                 raise FormatError(f"entry {name!r}: truncated payload")
             entries[name] = arr.astype(dtype.newbyteorder("="), copy=False)
-    for name in names or ():
-        if name not in entries:
-            raise FormatError(f"input bundle has no tensor named {name!r}")
     return TensorBundle(entries)
 
 

@@ -137,52 +137,6 @@ class TestFormatRejection:
             load_bundle(path)
 
 
-class TestNamedEntries:
-    """load_bundle(path, names) reads only the named entries but checks all."""
-
-    def _prune_like(self, tmp_path):
-        rng = np.random.default_rng(4)
-        bundle = TensorBundle({
-            "mask": rng.integers(0, 2, size=(4, 8)).astype(np.uint8),
-            "W_pruned": rng.standard_normal((4, 8)).astype(np.float32),
-            "W_perm": rng.standard_normal((4, 8)).astype(np.float32),
-        })
-        path = tmp_path / "prune.tensors"
-        save_bundle(bundle, path)
-        return path
-
-    def test_equals_a_full_load(self, tmp_path):
-        path = self._prune_like(tmp_path)
-        full = load_bundle(path)
-        for names in (["mask"], ["W_perm", "mask"], []):
-            part = load_bundle(path, names)
-            assert sorted(part.entries) == sorted(names)
-            for name in names:
-                assert part[name].dtype == full[name].dtype
-                assert part[name].tobytes() == full[name].tobytes()
-
-    def test_absent_name_is_format_error(self, tmp_path):
-        path = self._prune_like(tmp_path)
-        with pytest.raises(FormatError, match="no tensor named 'mask_unpermuted'"):
-            load_bundle(path, ["mask", "mask_unpermuted"])
-
-    def test_truncated_unread_entry_is_refused(self, tmp_path):
-        header = {"mask": {"dtype": "u8", "shape": [2, 2], "offset": 0, "nbytes": 4},
-                  "w": {"dtype": "f32", "shape": [2, 2], "offset": 4, "nbytes": 16}}
-        path = tmp_path / "short.tensors"
-        path.write_bytes(craft_container(header, b"\x01" * 4 + b"\x00" * 8))
-        with pytest.raises(FormatError, match="'w': truncated payload"):
-            load_bundle(path, ["mask"])
-
-    def test_bad_unread_header_record_is_refused(self, tmp_path):
-        header = {"mask": {"dtype": "u8", "shape": [2, 2], "offset": 0, "nbytes": 4},
-                  "w": {"dtype": "f64", "shape": [1], "offset": 4, "nbytes": 8}}
-        path = tmp_path / "bad.tensors"
-        path.write_bytes(craft_container(header, b"\x00" * 12))
-        with pytest.raises(FormatError, match="unknown dtype tag"):
-            load_bundle(path, ["mask"])
-
-
 class TestBundleInvariants:
     def test_empty_name_rejected(self):
         with pytest.raises(NMPruneError, match="entry names must be non-empty strings"):

@@ -6,7 +6,7 @@ spread important channels across pruning groups, and builds binary N:M
 masks either purely by score or with a connectivity-aware strategy that
 guarantees every input channel keeps a minimum number of connections.
 Masks can be checked as bipartite graphs: exact degree laws always, and
-brute-forced vertex-expansion ratios at desk scale.
+exact vertex-expansion ratios over all subsets at desk scale.
 """
 
 from .errors import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -281,8 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """``warning: <msg>``, without the source location, so stderr does not
+    change when the code that warns moves."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    old_format, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -291,6 +299,8 @@ def main(argv=None) -> int:
     except (NMPruneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = old_format
 
 
 if __name__ == "__main__":

@@ -2,32 +2,32 @@
 
 A mask is the biadjacency matrix between output neurons (rows) and input
 neurons (columns). This module checks the structural degree laws a
-connectivity-aware mask must satisfy and, at desk scale, brute-forces the
-two-sided vertex-expansion ratios as exact rationals.
+connectivity-aware mask must satisfy and, at desk scale, computes the exact
+two-sided vertex-expansion ratios from a table of all 2^n vertex subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from .errors import NMPruneError, VerificationError
 from .masks import PruneConfig
 
-# 2**22 subsets is the enumeration ceiling
+# 2**22 subsets is the enumeration ceiling: a 16 MiB uint32 table per side
 ENUM_VERTEX_LIMIT = 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """Per-output adjacency lists over input indices."""
+    """A validated mask: ``mask[o, i]`` is True iff output o is joined to
+    input i; shape (n_outputs, n_inputs)."""
 
     n_inputs: int
     n_outputs: int
-    adjacency: tuple[tuple[int, ...], ...]
+    mask: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,6 @@ class ExpansionReport:
     c: Fraction
     max_subset_inputs: int
     max_subset_outputs: int
-    min_in_degree: int
-    min_out_degree: int
     a_in: Fraction | None
     a_out: Fraction | None
 
@@ -72,8 +70,7 @@ def mask_to_graph(mask) -> BipartiteGraph:
         raise NMPruneError("mask must be 2-D")
     if not ((arr == 0) | (arr == 1)).all():
         raise VerificationError("mask entries must be 0 or 1")
-    adjacency = tuple(tuple(int(j) for j in np.flatnonzero(row)) for row in arr)
-    return BipartiteGraph(arr.shape[1], arr.shape[0], adjacency)
+    return BipartiteGraph(arr.shape[1], arr.shape[0], arr == 1)
 
 
 def verify_degree_laws(mask, cfg: PruneConfig) -> DegreeLawReport:
@@ -121,33 +118,30 @@ def verify_degree_laws(mask, cfg: PruneConfig) -> DegreeLawReport:
     )
 
 
-def _neighbor_bitmasks(g: BipartiteGraph) -> tuple[list[int], list[int]]:
-    out_masks = [0] * g.n_outputs
-    in_masks = [0] * g.n_inputs
-    for o, nbrs in enumerate(g.adjacency):
-        for j in nbrs:
-            out_masks[o] |= 1 << j
-            in_masks[j] |= 1 << o
-    return in_masks, out_masks
-
-
-def _min_ratio(neigh_masks, max_size) -> Fraction | None:
-    best = None
-    n = len(neigh_masks)
-    for k in range(1, max_size + 1):
-        for subset in combinations(range(n), k):
-            acc = 0
-            for v in subset:
-                acc |= neigh_masks[v]
-            ratio = Fraction(acc.bit_count(), k)
-            if best is None or ratio < best:
-                best = ratio
-    return best
+def _min_ratio(adj: np.ndarray, max_size: int) -> Fraction | None:
+    """Least |N(S)|/|S| over the non-empty subsets S of adj's rows with
+    |S| <= max_size, where row v of adj marks v's neighbours."""
+    if max_size < 1:
+        return None
+    # A side is enumerated only when c*n >= 1 and n <= ENUM_VERTEX_LIMIT. A
+    # larger other side n' > n then has c*n' >= 1 too and fails the limit check
+    # first, so every neighbourhood fits in ENUM_VERTEX_LIMIT <= 32 bits.
+    n, n_other = adj.shape
+    bits = np.bitwise_or.reduce(adj.astype(np.uint32) << np.arange(n_other, dtype=np.uint32),
+                                axis=1)
+    # table[S] is the union of the neighbourhoods in subset S, size[S] is |S|
+    table = np.zeros(1 << n, dtype=np.uint32)
+    size = np.zeros(1 << n, dtype=np.uint8)
+    for v in range(n):
+        table[1 << v:2 << v] = table[:1 << v] | bits[v]
+        size[1 << v:2 << v] = size[:1 << v] + 1
+    reach = np.bitwise_count(table)
+    return min(Fraction(int(reach[size == k].min()), k) for k in range(1, max_size + 1))
 
 
 def brute_force_expansion(g: BipartiteGraph, c) -> ExpansionReport:
-    """Enumerate every non-empty subset up to fraction c of each side and
-    return the minimal neighborhood/size ratios as exact fractions.
+    """Over every non-empty subset up to fraction c of each side, return the
+    minimal neighborhood/size ratios as exact fractions.
 
     Raises NMPruneError when a side that has admissible subsets exceeds
     the enumeration ceiling, or unless 0 < c < 1.
@@ -161,13 +155,10 @@ def brute_force_expansion(g: BipartiteGraph, c) -> ExpansionReport:
         raise NMPruneError(f"{g.n_inputs} inputs exceed the enumeration limit {ENUM_VERTEX_LIMIT}")
     if max_out >= 1 and g.n_outputs > ENUM_VERTEX_LIMIT:
         raise NMPruneError(f"{g.n_outputs} outputs exceed the enumeration limit {ENUM_VERTEX_LIMIT}")
-    in_masks, out_masks = _neighbor_bitmasks(g)
     return ExpansionReport(
         c=frac,
         max_subset_inputs=max_in,
         max_subset_outputs=max_out,
-        min_in_degree=min(m.bit_count() for m in in_masks) if in_masks else 0,
-        min_out_degree=min(m.bit_count() for m in out_masks) if out_masks else 0,
-        a_in=_min_ratio(in_masks, max_in),
-        a_out=_min_ratio(out_masks, max_out),
+        a_in=_min_ratio(g.mask.T, max_in),
+        a_out=_min_ratio(g.mask, max_out),
     )

@@ -102,16 +102,14 @@ def _reference(w64, z, rows=None):
 class PruneResult:
     """Mask plus the weight layout it applies to.
 
-    For methods that permute channels, ``weights``, ``mask`` and ``norms``
-    are all in the permuted layout and ``permutation`` records the mapping;
-    otherwise ``permutation`` is None.
+    For methods that permute channels, ``weights`` and ``mask`` are both in
+    the permuted layout and ``permutation`` records the mapping; otherwise
+    ``permutation`` is None.
     """
 
-    method: str
     mask: np.ndarray
     weights: np.ndarray
     permutation: ChannelPermutation | None
-    norms: ActivationNorms | None
 
 
 @dataclass(frozen=True)
@@ -235,8 +233,8 @@ def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,
     layer = _ScoredLayer(w, acts, cfg.n, cfg.m)
     mask = layer.mask(method, cfg)
     if method in ("magnitude", "wanda"):
-        return PruneResult(method, mask, layer.w, None, acts)
-    return PruneResult(method, mask, layer.w_perm, layer.perm, layer.norms_perm)
+        return PruneResult(mask, layer.w, None)
+    return PruneResult(mask, layer.w_perm, layer.perm)
 
 
 def compare_methods(w, norms: ActivationNorms | None, cfg: PruneConfig, methods=METHODS,

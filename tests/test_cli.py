@@ -3,11 +3,14 @@
 import json
 import os
 import stat
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmprune
 from nmprune import TensorBundle, load_bundle, load_permutation, save_bundle
 from nmprune import metrics, partition
 from nmprune.cli import main
@@ -266,6 +269,24 @@ class TestSweep:
         src = gen_layer(tmp_path)
         assert run("sweep", "--in", str(src), "--b-range", "4..1",
                    "--n", "2", "--m", "4") == 2
+
+    def test_warnings_print_without_source_location(self, tmp_path):
+        """Under Python's default warning display, each clamp warning is one
+        `warning: <msg>` line, with no file, line number or source text."""
+        src = gen_layer(tmp_path, dims="8x8", profile="dead-columns", seed=13, k=2)
+        path = [str(Path(nmprune.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "nmprune.cli", "sweep", "--in", str(src),
+             "--b-range", "1..4", "--n", "2", "--m", "4"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            f"warning: connectivity block count {b} exceeds 2 full blocks; clamping"
+            for b in (3, 4)
+        ]
 
 
 class TestAlpha:

@@ -1,9 +1,12 @@
-"""Graph view of masks: adjacency, degree laws, exhaustive expansion."""
+"""Graph view of masks: the edge array, degree laws, exact expansion."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import helpers
 from nmprune import (
@@ -19,25 +22,26 @@ from nmprune import (
 class TestMaskToGraph:
     def test_identity_mask(self):
         g = mask_to_graph(np.eye(3, dtype=np.uint8))
-        assert g.adjacency == ((0,), (1,), (2,))
+        assert g.mask.dtype == np.bool_
+        assert [tuple(np.flatnonzero(row)) for row in g.mask] == [(0,), (1,), (2,)]
 
     def test_complete_bipartite(self):
         g = mask_to_graph(np.ones((2, 2), dtype=np.uint8))
-        assert g.adjacency == ((0, 1), (0, 1))
+        assert [tuple(np.flatnonzero(row)) for row in g.mask] == [(0, 1), (0, 1)]
 
     def test_zero_column_gives_zero_degree(self):
         mask = np.array([[1, 0], [1, 0]], dtype=np.uint8)
         g = mask_to_graph(mask)
         assert g.n_inputs == 2
-        assert all(1 not in nbrs for nbrs in g.adjacency)
+        assert not g.mask[:, 1].any()
 
     def test_edge_count_preserved(self):
         rng = np.random.default_rng(1)
         mask = (rng.uniform(size=(6, 9)) < 0.4).astype(np.uint8)
         g = mask_to_graph(mask)
-        assert sum(len(n) for n in g.adjacency) == int(mask.sum())
-        in_deg = np.bincount([j for nbrs in g.adjacency for j in nbrs], minlength=g.n_inputs)
-        np.testing.assert_array_equal(in_deg, mask.sum(axis=0))
+        assert (g.n_outputs, g.n_inputs) == g.mask.shape == mask.shape
+        assert int(g.mask.sum()) == int(mask.sum())
+        np.testing.assert_array_equal(g.mask.sum(axis=0), mask.sum(axis=0))
 
 
 class TestDegreeStats:
@@ -114,14 +118,26 @@ class TestBruteForceExpansion:
                                        Fraction(1, 2))
         assert report.a_in == Fraction(1) and report.a_out == Fraction(1)
 
-    def test_agrees_with_naive_oracle(self):
-        rng = np.random.default_rng(90)
-        for _ in range(10):
-            mask = (rng.uniform(size=(6, 8)) < 0.45).astype(np.uint8)
-            c = Fraction(int(rng.integers(1, 4)), 8)
-            report = brute_force_expansion(mask_to_graph(mask), c)
-            a_in, a_out = helpers.expansion_oracle(mask, c)
-            assert report.a_in == a_in and report.a_out == a_out
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mask=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8),
+                        elements=st.integers(0, 1)),
+        k=st.integers(1, 7),
+    )
+    def test_agrees_with_naive_oracle(self, mask, k):
+        c = Fraction(k, 8)
+        report = brute_force_expansion(mask_to_graph(mask), c)
+        a_in, a_out = helpers.expansion_oracle(mask, c)
+        assert report.a_in == a_in and report.a_out == a_out
+
+    @pytest.mark.parametrize("mask, ratio", [
+        (np.eye(22, dtype=np.uint8), Fraction(1)),
+        (np.ones((22, 22), dtype=np.uint8), Fraction(2)),
+    ])
+    def test_known_answers_at_the_vertex_limit(self, mask, ratio):
+        report = brute_force_expansion(mask_to_graph(mask), Fraction(1, 2))
+        assert report.max_subset_inputs == report.max_subset_outputs == 11
+        assert report.a_in == report.a_out == ratio
 
     def test_vacuous_side_reports_none(self):
         report = brute_force_expansion(mask_to_graph(np.eye(8, dtype=np.uint8)),

@@ -69,7 +69,6 @@ from .permute import (
     unpermute_mask,
 )
 from .tensor_store import (
-    TensorBundle,
     load_bundle,
     save_bundle,
 )

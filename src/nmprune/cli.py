@@ -36,9 +36,7 @@ from .harness import (
 from .masks import PruneConfig, apply_mask, check_nm_pattern
 from .metrics import DEFAULT_ALPHA, ActivationNorms
 from .permute import save_permutation, unpermute_mask
-from .tensor_store import TensorBundle, load_bundle, save_bundle
-
-GEN_SAMPLES = 32
+from .tensor_store import load_bundle, save_bundle
 
 
 def _parse_dims(text: str):
@@ -69,13 +67,13 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected NUM/DEN, got {text!r}")
 
 
-def _fetch(bundle: TensorBundle, name: str):
+def _fetch(bundle: dict, name: str):
     if name not in bundle:
         raise NMPruneError(f"input bundle has no tensor named {name!r}")
     return bundle[name]
 
 
-def _read_acts(bundle: TensorBundle, args):
+def _read_acts(bundle: dict, args):
     """Activation norms with --alpha, and the calibration batch or None: a 1-D
     entry holds norms, a 2-D entry is a batch the norms are taken from."""
     arr = _fetch(bundle, args.acts)
@@ -96,9 +94,8 @@ def _config(args) -> PruneConfig:
 
 def _cmd_gen(args) -> int:
     f_out, f_in = args.dims
-    w, z = gen_synthetic(args.seed, f_out, f_in, profile=args.profile, k=args.k,
-                         samples=GEN_SAMPLES)
-    save_bundle(TensorBundle({args.weights: w, args.acts: z}), args.out)
+    w, z = gen_synthetic(args.seed, f_out, f_in, profile=args.profile, k=args.k)
+    save_bundle({args.weights: w, args.acts: z}, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -118,7 +115,7 @@ def _cmd_prune(args) -> int:
         entries["W_perm"] = np.asarray(res.weights, dtype=np.float32)
         entries["mask_unpermuted"] = np.asarray(unpermute_mask(res.mask, res.permutation),
                                                 dtype=np.uint8)
-    save_bundle(TensorBundle(entries), args.out)
+    save_bundle(entries, args.out)
     if res.permutation is not None:
         save_permutation(res.permutation, args.out + ".perm.json")
     print(f"wrote {args.out}", file=sys.stderr)

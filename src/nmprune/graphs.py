@@ -32,18 +32,14 @@ class BipartiteGraph:
 
 @dataclass(frozen=True)
 class DegreeLawReport:
-    """Outcome of the structural degree checks plus the admissible subset
-    fractions they imply for expansion on each side.
+    """Outcome of the structural degree checks plus ``c_bound``, the largest
+    subset fraction they make admissible for expansion on both sides.
 
     ``violation`` says which law fails first, or is None when both hold.
     """
 
     min_in_degree: int
     min_out_degree: int
-    out_degree: int
-    input_floor: int
-    c_input: Fraction
-    c_output: Fraction
     c_bound: Fraction
     violation: str | None
 
@@ -52,13 +48,9 @@ class DegreeLawReport:
 class ExpansionReport:
     """Worst neighborhood/size ratios over all subsets up to the size bound.
 
-    A side with no admissible non-empty subsets reports None; the
-    max_subset_* fields record how far each side was enumerated.
+    A side with no admissible non-empty subsets reports None.
     """
 
-    c: Fraction
-    max_subset_inputs: int
-    max_subset_outputs: int
     a_in: Fraction | None
     a_out: Fraction | None
 
@@ -79,9 +71,9 @@ def verify_degree_laws(mask, cfg: PruneConfig) -> DegreeLawReport:
     Every output must have degree (f_in / m) * (m - n); every input must
     have degree >= min(b, f_out // m). The report's ``violation`` names the
     first offending vertex, outputs first, or a column count that m does not
-    divide; it is None when both laws hold. The report also carries the
-    admissible subset-fraction endpoint implied by each side. A mask that is
-    not 2-D, or has no rows or no columns, raises NMPruneError.
+    divide; it is None when both laws hold. ``c_bound`` is the smaller of
+    the sides' endpoints b / f_in and f_in (m - n) / (f_out m). A mask that
+    is not 2-D, or has no rows or no columns, raises NMPruneError.
     """
     arr = np.asarray(mask)
     if arr.ndim != 2:
@@ -104,16 +96,10 @@ def verify_degree_laws(mask, cfg: PruneConfig) -> DegreeLawReport:
     elif bad_in.size:
         j = int(bad_in[0])
         violation = f"input {j} has degree {int(in_deg[j])}, below the guaranteed floor {floor}"
-    c_input = Fraction(cfg.b, f_in)
-    c_output = Fraction(f_in * (cfg.m - cfg.n), f_out * cfg.m)
     return DegreeLawReport(
         min_in_degree=int(in_deg.min()),
         min_out_degree=int(out_deg.min()),
-        out_degree=expected_out,
-        input_floor=floor,
-        c_input=c_input,
-        c_output=c_output,
-        c_bound=min(c_input, c_output),
+        c_bound=min(Fraction(cfg.b, f_in), Fraction(f_in * (cfg.m - cfg.n), f_out * cfg.m)),
         violation=violation,
     )
 
@@ -155,10 +141,4 @@ def brute_force_expansion(g: BipartiteGraph, c) -> ExpansionReport:
         raise NMPruneError(f"{g.n_inputs} inputs exceed the enumeration limit {ENUM_VERTEX_LIMIT}")
     if max_out >= 1 and g.n_outputs > ENUM_VERTEX_LIMIT:
         raise NMPruneError(f"{g.n_outputs} outputs exceed the enumeration limit {ENUM_VERTEX_LIMIT}")
-    return ExpansionReport(
-        c=frac,
-        max_subset_inputs=max_in,
-        max_subset_outputs=max_out,
-        a_in=_min_ratio(g.mask.T, max_in),
-        a_out=_min_ratio(g.mask, max_out),
-    )
+    return ExpansionReport(a_in=_min_ratio(g.mask.T, max_in), a_out=_min_ratio(g.mask, max_out))

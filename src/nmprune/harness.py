@@ -19,10 +19,10 @@ from .permute import ChannelPermutation, apply_to_columns, build_permutation
 
 METHODS = ("magnitude", "wanda", "ria", "eggs")
 PROFILES = ("gaussian", "dead-columns", "heavy-tail")
+_SAMPLES = 32  # calibration samples per synthetic layer
 
 
-def gen_synthetic(seed, f_out: int, f_in: int, profile: str = "gaussian",
-                  k: int = 1, samples: int = 32):
+def gen_synthetic(seed, f_out: int, f_in: int, profile: str = "gaussian", k: int = 1):
     """Deterministic synthetic layer: float32 weights plus a calibration batch.
 
     Profiles: "gaussian" draws everything standard normal; "dead-columns"
@@ -31,17 +31,17 @@ def gen_synthetic(seed, f_out: int, f_in: int, profile: str = "gaussian",
     entirely; "heavy-tail" draws weights from a Student t with 2 degrees of
     freedom.
     """
-    if f_out < 1 or f_in < 1 or samples < 1:
-        raise ConfigError("dimensions and sample count must be at least 1")
+    if f_out < 1 or f_in < 1:
+        raise ConfigError("dimensions must be at least 1")
     rng = np.random.default_rng(seed)
     if profile == "gaussian":
         w = rng.standard_normal((f_out, f_in))
-        z = rng.standard_normal((f_in, samples))
+        z = rng.standard_normal((f_in, _SAMPLES))
     elif profile == "dead-columns":
         if not 1 <= k <= f_in - 1:
             raise ConfigError(f"dead-columns needs 1 <= k <= {f_in - 1}, got {k}")
         w = rng.standard_normal((f_out, f_in))
-        z = rng.standard_normal((f_in, samples))
+        z = rng.standard_normal((f_in, _SAMPLES))
         # keep the globally largest weight outside the dead set so the
         # magnitude reference point is unaffected by the scaling
         top_col = int(np.argmax(np.abs(w)) % f_in)
@@ -51,7 +51,7 @@ def gen_synthetic(seed, f_out: int, f_in: int, profile: str = "gaussian",
         z[dead, :] *= 1e-6
     elif profile == "heavy-tail":
         w = rng.standard_t(df=2, size=(f_out, f_in))
-        z = rng.standard_normal((f_in, samples))
+        z = rng.standard_normal((f_in, _SAMPLES))
     else:
         raise ConfigError(f"unknown profile {profile!r}")
     return w.astype(np.float32), z.astype(np.float32)

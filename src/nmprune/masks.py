@@ -192,7 +192,7 @@ def check_nm_pattern(mask, n: int, m: int) -> None:
         raise VerificationError("mask entries must be 0 or 1")
     rows, cols = arr.shape
     if cols % m:
-        raise NMPruneError(f"{cols} columns not divisible by window width {m}")
+        raise VerificationError(f"{cols} columns not divisible by window width {m}")
     # integer counts are exact in any order; adding one window position at a
     # time is faster than a sum over every m-wide window
     windows = ones.reshape(rows, cols // m, m)

@@ -7,12 +7,12 @@ pruning groups so no single group hoards the important channels.
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError, NMPruneError
+from .tensor_store import write_atomic
 
 
 @dataclass(frozen=True)
@@ -24,34 +24,21 @@ class ChannelPermutation:
     """
 
     forward: np.ndarray
-    inverse: np.ndarray
+    inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
         fwd = np.asarray(self.forward, dtype=np.int64)
-        inv = np.asarray(self.inverse, dtype=np.int64)
-        n = fwd.shape[0]
-        if fwd.ndim != 1 or inv.shape != fwd.shape:
-            raise NMPruneError("forward and inverse must be 1-D vectors of equal length")
-        if not np.array_equal(np.sort(fwd), np.arange(n)):
+        if fwd.ndim != 1:
+            raise NMPruneError("forward must be a 1-D vector")
+        if not np.array_equal(np.sort(fwd), np.arange(fwd.shape[0])):
             raise NMPruneError("forward is not a bijection on channel indices")
-        if not np.array_equal(inv[fwd], np.arange(n)):
-            raise NMPruneError("inverse does not invert forward")
+        inv = np.empty_like(fwd)
+        inv[fwd] = np.arange(fwd.shape[0])
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "inverse", inv)
 
     def __len__(self) -> int:
         return self.forward.shape[0]
-
-    @classmethod
-    def from_forward(cls, forward) -> "ChannelPermutation":
-        fwd = np.asarray(forward, dtype=np.int64)
-        if fwd.ndim != 1:
-            raise NMPruneError("forward must be a 1-D vector")
-        inv = np.empty_like(fwd)
-        if not np.array_equal(np.sort(fwd), np.arange(fwd.shape[0])):
-            raise NMPruneError("forward is not a bijection on channel indices")
-        inv[fwd] = np.arange(fwd.shape[0])
-        return cls(fwd, inv)
 
 
 def build_permutation(scores, m: int) -> ChannelPermutation:
@@ -75,7 +62,7 @@ def build_permutation(scores, m: int) -> ChannelPermutation:
     ranks = np.arange(f_in)
     forward = np.empty(f_in, dtype=np.int64)
     forward[(ranks % g) * m + ranks // g] = ranked
-    return ChannelPermutation.from_forward(forward)
+    return ChannelPermutation(forward)
 
 
 def apply_to_columns(w, perm: ChannelPermutation) -> np.ndarray:
@@ -105,13 +92,7 @@ def unpermute_mask(mask, perm: ChannelPermutation) -> np.ndarray:
 def save_permutation(perm: ChannelPermutation, path) -> None:
     """Write the permutation as a JSON sidecar: {"forward": [...]}."""
     doc = json.dumps({"forward": [int(x) for x in perm.forward]}, separators=(",", ":"))
-    try:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise NMPruneError(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, [doc.encode("utf-8")])
 
 
 def load_permutation(path) -> ChannelPermutation:
@@ -127,6 +108,6 @@ def load_permutation(path) -> ChannelPermutation:
     if not isinstance(forward, list) or not all(isinstance(x, int) for x in forward):
         raise FormatError("'forward' must be a list of integers")
     try:
-        return ChannelPermutation.from_forward(forward)
+        return ChannelPermutation(forward)
     except NMPruneError as exc:
         raise FormatError(str(exc)) from exc

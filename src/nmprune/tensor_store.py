@@ -4,6 +4,9 @@ Container layout: an 8-byte little-endian unsigned header length, a UTF-8
 JSON header mapping entry names to ``{"dtype", "shape", "offset", "nbytes"}``,
 then a raw row-major payload region. Offsets are relative to the start of
 the payload region. Only float32 ("f32") and uint8 ("u8") entries exist.
+
+A bundle is a plain dict of named arrays; ``save_bundle`` checks each name
+and dtype as it writes.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import json
 import math
 import os
 import uuid
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,26 +35,9 @@ def _check_entry(name, arr) -> np.ndarray:
     return arr
 
 
-@dataclass
-class TensorBundle:
-    """Named float32/uint8 tensors destined for one container file.
-
-    Treated as immutable after construction; safe to share across threads.
-    """
-
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.entries = {name: _check_entry(name, arr) for name, arr in self.entries.items()}
-
-    def __getitem__(self, name) -> np.ndarray:
-        return self.entries[name]
-
-    def __contains__(self, name) -> bool:
-        return name in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def _is_count(value) -> bool:
+    # type(), not isinstance(): JSON true and false load as bool, an int subclass
+    return type(value) is int and value >= 0
 
 
 def _reject_duplicate_keys(pairs):
@@ -64,8 +49,8 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def load_bundle(path) -> TensorBundle:
-    """Read a container file back into a bundle, bit-exactly.
+def load_bundle(path) -> dict[str, np.ndarray]:
+    """Read a container file back into a dict of arrays, bit-exactly.
 
     Each entry is read from the file straight into its own array.
     """
@@ -104,12 +89,9 @@ def load_bundle(path) -> TensorBundle:
             dtype = _TAG_TO_DTYPE.get(tag)
             if dtype is None:
                 raise FormatError(f"entry {name!r}: unknown dtype tag {tag!r}")
-            if (
-                not isinstance(shape, list)
-                or not all(isinstance(d, int) and d >= 0 for d in shape)
-            ):
+            if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
                 raise FormatError(f"entry {name!r}: shape must be a list of non-negative ints")
-            if not isinstance(offset, int) or not isinstance(nbytes, int) or offset < 0 or nbytes < 0:
+            if not _is_count(offset) or not _is_count(nbytes):
                 raise FormatError(f"entry {name!r}: offset/nbytes must be non-negative ints")
             if nbytes != math.prod(shape) * dtype.itemsize:
                 raise FormatError(
@@ -122,30 +104,15 @@ def load_bundle(path) -> TensorBundle:
             if fh.readinto(arr.data) != nbytes:
                 raise FormatError(f"entry {name!r}: truncated payload")
             entries[name] = arr.astype(dtype.newbyteorder("="), copy=False)
-    return TensorBundle(entries)
+    return entries
 
 
-def save_bundle(bundle: TensorBundle, path) -> None:
-    """Write a bundle atomically (temp file + rename); byte-deterministic.
+def write_atomic(path, chunks) -> None:
+    """Write byte chunks to a new file in path's directory, then rename it
+    over path; on failure the temporary file is removed.
 
     The file gets the umask's default mode, like any other new file.
     """
-    blobs = []
-    header = {}
-    offset = 0
-    for name in sorted(bundle.entries):
-        arr = _check_entry(name, bundle.entries[name])
-        raw = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False)
-        header[name] = {
-            "dtype": _DTYPE_TO_TAG[arr.dtype],
-            "shape": list(arr.shape),
-            "offset": offset,
-            "nbytes": raw.nbytes,
-        }
-        blobs.append(raw)
-        offset += raw.nbytes
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
     directory = os.path.dirname(os.path.abspath(path))
     try:
         tmp_path = os.path.join(directory, f".nmprune-{uuid.uuid4().hex}")
@@ -153,10 +120,8 @@ def save_bundle(bundle: TensorBundle, path) -> None:
         fd = os.open(tmp_path, flags, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(len(header_bytes).to_bytes(8, "little"))
-                fh.write(header_bytes)
-                for raw in blobs:
-                    fh.write(raw.data)
+                for chunk in chunks:
+                    fh.write(chunk)
             os.replace(tmp_path, path)
         except BaseException:
             os.unlink(tmp_path)
@@ -164,3 +129,22 @@ def save_bundle(bundle: TensorBundle, path) -> None:
     except OSError as exc:
         raise NMPruneError(f"cannot write {path}: {exc}") from exc
 
+
+def save_bundle(entries: dict[str, np.ndarray], path) -> None:
+    """Write named float32/uint8 arrays atomically; byte-deterministic."""
+    arrays = {name: _check_entry(name, arr) for name, arr in entries.items()}
+    blobs = []
+    header = {}
+    offset = 0
+    for name, arr in sorted(arrays.items()):
+        raw = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False)
+        header[name] = {
+            "dtype": _DTYPE_TO_TAG[arr.dtype],
+            "shape": list(arr.shape),
+            "offset": offset,
+            "nbytes": raw.nbytes,
+        }
+        blobs.append(raw.data)
+        offset += raw.nbytes
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    write_atomic(path, [len(header_bytes).to_bytes(8, "little"), header_bytes, *blobs])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nmprune
-from nmprune import TensorBundle, load_bundle, load_permutation, save_bundle
+from nmprune import load_bundle, load_permutation, save_bundle
 from nmprune import metrics, partition
 from nmprune.cli import main
 
@@ -53,7 +53,7 @@ class TestPrune:
         assert run("prune", "--in", str(src), "--out", str(out),
                    "--method", "eggs", "--n", "2", "--m", "4", "--b", "1") == 0
         bundle = load_bundle(out)
-        assert set(bundle.entries) == {"mask", "W_pruned", "W_perm", "mask_unpermuted"}
+        assert set(bundle) == {"mask", "W_pruned", "W_perm", "mask_unpermuted"}
         mask = bundle["mask"]
         assert mask.dtype == np.uint8
         counts = mask.reshape(8, 2, 4).sum(axis=2)
@@ -73,21 +73,19 @@ class TestPrune:
     def test_magnitude_without_acts(self, tmp_path):
         src = gen_layer(tmp_path)
         # rebuild a bundle with only weights
-        from nmprune import TensorBundle, save_bundle
         w = load_bundle(src)["W"]
         only_w = tmp_path / "w_only.tensors"
-        save_bundle(TensorBundle({"W": w}), only_w)
+        save_bundle({"W": w}, only_w)
         out = tmp_path / "mag.tensors"
         assert run("prune", "--in", str(only_w), "--out", str(out),
                    "--method", "magnitude", "--n", "2", "--m", "4") == 0
         bundle = load_bundle(out)
-        assert set(bundle.entries) == {"mask", "W_pruned"}
+        assert set(bundle) == {"mask", "W_pruned"}
 
     def test_missing_acts_is_pipeline_error(self, tmp_path, capsys):
-        from nmprune import TensorBundle, save_bundle
         w = load_bundle(gen_layer(tmp_path))["W"]
         only_w = tmp_path / "w_only.tensors"
-        save_bundle(TensorBundle({"W": w}), only_w)
+        save_bundle({"W": w}, only_w)
         code = run("prune", "--in", str(only_w), "--out", str(tmp_path / "x"),
                    "--method", "eggs", "--n", "2", "--m", "4")
         assert code == 1
@@ -119,18 +117,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("shape, empty", [((4, 0), "columns"), ((0, 4), "rows")])
     def test_empty_mask_is_pipeline_error(self, tmp_path, capsys, shape, empty):
-        from nmprune import TensorBundle, save_bundle
         path = tmp_path / "empty.tensors"
-        save_bundle(TensorBundle({"mask": np.zeros(shape, dtype=np.uint8)}), path)
+        save_bundle({"mask": np.zeros(shape, dtype=np.uint8)}, path)
         assert run("verify", "--in", str(path), "--n", "2", "--m", "4") == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: mask has no {empty} (shape {shape[0]}x{shape[1]})\n"
 
     def test_non_binary_mask_reports_once_with_json(self, tmp_path, capsys):
-        from nmprune import TensorBundle, save_bundle
         path = tmp_path / "two.tensors"
-        save_bundle(TensorBundle({"mask": np.array([[2, 1, 0, 0]] * 4, dtype=np.uint8)}), path)
+        save_bundle({"mask": np.array([[2, 1, 0, 0]] * 4, dtype=np.uint8)}, path)
         assert run("verify", "--in", str(path), "--n", "2", "--m", "4", "--b", "1") == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
@@ -140,6 +136,27 @@ class TestVerify:
         report = json.loads(captured.out)
         assert report["lemma1_pass"] is False
         assert report["a_I"] is None and report["a_O"] is None
+
+    def test_boolean_header_count_is_pipeline_error(self, tmp_path, capsys):
+        header = json.dumps({"mask": {"dtype": "u8", "shape": [True, 4], "offset": 0,
+                                      "nbytes": 4}}).encode()
+        path = tmp_path / "bool.tensors"
+        path.write_bytes(len(header).to_bytes(8, "little") + header + bytes(4))
+        assert run("verify", "--in", str(path), "--n", "2", "--m", "4") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: entry 'mask': shape must be a list of "
+                                "non-negative ints\n")
+
+    def test_indivisible_width_reports_with_json(self, tmp_path, capsys):
+        path = tmp_path / "cols6.tensors"
+        save_bundle({"mask": np.array([[1, 1, 0, 0, 1, 0]] * 4, dtype=np.uint8)}, path)
+        assert run("verify", "--in", str(path), "--n", "2", "--m", "4", "--b", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: 6 columns not divisible by window width 4\n"
+        report = json.loads(captured.out)
+        assert report["lemma1_pass"] is False
+        assert report["min_out_degree"] == 3
 
     def test_eggs_output_passes(self, tmp_path, capsys):
         src = gen_layer(tmp_path)
@@ -153,7 +170,6 @@ class TestVerify:
         assert report["min_out_degree"] == 4
 
     def test_corrupted_mask_fails_naming_window(self, tmp_path, capsys):
-        from nmprune import TensorBundle, save_bundle
         src = gen_layer(tmp_path)
         out = tmp_path / "pruned.tensors"
         run("prune", "--in", str(src), "--out", str(out),
@@ -164,7 +180,7 @@ class TestVerify:
         window[np.flatnonzero(window == 0)[0]] = 1  # one extra retained entry
         mask[0, :4] = window
         bad = tmp_path / "bad.tensors"
-        save_bundle(TensorBundle({"mask": mask}), bad)
+        save_bundle({"mask": mask}, bad)
         capsys.readouterr()
         assert run("verify", "--in", str(bad), "--n", "2", "--m", "4", "--b", "1") == 1
         captured = capsys.readouterr()
@@ -214,10 +230,9 @@ class TestEval:
         assert csv_path.read_text().startswith("method,error,corrupted,lemma1_pass")
 
     def test_acts_read_as_prune_and_sweep_read_them(self, tmp_path, capsys):
-        from nmprune import TensorBundle, save_bundle
         path = tmp_path / "acts3d.tensors"
-        save_bundle(TensorBundle({"W": np.ones((8, 8), dtype=np.float32),
-                                  "Z": np.ones((8, 2, 2), dtype=np.float32)}), path)
+        save_bundle({"W": np.ones((8, 8), dtype=np.float32),
+                     "Z": np.ones((8, 2, 2), dtype=np.float32)}, path)
         capsys.readouterr()
         for argv in (["eval"], ["sweep", "--b-range", "0..1"],
                      ["prune", "--out", str(tmp_path / "x"), "--method", "ria"]):
@@ -309,7 +324,7 @@ class TestAlpha:
     def test_non_finite_alpha_with_a_norms_entry(self, tmp_path, capsys):
         path = tmp_path / "norms.t"
         w = np.random.default_rng(1).standard_normal((8, 8)).astype(np.float32)
-        save_bundle(TensorBundle({"W": w, "Z": np.ones(8, dtype=np.float32)}), path)
+        save_bundle({"W": w, "Z": np.ones(8, dtype=np.float32)}, path)
         for command in (["prune", "--out", str(tmp_path / "o.t"), "--method", "ria"], ["eval"],
                         ["sweep", "--b-range", "0..1"]):
             assert run(*command, "--in", str(path), "--n", "2", "--m", "4", "--alpha", "nan") == 2

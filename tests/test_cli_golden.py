@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nmprune import TensorBundle, save_bundle
+from nmprune import save_bundle
 from nmprune.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -109,14 +109,14 @@ def cli_records(tmp: Path) -> dict:
 
     for name, mask in MASKS.items():
         path = tmp / f"mask-{name}.t"
-        save_bundle(TensorBundle({"mask": mask.astype(np.uint8)}), path)
+        save_bundle({"mask": mask.astype(np.uint8)}, path)
         run(f"mask-{name}", "verify", "--in", path, *NM, "--b", 1)
 
     # activation norms instead of a calibration batch
     w = np.random.default_rng(19).standard_normal((8, 8)).astype(np.float32)
     norms = np.linspace(0.5, 1.5, 8, dtype=np.float32)
     path = tmp / "norms.t"
-    save_bundle(TensorBundle({"W": w, "Z": norms}), path)
+    save_bundle({"W": w, "Z": norms}, path)
     run("norms/prune-eggs", "prune", "--in", path, "--out", tmp / "norms-eggs.t",
         "--method", "eggs", *NM, files=["norms-eggs.t", "norms-eggs.t.perm.json"])
     run("norms/eval", "eval", "--in", path, *NM)

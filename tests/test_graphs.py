@@ -61,7 +61,7 @@ class TestDegreeStats:
         w, act = helpers.random_layer(4, 8, 16)
         cfg = PruneConfig(2, 4, b=1)
         report = verify_degree_laws(eggs_prune(w, act, cfg), cfg)
-        assert report.min_out_degree == report.out_degree == (16 // 4) * 2
+        assert report.min_out_degree == (16 // 4) * 2
 
 
 class TestVerifyDegreeLaws:
@@ -69,11 +69,14 @@ class TestVerifyDegreeLaws:
         w, act = helpers.random_layer(5, 8, 8)
         cfg = PruneConfig(2, 4, b=1)
         report = verify_degree_laws(eggs_prune(w, act, cfg), cfg)
+        f_out, f_in = 8, 8
         assert report.violation is None
-        assert report.out_degree == 4
-        assert report.input_floor == 1
+        assert report.min_out_degree == (f_in // 4) * 2 == 4
+        assert report.min_in_degree >= min(cfg.b, f_out // 4) == 1
+        # the smaller of the input endpoint b/f_in and the output endpoint
+        # f_in(m-n)/(f_out m) = 1/2
+        assert report.c_bound == min(Fraction(cfg.b, f_in), Fraction(f_in * 2, f_out * 4))
         assert report.c_bound == Fraction(1, 8)
-        assert report.c_output == Fraction(1, 2)
 
     def test_dead_column_fails(self):
         mask = np.array(
@@ -103,8 +106,7 @@ class TestVerifyDegreeLaws:
         cfg = PruneConfig(2, 4, b=2)
         report = verify_degree_laws(eggs_prune(w, act, cfg), cfg)
         assert report.violation is None
-        assert report.input_floor == 2
-        assert report.min_in_degree >= 2
+        assert report.min_in_degree >= min(cfg.b, 8 // 4) == 2
 
 
 class TestBruteForceExpansion:
@@ -135,15 +137,15 @@ class TestBruteForceExpansion:
         (np.ones((22, 22), dtype=np.uint8), Fraction(2)),
     ])
     def test_known_answers_at_the_vertex_limit(self, mask, ratio):
-        report = brute_force_expansion(mask_to_graph(mask), Fraction(1, 2))
-        assert report.max_subset_inputs == report.max_subset_outputs == 11
+        c = Fraction(1, 2)
+        assert int(c * 22) == 11
+        report = brute_force_expansion(mask_to_graph(mask), c)
         assert report.a_in == report.a_out == ratio
 
     def test_vacuous_side_reports_none(self):
         report = brute_force_expansion(mask_to_graph(np.eye(8, dtype=np.uint8)),
                                        Fraction(1, 16))
         assert report.a_in is None and report.a_out is None
-        assert report.max_subset_inputs == 0
 
     def test_monotone_in_c(self):
         rng = np.random.default_rng(91)

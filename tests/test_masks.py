@@ -317,6 +317,10 @@ class TestCheckNmPattern:
         with pytest.raises(VerificationError):
             check_nm_pattern(np.array([[2, 0, 0, 0]]), 2, 4)
 
+    def test_indivisible_width_is_a_verification_failure(self):
+        with pytest.raises(VerificationError, match="6 columns not divisible by window width 4"):
+            check_nm_pattern(np.array([[1, 1, 0, 0, 1, 0]] * 4, dtype=np.uint8), 2, 4)
+
     @pytest.mark.parametrize("value", [0.5, np.nan, -1.0])
     def test_non_binary_float_rejected(self, value):
         mask = np.array([[1.0, -0.0, 1.0, 0.0]], dtype=np.float32)

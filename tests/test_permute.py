@@ -67,11 +67,11 @@ class TestBuildPermutation:
 class TestApply:
     def test_identity_is_noop(self):
         w = np.arange(12, dtype=np.float32).reshape(3, 4)
-        out = apply_to_columns(w, ChannelPermutation.from_forward(np.arange(4)))
+        out = apply_to_columns(w, ChannelPermutation(np.arange(4)))
         np.testing.assert_array_equal(out, w)
 
     def test_swap(self):
-        perm = ChannelPermutation.from_forward([1, 0])
+        perm = ChannelPermutation([1, 0])
         np.testing.assert_array_equal(apply_to_columns(np.array([[1.0, 2.0]]), perm), [[2.0, 1.0]])
 
     def test_apply_then_inverse_round_trip(self):
@@ -79,7 +79,7 @@ class TestApply:
         w = rng.standard_normal((4, 8)).astype(np.float32)
         perm = build_permutation(rng.uniform(size=8), 4)
         back = apply_to_columns(apply_to_columns(w, perm),
-                                ChannelPermutation.from_forward(perm.inverse))
+                                ChannelPermutation(perm.inverse))
         assert back.tobytes() == w.tobytes()
 
     def test_vector_follows_columns(self):
@@ -94,7 +94,7 @@ class TestApply:
 
     def test_length_mismatch(self):
         with pytest.raises(NMPruneError, match="does not match permutation of length 4"):
-            apply_to_columns(np.ones((2, 3)), ChannelPermutation.from_forward(np.arange(4)))
+            apply_to_columns(np.ones((2, 3)), ChannelPermutation(np.arange(4)))
 
     def test_total_importance_preserved(self):
         from nmprune import channel_scores
@@ -111,11 +111,11 @@ class TestApply:
 class TestUnpermute:
     def test_identity(self):
         mask = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-        identity = ChannelPermutation.from_forward(np.arange(2))
+        identity = ChannelPermutation(np.arange(2))
         np.testing.assert_array_equal(unpermute_mask(mask, identity), mask)
 
     def test_swap(self):
-        perm = ChannelPermutation.from_forward([1, 0])
+        perm = ChannelPermutation([1, 0])
         np.testing.assert_array_equal(
             unpermute_mask(np.array([[1, 0]], dtype=np.uint8), perm), [[0, 1]]
         )
@@ -141,6 +141,13 @@ class TestSidecar:
         loaded = load_permutation(path)
         np.testing.assert_array_equal(loaded.forward, perm.forward)
 
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        path = tmp_path / "perm.json"
+        path.mkdir()  # the final rename onto a directory fails
+        with pytest.raises(NMPruneError, match="cannot write"):
+            save_permutation(ChannelPermutation([1, 0]), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["perm.json"]
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "perm.json"
         path.write_text('{"forward": [0, 0, 1]}')
@@ -149,4 +156,4 @@ class TestSidecar:
 
     def test_non_bijection_rejected(self):
         with pytest.raises(NMPruneError, match="not a bijection"):
-            ChannelPermutation.from_forward([0, 2, 2])
+            ChannelPermutation([0, 2, 2])

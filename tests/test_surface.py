@@ -23,7 +23,6 @@ EXPORTS = [
     "PROFILES",
     "PruneConfig",
     "PruneResult",
-    "TensorBundle",
     "VerificationError",
     "ZeroColumnError",
     "ZeroRowError",

@@ -8,7 +8,6 @@ import pytest
 from nmprune import (
     FormatError,
     NMPruneError,
-    TensorBundle,
     load_bundle,
     save_bundle,
 )
@@ -23,30 +22,30 @@ class TestRoundTrip:
     def test_single_f32_tensor(self, tmp_path):
         w = np.array([[1, 2], [3, 4]], dtype=np.float32)
         path = tmp_path / "one.tensors"
-        save_bundle(TensorBundle({"w": w}), path)
+        save_bundle({"w": w}, path)
         out = load_bundle(path)
-        assert list(out.entries) == ["w"]
+        assert list(out) == ["w"]
         assert out["w"].shape == (2, 2)
         assert out["w"].dtype == np.float32
         np.testing.assert_array_equal(out["w"], w)
 
     def test_empty_bundle(self, tmp_path):
         path = tmp_path / "empty.tensors"
-        save_bundle(TensorBundle({}), path)
+        save_bundle({}, path)
         assert len(load_bundle(path)) == 0
 
     def test_random_f32_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
         w = rng.standard_normal((3, 5)).astype(np.float32)
         path = tmp_path / "rand.tensors"
-        save_bundle(TensorBundle({"w": w}), path)
+        save_bundle({"w": w}, path)
         got = load_bundle(path)["w"]
         assert got.tobytes() == w.tobytes()
 
     def test_uint8_mask_preserved(self, tmp_path):
         mask = (np.arange(32).reshape(4, 8) % 2).astype(np.uint8)
         path = tmp_path / "mask.tensors"
-        save_bundle(TensorBundle({"mask": mask}), path)
+        save_bundle({"mask": mask}, path)
         got = load_bundle(path)["mask"]
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, mask)
@@ -55,15 +54,14 @@ class TestRoundTrip:
     def test_empty_and_scalar_entries(self, tmp_path, shape):
         path = tmp_path / "edge.tensors"
         entries = {"a": np.zeros(shape, dtype=np.uint8), "b": np.ones((2, 3), dtype=np.float32)}
-        save_bundle(TensorBundle(entries), path)
+        save_bundle(entries, path)
         out = load_bundle(path)
         assert out["a"].shape == shape and out["a"].dtype == np.uint8
         np.testing.assert_array_equal(out["b"], entries["b"])
 
     def test_loaded_arrays_are_writable_and_separate(self, tmp_path):
         path = tmp_path / "two.tensors"
-        save_bundle(TensorBundle({"a": np.ones((2, 2), np.float32),
-                                  "b": np.zeros(4, np.uint8)}), path)
+        save_bundle({"a": np.ones((2, 2), np.float32), "b": np.zeros(4, np.uint8)}, path)
         out = load_bundle(path)
         out["a"][0, 0] = 5.0
         assert out["a"].flags.writeable and out["a"].flags.c_contiguous
@@ -74,8 +72,8 @@ class TestRoundTrip:
         entries = {"b": rng.standard_normal((2, 3)).astype(np.float32),
                    "a": np.ones((4,), dtype=np.uint8)}
         p1, p2 = tmp_path / "x1", tmp_path / "x2"
-        save_bundle(TensorBundle(entries), p1)
-        save_bundle(TensorBundle(dict(reversed(entries.items()))), p2)
+        save_bundle(entries, p1)
+        save_bundle(dict(reversed(entries.items())), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -130,6 +128,16 @@ class TestFormatRejection:
         with pytest.raises(FormatError):
             load_bundle(path)
 
+    @pytest.mark.parametrize("field, value", [("shape", [True, 2]), ("offset", False),
+                                              ("nbytes", True)])
+    def test_boolean_counts_rejected(self, tmp_path, field, value):
+        header = {"w": {"dtype": "u8", "shape": [1, 2], "offset": 0, "nbytes": 2}}
+        header["w"][field] = value
+        path = tmp_path / "bool.tensors"
+        path.write_bytes(craft_container(header, b"\x00" * 2))
+        with pytest.raises(FormatError, match="entry 'w'"):
+            load_bundle(path)
+
     def test_file_too_short_for_length(self, tmp_path):
         path = tmp_path / "tiny.tensors"
         path.write_bytes(b"\x01\x02")
@@ -138,16 +146,15 @@ class TestFormatRejection:
 
 
 class TestBundleInvariants:
-    def test_empty_name_rejected(self):
+    def test_empty_name_rejected(self, tmp_path):
         with pytest.raises(NMPruneError, match="entry names must be non-empty strings"):
-            TensorBundle({"": np.zeros((1,), dtype=np.float32)})
+            save_bundle({"": np.zeros((1,), dtype=np.float32)}, tmp_path / "x.tensors")
 
-    def test_unsupported_dtype_rejected(self):
+    def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(NMPruneError, match="only float32 and uint8 are stored"):
-            TensorBundle({"w": np.zeros((1,), dtype=np.float64)})
+            save_bundle({"w": np.zeros((1,), dtype=np.float64)}, tmp_path / "x.tensors")
 
     def test_unwritable_path(self, tmp_path):
-        bundle = TensorBundle({"w": np.zeros((1,), dtype=np.float32)})
         with pytest.raises(NMPruneError, match="cannot write"):
-            save_bundle(bundle, tmp_path / "missing" / "dir" / "x.tensors")
-
+            save_bundle({"w": np.zeros((1,), dtype=np.float32)},
+                        tmp_path / "missing" / "dir" / "x.tensors")

@@ -11,9 +11,9 @@ import numpy as np
 
 from .errors import ConfigError, NMPruneError
 from .graphs import verify_degree_laws
-from .masks import PruneConfig, eggs_prune, importance_select, overlay_blocks
-from .metrics import (DEFAULT_ALPHA, ActivationNorms, channel_scores, magnitude_score, ria,
-                      ria_and_rri, wanda_score)
+from .masks import PruneConfig, eggs_prune, overlay_blocks, ria_select, select_blocks
+from .metrics import (DEFAULT_ALPHA, ActivationNorms, abs_blocks, ria_channel_scores,
+                      wanda_blocks)
 from .partition import assign_blocks, order_rows
 from .permute import ChannelPermutation, apply_to_columns, build_permutation
 
@@ -138,11 +138,11 @@ class MethodReport:
 
 class _ScoredLayer:
     """The layer-only work of one command, each piece done at most once: the
-    ria channel permutation, the permuted ria scores with their top-k mask
-    and, taken right after scoring, the rri row order for ``max_b`` blocks,
-    of which every smaller B's order is a prefix. With ``max_b`` None, eggs
-    masks come from eggs_prune. The error reference is kept per layout, and
-    no float64 copy of W is held.
+    ria channel permutation, the permuted layer's ria sums with its top-k
+    mask and, from the same row-block pass, the rri row order for ``max_b``
+    blocks, of which every smaller B's order is a prefix. With ``max_b``
+    None, eggs masks come from eggs_prune. The error reference is kept per
+    layout, and no float64 copy of W or of its scores is held.
     """
 
     def __init__(self, w, norms, n: int, m: int, z=None, max_b: int | None = None):
@@ -153,7 +153,7 @@ class _ScoredLayer:
 
     @cached_property
     def perm(self) -> ChannelPermutation:
-        return build_permutation(channel_scores(ria(self.w, self.norms)), self.m)
+        return build_permutation(ria_channel_scores(self.w, self.norms), self.m)
 
     @cached_property
     def w_perm(self) -> np.ndarray:
@@ -165,27 +165,27 @@ class _ScoredLayer:
 
     @cached_property
     def _scored(self):
-        scores, rri_scores = ria_and_rri(self.w_perm, self.norms_perm)
-        order = order_rows(rri_scores, self.m, self.max_b * self.m) if self.max_b else None
-        del rri_scores
-        return scores, order, importance_select(scores, self.n, self.m)
+        base, sums, group_sums = ria_select(self.w_perm, self.norms_perm, self.n, self.m,
+                                            bool(self.max_b))
+        order = order_rows(group_sums, self.max_b * self.m) if self.max_b else None
+        return sums, order, base
 
     def mask(self, method: str, cfg: PruneConfig) -> np.ndarray:
         """The method's mask, in the permuted layout for ria and eggs."""
         if method == "magnitude":
-            return importance_select(magnitude_score(self.w), self.n, self.m)
+            return select_blocks(abs_blocks(self.w), self.w.shape, self.n, self.m)
         if self.norms is None:
             raise ConfigError(f"method {method!r} requires activation norms")
         if method == "wanda":
-            return importance_select(wanda_score(self.w, self.norms), self.n, self.m)
+            return select_blocks(wanda_blocks(self.w, self.norms), self.w.shape, self.n, self.m)
         if method == "eggs" and self.max_b is None:
             return eggs_prune(self.w_perm, self.norms_perm, cfg)
-        scores, order, base = self._scored
+        sums, order, base = self._scored
         if method == "ria" or cfg.b == 0:
             return base
         mask = base.copy()
         rows = assign_blocks(order[:, : cfg.b * self.m], self.m, cfg.b)
-        overlay_blocks(mask, self.w_perm, scores, rows, self.n, self.m)
+        overlay_blocks(mask, self.w_perm, sums, rows, self.n, self.m)
         return mask
 
     def _reference(self, permuted: bool):

@@ -14,11 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NMPruneError, VerificationError
-from .metrics import ActivationNorms, ria_and_rri
+from .metrics import _TOPK_CHUNK, ActivationNorms, layer_sums, ria_blocks, ria_cells
 from .partition import plan_groups
-
-# scores per chunk of windows in importance_select: 2 MiB of float64
-_TOPK_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -143,32 +140,52 @@ def connectivity_select(block_w, block_scores, n: int, m: int) -> np.ndarray:
     return mask
 
 
-def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarray:
-    """Mask a channel-permuted matrix with mixed selection strategies.
-
-    Scores are computed once on the full permuted matrix. Per pruning
-    group, the cfg.b row blocks with the lowest aggregated row-relative
-    importance get connectivity-aware selection (diagonal pattern plus
-    score fill); all remaining rows keep their top m-n scores per window.
-    With b = 0 this degenerates to plain score-driven pruning. Every input
-    column ends with degree >= min(b, rows // m).
-    """
-    ria_scores, rri_scores = ria_and_rri(w_perm, act_perm)
-    mask = importance_select(ria_scores, cfg.n, cfg.m)
-    if cfg.b:
-        rows = plan_groups(rri_scores, cfg.m, cfg.b)
-        overlay_blocks(mask, w_perm, ria_scores, rows, cfg.n, cfg.m)
+def select_blocks(blocks, shape, n: int, m: int, group_sums=None) -> np.ndarray:
+    """importance_select over a metrics kernel's (rows, scores, ...) blocks into
+    one uint8 mask; with ``group_sums``, each block's rri summed per group."""
+    mask = np.empty(shape, dtype=np.uint8)
+    for rows, scores, *rri in blocks:
+        mask[rows] = importance_select(scores, n, m)
+        if group_sums is not None:
+            np.add.reduce(rri[0].reshape(len(scores), -1, m), axis=2, out=group_sums[rows])
     return mask
 
 
-def overlay_blocks(mask, w, scores, rows, n: int, m: int) -> None:
+def ria_select(w, act: ActivationNorms, n: int, m: int, grouped: bool):
+    """w's top-k ria mask, its layer_sums and, if ``grouped``, the (F_out, G)
+    rri group sums that order_rows takes, from the row-block kernel."""
+    sums = layer_sums(w, act)
+    shape = np.shape(w)
+    group_sums = np.empty((shape[0], shape[1] // m)) if grouped else None
+    return select_blocks(ria_blocks(w, sums), shape, n, m, group_sums), sums, group_sums
+
+
+def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarray:
+    """Mask a channel-permuted matrix with mixed selection strategies.
+
+    Scores are computed row block by row block on the permuted matrix. Per
+    pruning group, the cfg.b row blocks with the lowest aggregated
+    row-relative importance get connectivity-aware selection (diagonal
+    pattern plus score fill); all remaining rows keep their top m-n scores
+    per window. With b = 0 this degenerates to plain score-driven pruning.
+    Every input column ends with degree >= min(b, rows // m).
+    """
+    mask, sums, group_sums = ria_select(w_perm, act_perm, cfg.n, cfg.m, cfg.b > 0)
+    if cfg.b:
+        rows = plan_groups(group_sums, cfg.m, cfg.b)
+        overlay_blocks(mask, w_perm, sums, rows, cfg.n, cfg.m)
+    return mask
+
+
+def overlay_blocks(mask, w, sums, rows, n: int, m: int) -> None:
     """Give the blocks of a (groups, blocks, m) row plan connectivity
-    selection on their cells of ``w`` and ``scores``, in the mask in place.
-    Groups own disjoint columns and blocks disjoint rows."""
+    selection on their cells of ``w``, scored by ria from w's layer_sums, in
+    the mask in place. Groups own disjoint columns and blocks disjoint rows."""
     cols = np.arange(mask.shape[1]).reshape(-1, m)
     cells = rows[..., None], cols[:, None, None, :]
-    w = np.asarray(w)
-    mask[cells] = connectivity_select(w[cells], scores[cells], n, m)
+    block_w = np.asarray(w)[cells]
+    scores = ria_cells(np.abs(block_w, dtype=np.float64), sums, *cells)[0]
+    mask[cells] = connectivity_select(block_w, scores, n, m)
 
 
 def apply_mask(w, mask) -> np.ndarray:

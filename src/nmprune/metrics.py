@@ -1,6 +1,9 @@
 """Per-weight importance scores and channel-level aggregation.
 
-All score functions are pure, accumulate denominators in float64, and
+Scores come from one row-block kernel that widens |W| to float64 a block
+of rows at a time, so the pipeline holds no full-size float64 scores; ria
+takes a first pass that keeps only the row and column sums of |W|. The
+public score functions are pure, accumulate denominators in float64, and
 return float64 matrices of the same shape as the input weights.
 """
 
@@ -13,6 +16,8 @@ import numpy as np
 from .errors import ConfigError, NMPruneError, ZeroColumnError, ZeroRowError
 
 DEFAULT_ALPHA = 0.5
+# float64 values per kernel row block and importance_select chunk: 2 MiB
+_TOPK_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -41,11 +46,12 @@ class ActivationNorms:
 
 
 def check_weights(w) -> np.ndarray:
-    """Validate a dense weight matrix and widen it to float64."""
-    arr = np.asarray(w, dtype=np.float64)
+    """Validate a dense weight matrix, without widening it."""
+    arr = np.asarray(w)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise NMPruneError("weights must be a 2-D matrix with at least one row and column")
-    if not np.all(np.isfinite(arr)):
+    # max and min propagate NaN; neither makes a full-size temporary
+    if not (np.isfinite(arr.max()) and np.isfinite(arr.min())):
         raise NMPruneError("weights must be finite")
     return arr
 
@@ -55,20 +61,85 @@ def _check_norms_length(act: ActivationNorms, f_in: int) -> None:
         raise NMPruneError(f"activation norms length {len(act)} != input channels {f_in}")
 
 
-def _abs_weights(w) -> np.ndarray:
-    """|W| widened to float64 in a buffer of its own, validated like check_weights."""
-    arr = check_weights(w)
-    # check_weights copies unless w already is a float64 array; take abs in
-    # place only in such a copy
-    return np.abs(arr, out=arr if arr is not w and arr.base is None else None)
-
-
-def _row_sums(a) -> np.ndarray:
-    row_sums = a.sum(axis=1)
-    zero = np.flatnonzero(row_sums == 0.0)
+def _first_zero(sums, error) -> None:
+    zero = np.flatnonzero(sums == 0.0)
     if zero.size:
-        raise ZeroRowError(int(zero[0]))
-    return row_sums
+        raise error(int(zero[0]))
+
+
+def abs_blocks(w):
+    """|W| in float64, row block by row block: yields (rows, block), views of
+    one buffer of at most _TOPK_CHUNK values, with a spare row for add_rows."""
+    arr = check_weights(w)
+    f_out, f_in = arr.shape
+    # numpy sums a single column pairwise, as one run, so it stays one block
+    step = f_out if f_in == 1 else min(max(_TOPK_CHUNK // f_in, 1), f_out)
+    buf = np.empty((step + 1, f_in))
+    for start in range(0, f_out, step):
+        rows = slice(start, min(start + step, f_out))
+        a = buf[1 : 1 + rows.stop - start]
+        yield rows, np.abs(arr[rows], out=a, dtype=np.float64)
+
+
+def add_rows(total, block) -> np.ndarray:
+    """``total`` plus the column sums of an abs_blocks block, added row after
+    row like a whole-matrix sum(axis=0), from the block's spare row down."""
+    if total is None:
+        return block.sum(axis=0)
+    stacked = block.base[: block.shape[0] + 1]
+    stacked[0] = total
+    return stacked.sum(axis=0)
+
+
+def layer_sums(w, act: ActivationNorms):
+    """The kernel's first pass: validate ``w`` and ``act`` for ria and keep only
+    (row sums of |W|, column sums of |W|, norms**alpha)."""
+    row_sums, col_sums = [], None
+    for _, a in abs_blocks(w):
+        row_sums.append(a.sum(axis=1))
+        col_sums = add_rows(col_sums, a)
+    _check_norms_length(act, col_sums.shape[0])
+    row_sums = np.concatenate(row_sums)
+    _first_zero(row_sums, ZeroRowError)
+    _first_zero(col_sums, ZeroColumnError)
+    if act.alpha < 0 and np.any(act.norms == 0.0):
+        raise NMPruneError("zero activation norm cannot be raised to a negative alpha")
+    return row_sums, col_sums, act.norms**act.alpha
+
+
+def ria_cells(a, sums, rows, cols):
+    """(ria, rri) of the |W| cells that ``a`` holds in float64 at (rows, cols),
+    from the matrix's layer_sums; ria replaces |W| in a's buffer."""
+    row_sums, col_sums, scale = sums
+    rri = a / row_sums[rows]
+    # IEEE addition commutes, so adding in place equals row + column term
+    np.divide(a, col_sums[cols], out=a)
+    a += rri
+    a *= scale[cols]
+    return a, rri
+
+
+def ria_blocks(w, sums):
+    """ria and rri of ``w`` row block by row block, from its layer_sums:
+    yields (rows, ria, rri), ria in the abs_blocks buffer."""
+    for rows, a in abs_blocks(w):
+        yield rows, *ria_cells(a, sums, np.s_[rows, None], np.s_[:])
+
+
+def ria_channel_scores(w, act: ActivationNorms) -> np.ndarray:
+    """channel_scores(ria(w, act)), bit for bit, with no ria matrix held."""
+    total = None
+    for _, scores, _ in ria_blocks(w, layer_sums(w, act)):
+        total = add_rows(total, scores)
+    return total
+
+
+def wanda_blocks(w, act: ActivationNorms):
+    """|W| times the activation norms, as abs_blocks yields |W|."""
+    for rows, a in abs_blocks(w):
+        _check_norms_length(act, a.shape[1])
+        a *= act.norms
+        yield rows, a
 
 
 def rri(w) -> np.ndarray:
@@ -77,32 +148,10 @@ def rri(w) -> np.ndarray:
     Every row of the result sums to 1. Raises ZeroRowError for a row
     whose absolute sum is zero.
     """
-    a = _abs_weights(w)
-    return np.divide(a, _row_sums(a)[:, None], out=a)
-
-
-def ria_and_rri(w, act: ActivationNorms) -> tuple[np.ndarray, np.ndarray]:
-    """ria and rri of one matrix from one widened |W|.
-
-    rri is ria's row-relative term, so both share the same row sums. Each
-    equals what ria(w, act) and rri(w) return, bit for bit.
-    """
-    a = _abs_weights(w)
-    _check_norms_length(act, a.shape[1])
-    row_sums = _row_sums(a)
-    col_sums = a.sum(axis=0)
-    zero = np.flatnonzero(col_sums == 0.0)
-    if zero.size:
-        raise ZeroColumnError(int(zero[0]))
-    if act.alpha < 0 and np.any(act.norms == 0.0):
-        raise NMPruneError("zero activation norm cannot be raised to a negative alpha")
-    row_rel = a / row_sums[:, None]
-    # |W| / col_sums in |W|'s buffer, then the sum in place; IEEE addition
-    # commutes, so this equals row_rel + col_rel
-    scores = np.divide(a, col_sums[None, :], out=a)
-    scores += row_rel
-    scores *= act.norms**act.alpha
-    return scores, row_rel
+    a = magnitude_score(w)
+    row_sums = a.sum(axis=1)
+    _first_zero(row_sums, ZeroRowError)
+    return np.divide(a, row_sums[:, None], out=a)
 
 
 def ria(w, act: ActivationNorms) -> np.ndarray:
@@ -110,7 +159,7 @@ def ria(w, act: ActivationNorms) -> np.ndarray:
 
     score[i][j] = (|w_ij| / sum_k |w_ik| + |w_ij| / sum_k |w_kj|) * norms[j]**alpha
     """
-    return ria_and_rri(w, act)[0]
+    return ria_cells(magnitude_score(w), layer_sums(w, act), np.s_[:, None], np.s_[:])[0]
 
 
 def channel_scores(scores) -> np.ndarray:
@@ -123,12 +172,12 @@ def channel_scores(scores) -> np.ndarray:
 
 def magnitude_score(w) -> np.ndarray:
     """Plain absolute weight values."""
-    return _abs_weights(w)
+    return np.abs(check_weights(w), dtype=np.float64)
 
 
 def wanda_score(w, act: ActivationNorms) -> np.ndarray:
     """Magnitude times the channel's activation norm (norm exponent fixed at 1)."""
-    a = _abs_weights(w)
+    a = magnitude_score(w)
     _check_norms_length(act, a.shape[1])
     a *= act.norms
     return a

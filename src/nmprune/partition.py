@@ -15,20 +15,19 @@ import numpy as np
 from .errors import NMPruneError
 
 
-def order_rows(scores, m: int, count: int | None = None) -> np.ndarray:
-    """Per group of m columns, row indices sorted ascending by the row's
-    score sum over the group; ties keep the lower row index.
+def order_rows(sums, count: int | None = None) -> np.ndarray:
+    """Per pruning group, row indices sorted ascending by the row's score sum
+    over the group; ties keep the lower row index. ``sums`` holds those
+    sums, shape (rows, groups), such as masks.ria_select's rri group sums.
 
     Only the first ``count`` rows of each order are sorted and returned
     (all rows by default). Returns shape (groups, min(count, rows)).
     """
-    s = np.asarray(scores, dtype=np.float64)
+    s = np.asarray(sums, dtype=np.float64)
     if s.ndim != 2:
-        raise NMPruneError("score matrix must be 2-D")
-    f_out, f_in = s.shape
-    if m < 1 or f_in < m or f_in % m:
-        raise NMPruneError(f"{f_in} columns cannot be split into groups of width {m}")
-    sums = np.ascontiguousarray(s.reshape(f_out, f_in // m, m).sum(axis=2).T)
+        raise NMPruneError("group sums must be 2-D")
+    f_out = s.shape[0]
+    sums = np.ascontiguousarray(s.T)
     count = f_out if count is None else min(max(count, 0), f_out)
     if not count:
         return np.empty((sums.shape[0], 0), dtype=np.int64)
@@ -36,7 +35,7 @@ def order_rows(scores, m: int, count: int | None = None) -> np.ndarray:
     # stable argsort of "above" lists them first, in row order; sorting as
     # many leading rows as the widest group has candidates is enough, since
     # any non-candidate among them sorts after every candidate
-    kth = np.partition(sums, count - 1, axis=1)[:, count - 1 : count]
+    kth = np.partition(sums, count - 1, axis=1)[:, [count - 1]]
     above = sums > kth
     width = f_out - int(above.sum(axis=1).min())
     rows = np.argsort(above, axis=1, kind="stable")[:, :width]
@@ -66,10 +65,11 @@ def assign_blocks(order, m: int, b: int) -> np.ndarray:
     return order[:, : effective * m].reshape(groups, effective, m)
 
 
-def plan_groups(scores, m: int, b: int) -> np.ndarray:
-    """Connectivity rows per pruning group, shape (groups, b_eff, m).
+def plan_groups(sums, m: int, b: int) -> np.ndarray:
+    """Connectivity rows per pruning group, shape (groups, b_eff, m), from
+    the (rows, groups) group sums that order_rows takes.
 
     Ordering is computed independently per group, so a row may sit in a
     connectivity block in one group and an importance block in another.
     """
-    return assign_blocks(order_rows(scores, m, max(b, 0) * m), m, b)
+    return assign_blocks(order_rows(sums, max(b, 0) * m), m, b)

@@ -40,6 +40,11 @@ class ChannelPermutation:
     def __len__(self) -> int:
         return self.forward.shape[0]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChannelPermutation):
+            return NotImplemented
+        return np.array_equal(self.forward, other.forward)
+
 
 def build_permutation(scores, m: int) -> ChannelPermutation:
     """Assign channels to pruning groups round-robin by descending score.
@@ -105,7 +110,7 @@ def load_permutation(path) -> ChannelPermutation:
     if not isinstance(doc, dict) or "forward" not in doc:
         raise FormatError("permutation sidecar must be an object with a 'forward' list")
     forward = doc["forward"]
-    if not isinstance(forward, list) or not all(isinstance(x, int) for x in forward):
+    if not isinstance(forward, list) or not all(type(x) is int for x in forward):
         raise FormatError("'forward' must be a list of integers")
     try:
         return ChannelPermutation(forward)

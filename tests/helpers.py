@@ -13,8 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from nmprune import (METHODS, ActivationNorms, ConfigError, MethodReport, NMPruneError, PruneConfig,
-                     apply_mask, prune_with_method, reconstruction_error, ria, rri,
-                     verify_degree_laws)
+                     ZeroColumnError, ZeroRowError, apply_mask, prune_with_method,
+                     reconstruction_error, verify_degree_laws)
 
 
 def random_layer(seed, f_out, f_in, alpha=0.5):
@@ -115,20 +115,39 @@ def top_k_per_window_oracle(scores, n, m):
 
 
 def ria_rri_oracle(w, act):
-    """ria and rri as plain whole-matrix expressions, with no buffer reuse."""
+    """ria and rri as plain whole-matrix expressions, with no buffer reuse.
+
+    Checks the layer first and raises what the library raises, in the same
+    order: non-finite weights, the norms length, the first zero row, the
+    first zero column, a zero norm under a negative alpha.
+    """
     a = np.abs(np.asarray(w, dtype=np.float64))
+    if not np.isfinite(a).all():
+        raise NMPruneError("weights must be finite")
+    if len(act) != a.shape[1]:
+        raise NMPruneError(f"activation norms length {len(act)} != input channels {a.shape[1]}")
+    for sums, error in ((a.sum(axis=1), ZeroRowError), (a.sum(axis=0), ZeroColumnError)):
+        if (sums == 0).any():
+            raise error(int(np.argmax(sums == 0)))
+    if act.alpha < 0 and (act.norms == 0).any():
+        raise NMPruneError("zero activation norm cannot be raised to a negative alpha")
     row_sums = a.sum(axis=1)
     col_sums = a.sum(axis=0)
     scale = act.norms**act.alpha
     return (a / row_sums[:, None] + a / col_sums[None, :]) * scale[None, :], a / row_sums[:, None]
 
 
+def group_sums(scores, m):
+    """Each row's score sum over every group of m columns, as one
+    whole-matrix reduction: shape (rows, groups)."""
+    s = np.asarray(scores, dtype=np.float64)
+    return s.reshape(s.shape[0], -1, m).sum(axis=2)
+
+
 def order_rows_oracle(scores, m):
     """One full stable argsort per group of the rows' score sums over the
     group's m columns: shape (groups, rows), ties at the lower row."""
-    s = np.asarray(scores, dtype=np.float64)
-    f_out, f_in = s.shape
-    return np.argsort(s.reshape(f_out, f_in // m, m).sum(axis=2).T, axis=1, kind="stable")
+    return np.argsort(group_sums(scores, m).T, axis=1, kind="stable")
 
 
 def connectivity_select_oracle(block_w, block_scores, n, m):
@@ -152,13 +171,15 @@ def eggs_prune_oracle(w_perm, act_perm, cfg):
     """Group by group, block by block: order the rows of each group of m
     columns by their rri sum (stable), chunk them into blocks of m, and give
     the first min(b, rows // m) full blocks the connectivity pattern. Warns
-    once per group when b is clamped, like the library."""
+    once per group when b is clamped, like the library, and refuses what
+    ria_rri_oracle refuses and NaN scores."""
     w = np.asarray(w_perm, dtype=np.float64)
-    ria_scores = ria(w, act_perm)
+    ria_scores, rri_scores = ria_rri_oracle(w, act_perm)
+    if np.isnan(ria_scores).any():
+        raise NMPruneError("scores must not be NaN")
     mask = top_k_per_window_oracle(ria_scores, cfg.n, cfg.m)
     if cfg.b == 0:
         return mask
-    rri_scores = rri(w)
     n_rows, n_cols = w.shape
     m = cfg.m
     full = n_rows // m

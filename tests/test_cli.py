@@ -332,12 +332,13 @@ class TestAlpha:
 
 
 class TestScoredOnce:
-    """eval and sweep score, permute and order the layer once per command."""
+    """eval and sweep score, permute and order the layer once per command: the
+    kernel's validation pass runs once per layout."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = {}
-        for fn in (metrics.ria_and_rri, partition.order_rows):
+        for fn in (metrics.layer_sums, partition.order_rows):
             def counted(*args, _fn=fn, **kwargs):
                 counts[_fn.__name__] = counts.get(_fn.__name__, 0) + 1
                 return _fn(*args, **kwargs)
@@ -353,12 +354,12 @@ class TestScoredOnce:
         calls.clear()
         assert run("sweep", "--in", str(path), "--b-range", "0..4", "--n", "2", "--m", "4") == 0
         # ria on the original layout for the permutation, then the permuted layout
-        assert calls == {"ria_and_rri": 2, "order_rows": 1}
+        assert calls == {"layer_sums": 2, "order_rows": 1}
         assert len(capsys.readouterr().out.splitlines()) == 6
 
     def test_eval_scores_once(self, tmp_path, capsys, calls):
         path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
         calls.clear()
         assert run("eval", "--in", str(path), "--n", "2", "--m", "4") == 0
-        assert calls["ria_and_rri"] == 2
+        assert calls == {"layer_sums": 2, "order_rows": 1}
         assert len(json.loads(capsys.readouterr().out)) == 4

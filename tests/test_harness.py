@@ -1,6 +1,7 @@
 """Synthetic generation, reconstruction error, and method comparison."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from nmprune import (
     gen_synthetic,
     importance_select,
     norms_from_batch,
+    prune_with_method,
     reconstruction_error,
     reports_to_csv,
     reports_to_json,
@@ -194,3 +196,20 @@ class TestSharedLayer:
             assert helpers.outcome(compare_methods, *args) == want
         with pytest.raises(NMPruneError, match="pass a batch as z"):
             compare_methods(w, z, PruneConfig(2, 4, 1))
+
+
+class TestMemory:
+    """Scoring goes row block by row block: no full-size float64 |W|, ria or
+    rri is held. The bound for magnitude and wanda is one float64 copy of W."""
+
+    @pytest.mark.parametrize("method, mib", [("eggs", 20), ("magnitude", 8), ("wanda", 8)])
+    def test_traced_peak_of_a_1024_prune(self, method, mib):
+        w, z = gen_synthetic(3, 1024, 1024)
+        norms = norms_from_batch(z)
+        tracemalloc.start()
+        try:
+            prune_with_method(w, norms, PruneConfig(2, 4, 2), method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from nmprune import masks
+from nmprune import masks, metrics
 from nmprune import (
     ActivationNorms,
     ConfigError,
@@ -236,10 +236,13 @@ class TestEggsPrune:
         b = eggs_prune(w, act, PruneConfig(2, 4, b=2))
         assert a.tobytes() == b.tobytes()
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8]), st.integers(1, 7),
-           st.integers(1, 26), st.integers(1, 4), st.integers(0, 5), st.booleans())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_group_by_group_oracle(self, seed, m, n, f_out, groups, b, integer):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8).map(lambda h: 2 * h), st.integers(1, 15),
+           st.integers(1, 26), st.integers(1, 4), st.integers(0, 5), st.booleans(),
+           st.integers(1, 1 << 9))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_group_by_group_oracle(self, seed, m, n, f_out, groups, b, integer, chunk):
+        # a small _TOPK_CHUNK splits the kernel's row blocks: a partial last
+        # block, or one row per block when it is below the width
         n = 1 + (n - 1) % (m - 1)
         rng = np.random.default_rng(seed)
         shape = (f_out, groups * m)
@@ -253,13 +256,39 @@ class TestEggsPrune:
         cfg = PruneConfig(n, m, b)
         with warnings.catch_warnings(record=True) as got_warnings:
             warnings.simplefilter("always")
-            got = eggs_prune(w, act, cfg)
+            with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+                got = eggs_prune(w, act, cfg)
         with warnings.catch_warnings(record=True) as want_warnings:
             warnings.simplefilter("always")
             want = helpers.eggs_prune_oracle(w, act, cfg)
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, want)
         assert [str(x.message) for x in got_warnings] == [str(x.message) for x in want_warnings]
+
+    @pytest.mark.parametrize("defects", [
+        ("zero-row", "zero-column"), ("zero-column", "zero-row"), ("zero-row", "nan"),
+        ("overflow",), ("zero-column", "overflow"), ("overflow", "inf"),
+    ])
+    @pytest.mark.parametrize("chunk", [8, 24, 1 << 18])
+    def test_errors_match_the_oracle(self, defects, chunk):
+        w, act = helpers.random_layer(4, 10, 8)
+        norms, alpha = act.norms.copy(), act.alpha
+        # each defect sits in a later row block than the one before it when blocks are small
+        for row, defect in zip((1, 6), defects):
+            if defect in ("nan", "inf"):
+                w[row, 2] = np.nan if defect == "nan" else np.inf
+            elif defect == "zero-row":
+                w[row] = 0.0
+            elif defect == "zero-column":
+                w[:, row] = 0.0
+            else:  # norms**alpha overflows, so a zero weight in the column scores NaN
+                norms[5], alpha, w[row, 5] = 1e300, 2.0, 0.0
+        act = ActivationNorms(norms, alpha)
+        cfg = PruneConfig(2, 4, 1)
+        want, _ = helpers.outcome(helpers.eggs_prune_oracle, w, act, cfg)
+        assert isinstance(want, tuple) and issubclass(want[0], NMPruneError)
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+            assert helpers.outcome(eggs_prune, w, act, cfg)[0] == want
 
 
 class TestApplyMask:

@@ -1,5 +1,7 @@
 """Score metrics: hand-checked values, error cases, and ranking invariances."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from nmprune import (
     rri,
     wanda_score,
 )
-from nmprune.metrics import ria_and_rri
+from nmprune import metrics
 
 
 class TestRri:
@@ -146,7 +148,8 @@ class TestInvariances:
 
 
 class TestScoreOnce:
-    """The eggs path takes ria and rri of the permuted layer from one pass."""
+    """The kernel's ria and rri blocks of the permuted layer equal the
+    whole-matrix expressions, bit for bit."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 6),
            st.sampled_from([2, 4, 8]), st.sampled_from([0.0, 0.5, 1.0, -0.5]), st.booleans())
@@ -162,7 +165,9 @@ class TestScoreOnce:
         perm = build_permutation(channel_scores(ria(w, act)), m)
         w_perm = apply_to_columns(w, perm)
         act_perm = ActivationNorms(act.norms[perm.forward], alpha)
-        got_ria, got_rri = ria_and_rri(w_perm, act_perm)
+        blocks = metrics.ria_blocks(w_perm, metrics.layer_sums(w_perm, act_perm))
+        got_ria, got_rri = (np.concatenate(b) for b in zip(*[(s.copy(), r.copy())
+                                                             for _, s, r in blocks]))
         want_ria, want_rri = helpers.ria_rri_oracle(w_perm, act_perm)
         assert got_ria.tobytes() == ria(w_perm, act_perm).tobytes() == want_ria.tobytes()
         assert got_rri.tobytes() == rri(w_perm).tobytes() == want_rri.tobytes()
@@ -172,7 +177,7 @@ class TestScoreOnce:
         w = -np.abs(w.astype(np.float64))
         before = w.copy()
         for score in (ria(w, act), rri(w), wanda_score(w, act), magnitude_score(w),
-                      *ria_and_rri(w, act)):
+                      metrics.ria_channel_scores(w, act)):
             assert not np.shares_memory(score, w)
         np.testing.assert_array_equal(w, before)
 
@@ -189,3 +194,70 @@ class TestValidation:
     def test_negative_norms_rejected(self):
         with pytest.raises(NMPruneError, match="finite and non-negative"):
             ActivationNorms(np.array([1.0, -0.5]))
+
+
+def kernel_layer(seed, f_out, f_in, alpha, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":  # equal sums and scores exercise every tie-break
+        w = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(f_out, f_in)).astype(np.float32)
+    elif kind == "heavy":
+        w = rng.standard_t(2, size=(f_out, f_in)).astype(np.float32)
+    else:
+        w = rng.standard_normal((f_out, f_in))
+    return w, ActivationNorms(rng.uniform(0.1, 2.0, size=f_in), alpha)
+
+
+class TestRowBlocks:
+    """The row-block kernel against whole-matrix expressions. A small
+    _TOPK_CHUNK leaves a partial last block, or makes F_in exceed it so that
+    every block is one row; the column sums carried from block to block must
+    still add in the order of one whole-matrix sum(axis=0)."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 48),
+           st.integers(1, 1 << 9), st.sampled_from([0.0, 0.5, 1.0, -0.5]),
+           st.sampled_from(["float", "integer", "heavy"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_whole_matrix_sums(self, seed, f_out, f_in, chunk, alpha, kind):
+        w, act = kernel_layer(seed, f_out, f_in, alpha, kind)
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+            row_sums, col_sums, scale = metrics.layer_sums(w, act)
+            channel = metrics.ria_channel_scores(w, act)
+            got = [ria(w, act), rri(w), wanda_score(w, act), magnitude_score(w)]
+            got += [np.concatenate([s.copy() for _, s in blocks])
+                    for blocks in (metrics.wanda_blocks(w, act), metrics.abs_blocks(w))]
+        a = np.abs(np.asarray(w, dtype=np.float64))
+        want_ria, want_rri = helpers.ria_rri_oracle(w, act)
+        assert row_sums.tobytes() == a.sum(axis=1).tobytes()
+        assert col_sums.tobytes() == a.sum(axis=0).tobytes()
+        assert scale.tobytes() == (act.norms**alpha).tobytes()
+        assert channel.tobytes() == want_ria.sum(axis=0).tobytes()
+        for score, want in zip(got, [want_ria, want_rri, a * act.norms, a, a * act.norms, a],
+                               strict=True):
+            assert score.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("defects", [
+        ("nan", "zero-row", "length"), ("inf", "zero-column"), ("length", "zero-row"),
+        ("zero-row", "zero-column", "zero-norm"), ("zero-column", "zero-norm"), ("zero-norm",),
+    ])
+    @pytest.mark.parametrize("chunk", [8, 40, 1 << 18])
+    def test_errors_come_in_the_oracles_order(self, defects, chunk):
+        w, act = kernel_layer(7, 12, 16, 0.5, "float")
+        norms, alpha = act.norms.copy(), act.alpha
+        # each defect sits in a later block than the one before it, where blocks are small
+        for row, defect in zip((0, 5, 11), defects):
+            if defect in ("nan", "inf"):
+                w[row, 3] = np.nan if defect == "nan" else -np.inf
+            elif defect == "zero-row":
+                w[row] = 0.0
+            elif defect == "zero-column":
+                w[:, row] = 0.0
+            elif defect == "length":
+                norms = norms[:-1]
+            else:
+                norms[row], alpha = 0.0, -0.5
+        act = ActivationNorms(norms, alpha)
+        want, _ = helpers.outcome(helpers.ria_rri_oracle, w, act)
+        assert isinstance(want, tuple) and issubclass(want[0], NMPruneError)
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+            for fn in (metrics.layer_sums, ria, metrics.ria_channel_scores):
+                assert helpers.outcome(fn, w, act)[0] == want

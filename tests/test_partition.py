@@ -1,6 +1,7 @@
 """Group splitting, per-group row ordering, and the connectivity-row plan."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,56 +9,87 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from nmprune import NMPruneError, assign_blocks, order_rows, plan_groups, rri
+from nmprune import (ActivationNorms, NMPruneError, assign_blocks, metrics, order_rows,
+                     plan_groups, rri)
+from nmprune.masks import ria_select
+
+
+def group_sums(w, m):
+    """The rri group sums the kernel hands to order_rows, shape (rows, groups)."""
+    return ria_select(w, ActivationNorms(np.ones(np.shape(w)[1])), 1, m, True)[2]
 
 
 class TestSplitGroups:
-    """order_rows splits the columns into contiguous groups of width m."""
+    """The kernel sums rri over contiguous groups of m columns for order_rows."""
 
     def test_two_groups(self):
-        assert order_rows(np.ones((3, 8)), 4).shape == (2, 3)
+        assert group_sums(np.ones((3, 8)), 4).shape == (3, 2)
+        assert order_rows(group_sums(np.ones((3, 8)), 4)).shape == (2, 3)
 
     def test_single_group(self):
-        assert order_rows(np.ones((3, 4)), 4).shape == (1, 3)
+        assert order_rows(group_sums(np.ones((3, 4)), 4)).shape == (1, 3)
 
     def test_non_divisible(self):
-        with pytest.raises(NMPruneError, match="groups of width 4"):
-            order_rows(np.ones((2, 6)), 4)
+        with pytest.raises(NMPruneError, match="6 columns not divisible by window width 4"):
+            group_sums(np.ones((2, 6)), 4)
 
     def test_cover_and_disjoint(self):
         rng = np.random.default_rng(3)
-        scores = rng.uniform(size=(7, 24))
-        order = order_rows(scores, 4)
+        w = rng.standard_normal((7, 24))
+        scores = rri(w)
+        order = order_rows(group_sums(w, 4))
         assert order.shape == (6, 7)
         for g in range(6):
             sums = scores[:, 4 * g : 4 * g + 4].sum(axis=1)
             np.testing.assert_array_equal(order[g], np.argsort(sums, kind="stable"))
 
 
+class TestKernelGroupSums:
+    """The group sums the row-block kernel reduces per block equal one
+    whole-matrix reduction of rri, so the row order equals the oracle's."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 16), st.integers(1, 30), st.integers(1, 3),
+           st.integers(1, 1 << 8), st.sampled_from(["float", "integer"]))
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_whole_matrix_reduction(self, seed, m, f_out, groups, chunk, kind):
+        # a small _TOPK_CHUNK leaves a partial last block, or one row per block
+        rng = np.random.default_rng(seed)
+        shape = (f_out, groups * m)
+        if kind == "float":
+            w = rng.standard_normal(shape).astype(np.float32)
+        else:  # equal group sums tie often
+            w = rng.choice([-2.0, -1.0, 1.0, 2.0], size=shape)
+        act = ActivationNorms(rng.uniform(0.1, 2.0, size=shape[1]))
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+            sums = ria_select(w, act, 1, m, True)[2]
+        want_rri = helpers.ria_rri_oracle(w, act)[1]
+        assert sums.tobytes() == helpers.group_sums(want_rri, m).tobytes()
+        np.testing.assert_array_equal(order_rows(sums), helpers.order_rows_oracle(want_rri, m))
+
+
 class TestOrderRows:
+    """order_rows takes the (rows, groups) sums; one column is one group."""
+
     def test_ascending_by_sum(self):
-        scores = np.array([[0.9], [0.1], [0.5]])
-        np.testing.assert_array_equal(order_rows(scores, 1), [[1, 2, 0]])
+        sums = np.array([[0.9], [0.1], [0.5]])
+        np.testing.assert_array_equal(order_rows(sums), [[1, 2, 0]])
 
     def test_ties_keep_row_index(self):
-        scores = np.full((4, 2), 0.5)
-        np.testing.assert_array_equal(order_rows(scores, 2), [[0, 1, 2, 3]])
+        np.testing.assert_array_equal(order_rows(np.full((4, 1), 1.0)), [[0, 1, 2, 3]])
 
     def test_single_row(self):
-        np.testing.assert_array_equal(order_rows(np.array([[1.0, 2.0]]), 2), [[0]])
+        np.testing.assert_array_equal(order_rows(np.array([[3.0]])), [[0]])
 
     def test_count_truncates(self):
-        scores = np.array([[0.9], [0.1], [0.5]])
-        np.testing.assert_array_equal(order_rows(scores, 1, 2), [[1, 2]])
-        np.testing.assert_array_equal(order_rows(scores, 1, 5), [[1, 2, 0]])
-        assert order_rows(scores, 1, 0).shape == (1, 0)
+        sums = np.array([[0.9], [0.1], [0.5]])
+        np.testing.assert_array_equal(order_rows(sums, 2), [[1, 2]])
+        np.testing.assert_array_equal(order_rows(sums, 5), [[1, 2, 0]])
+        assert order_rows(sums, 0).shape == (1, 0)
 
     def test_range_checked(self):
-        for cols, m in [(2, 4), (4, 0)]:
-            with pytest.raises(NMPruneError, match="groups of width"):
-                order_rows(np.ones((2, cols)), m)
-        with pytest.raises(NMPruneError, match="2-D"):
-            order_rows(np.ones(8), 4)
+        for sums in (np.ones(8), np.ones((2, 2, 2))):
+            with pytest.raises(NMPruneError, match="group sums must be 2-D"):
+                order_rows(sums)
 
 
 class TestAssignBlocks:
@@ -100,8 +132,9 @@ class TestAssignBlocks:
 class TestPlanGroups:
     def test_connectivity_rows_have_lowest_scores(self):
         rng = np.random.default_rng(42)
-        scores = rri(rng.standard_normal((12, 8)))
-        rows = plan_groups(scores, 4, 1)
+        w = rng.standard_normal((12, 8))
+        scores = rri(w)
+        rows = plan_groups(group_sums(w, 4), 4, 1)
         assert rows.shape == (2, 1, 4)
         for g in range(2):
             sums = scores[:, 4 * g : 4 * g + 4].sum(axis=1)
@@ -114,24 +147,23 @@ class TestPlanGroups:
             [[0.01, 0.01, 0.01, 0.01, 10.0, 10.0, 10.0, 10.0],
              [10.0, 10.0, 10.0, 10.0, 0.01, 0.01, 0.01, 0.01]]
         )
-        scores = rri(w)
-        np.testing.assert_array_equal(order_rows(scores, 4), [[0, 1], [1, 0]])
-        np.testing.assert_array_equal(plan_groups(scores, 2, 1)[:, 0],
+        np.testing.assert_array_equal(order_rows(group_sums(w, 4)), [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(plan_groups(group_sums(w, 2), 2, 1)[:, 0],
                                       [[0, 1], [0, 1], [1, 0], [1, 0]])
 
     def test_every_row_in_exactly_one_block_per_group(self):
         rng = np.random.default_rng(9)
-        scores = rng.uniform(size=(10, 12))
-        rows = plan_groups(scores, 4, 2)
+        sums = helpers.group_sums(rng.uniform(size=(10, 12)), 4)
+        rows = plan_groups(sums, 4, 2)
         assert rows.shape == (3, 2, 4)
-        for g, order in enumerate(order_rows(scores, 4)):
+        for g, order in enumerate(order_rows(sums)):
             assert sorted(order.tolist()) == list(range(10))
             np.testing.assert_array_equal(rows[g].ravel(), order[:8])
 
     def test_clamped_plan_warns_once_per_group(self):
         rng = np.random.default_rng(5)
         with pytest.warns(UserWarning, match="clamping") as caught:
-            rows = plan_groups(rng.uniform(size=(6, 16)), 4, 3)
+            rows = plan_groups(helpers.group_sums(rng.uniform(size=(6, 16)), 4), 4, 3)
         assert rows.shape == (4, 1, 4)
         assert len(caught) == 4
 
@@ -156,15 +188,16 @@ class TestPartialOrder:
         else:
             scores = np.ones(shape)
         want = helpers.order_rows_oracle(scores, m)
+        sums = helpers.group_sums(scores, m)
         for count in range(f_out + 2):
-            np.testing.assert_array_equal(order_rows(scores, m, count), want[:, :count])
-        np.testing.assert_array_equal(order_rows(scores, m), want)
+            np.testing.assert_array_equal(order_rows(sums, count), want[:, :count])
+        np.testing.assert_array_equal(order_rows(sums), want)
 
         full = f_out // m
         effective = min(b, full)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = plan_groups(scores, m, b)
+            rows = plan_groups(sums, m, b)
         assert rows.dtype == np.int64
         np.testing.assert_array_equal(
             rows, want[:, : effective * m].reshape(groups, effective, m))
@@ -187,10 +220,11 @@ class TestSharedOrder:
         else:  # integer sums tie often
             scores = rng.integers(0, 3, size=shape).astype(float)
         oracle = helpers.order_rows_oracle(scores, m)
-        shared = order_rows(scores, m, big)
+        sums = helpers.group_sums(scores, m)
+        shared = order_rows(sums, big)
         assert shared.shape == (groups, min(big, f_out))
         for k in range(big + 1):  # big may exceed f_out
-            np.testing.assert_array_equal(order_rows(scores, m, k), shared[:, :k])
+            np.testing.assert_array_equal(order_rows(sums, k), shared[:, :k])
             np.testing.assert_array_equal(shared[:, :k], oracle[:, :k])
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8).map(lambda h: 2 * h), st.integers(1, 24),
@@ -198,10 +232,10 @@ class TestSharedOrder:
     @settings(max_examples=150, deadline=None)
     def test_sliced_blocks_match_plan_groups(self, seed, m, f_out, groups, max_b):
         rng = np.random.default_rng(seed)
-        scores = rng.integers(0, 3, size=(f_out, groups * m)).astype(float)
-        shared = order_rows(scores, m, max_b * m)
+        sums = helpers.group_sums(rng.integers(0, 3, size=(f_out, groups * m)), m)
+        shared = order_rows(sums, max_b * m)
         for b in range(max_b + 1):  # b above f_out // m is clamped, with its warnings
             got, got_warnings = helpers.outcome(assign_blocks, shared[:, : b * m], m, b)
-            want, want_warnings = helpers.outcome(plan_groups, scores, m, b)
+            want, want_warnings = helpers.outcome(plan_groups, sums, m, b)
             np.testing.assert_array_equal(got, want)
             assert got.shape == want.shape and got_warnings == want_warnings

@@ -157,3 +157,22 @@ class TestSidecar:
     def test_non_bijection_rejected(self):
         with pytest.raises(NMPruneError, match="not a bijection"):
             ChannelPermutation([0, 2, 2])
+
+    def test_boolean_entries_rejected(self, tmp_path):
+        path = tmp_path / "perm.json"
+        path.write_text('{"forward": [true, false]}')
+        with pytest.raises(FormatError, match="list of integers"):
+            load_permutation(path)
+
+
+class TestEquality:
+    def test_compares_by_forward_value(self):
+        assert ChannelPermutation([1, 0, 2]) == ChannelPermutation(np.array([1, 0, 2]))
+        assert ChannelPermutation([1, 0, 2]) != ChannelPermutation([0, 1, 2])
+        assert ChannelPermutation([1, 0]) != ChannelPermutation([1, 0, 2])
+        assert ChannelPermutation([0, 1]) != [0, 1]
+
+    def test_sidecar_round_trip_is_equal(self, tmp_path):
+        perm = build_permutation(np.random.default_rng(2).uniform(size=12), 4)
+        save_permutation(perm, tmp_path / "perm.json")
+        assert load_permutation(tmp_path / "perm.json") == perm

@@ -3,8 +3,8 @@
 Scores come from one row-block kernel that widens |W| to float64 a block
 of rows at a time, so the pipeline holds no full-size float64 scores; ria
 takes a first pass that keeps only the row and column sums of |W|. The
-public score functions are pure, accumulate denominators in float64, and
-return float64 matrices of the same shape as the input weights.
+public score functions join those blocks into float64 matrices of the
+input's shape, so their bits do not depend on its memory order.
 """
 
 from __future__ import annotations
@@ -142,16 +142,23 @@ def wanda_blocks(w, act: ActivationNorms):
         yield rows, a
 
 
+def _joined(w, blocks) -> np.ndarray:
+    """The float64 matrix of w's shape that a kernel yields as (rows, scores, ...)."""
+    out = np.empty(np.shape(w))
+    for rows, scores, *_ in blocks:
+        out[rows] = scores
+    return out
+
+
 def rri(w) -> np.ndarray:
     """Weight magnitudes normalized by their row's absolute sum.
 
     Every row of the result sums to 1. Raises ZeroRowError for a row
     whose absolute sum is zero.
     """
-    a = magnitude_score(w)
-    row_sums = a.sum(axis=1)
+    row_sums = np.concatenate([a.sum(axis=1) for _, a in abs_blocks(w)])
     _first_zero(row_sums, ZeroRowError)
-    return np.divide(a, row_sums[:, None], out=a)
+    return _joined(w, ((rows, a / row_sums[rows, None]) for rows, a in abs_blocks(w)))
 
 
 def ria(w, act: ActivationNorms) -> np.ndarray:
@@ -159,7 +166,7 @@ def ria(w, act: ActivationNorms) -> np.ndarray:
 
     score[i][j] = (|w_ij| / sum_k |w_ik| + |w_ij| / sum_k |w_kj|) * norms[j]**alpha
     """
-    return ria_cells(magnitude_score(w), layer_sums(w, act), np.s_[:, None], np.s_[:])[0]
+    return _joined(w, ria_blocks(w, layer_sums(w, act)))
 
 
 def channel_scores(scores) -> np.ndarray:
@@ -172,12 +179,9 @@ def channel_scores(scores) -> np.ndarray:
 
 def magnitude_score(w) -> np.ndarray:
     """Plain absolute weight values."""
-    return np.abs(check_weights(w), dtype=np.float64)
+    return _joined(w, abs_blocks(w))
 
 
 def wanda_score(w, act: ActivationNorms) -> np.ndarray:
     """Magnitude times the channel's activation norm (norm exponent fixed at 1)."""
-    a = magnitude_score(w)
-    _check_norms_length(act, a.shape[1])
-    a *= act.norms
-    return a
+    return _joined(w, wanda_blocks(w, act))

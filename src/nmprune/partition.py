@@ -52,6 +52,8 @@ def assign_blocks(order, m: int, b: int) -> np.ndarray:
     including a trailing partial chunk, keeps importance selection. b
     beyond the available full blocks is clamped with a warning per group.
     """
+    if m < 1:
+        raise NMPruneError(f"rows cannot be split into groups of width {m}")
     order = np.asarray(order, dtype=np.int64)
     groups, n_rows = order.shape
     full = n_rows // m

@@ -215,16 +215,18 @@ class TestRowBlocks:
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 48),
            st.integers(1, 1 << 9), st.sampled_from([0.0, 0.5, 1.0, -0.5]),
-           st.sampled_from(["float", "integer", "heavy"]))
+           st.sampled_from(["float", "integer", "heavy"]), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_matches_whole_matrix_sums(self, seed, f_out, f_in, chunk, alpha, kind):
+    def test_matches_whole_matrix_sums(self, seed, f_out, f_in, chunk, alpha, kind, fortran):
         w, act = kernel_layer(seed, f_out, f_in, alpha, kind)
+        # scores follow the C-ordered sums whatever the input's memory order
+        w_in = np.asfortranarray(w) if fortran else w
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
-            row_sums, col_sums, scale = metrics.layer_sums(w, act)
-            channel = metrics.ria_channel_scores(w, act)
-            got = [ria(w, act), rri(w), wanda_score(w, act), magnitude_score(w)]
+            row_sums, col_sums, scale = metrics.layer_sums(w_in, act)
+            channel = metrics.ria_channel_scores(w_in, act)
+            got = [ria(w_in, act), rri(w_in), wanda_score(w_in, act), magnitude_score(w_in)]
             got += [np.concatenate([s.copy() for _, s in blocks])
-                    for blocks in (metrics.wanda_blocks(w, act), metrics.abs_blocks(w))]
+                    for blocks in (metrics.wanda_blocks(w_in, act), metrics.abs_blocks(w_in))]
         a = np.abs(np.asarray(w, dtype=np.float64))
         want_ria, want_rri = helpers.ria_rri_oracle(w, act)
         assert row_sums.tobytes() == a.sum(axis=1).tobytes()

@@ -90,6 +90,11 @@ class TestOrderRows:
         for sums in (np.ones(8), np.ones((2, 2, 2))):
             with pytest.raises(NMPruneError, match="group sums must be 2-D"):
                 order_rows(sums)
+        for m in (0, -1):
+            with pytest.raises(NMPruneError, match="groups of width"):
+                plan_groups(np.ones((8, 2)), m, 1)
+            with pytest.raises(NMPruneError, match="groups of width"):
+                assign_blocks(np.arange(8)[None], m, 1)
 
 
 class TestAssignBlocks:

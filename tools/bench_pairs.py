@@ -3,22 +3,25 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_pairs.py --base HEAD~1 --out BENCH_10.json
-    python3 tools/bench_pairs.py --base main --workload eggs-4096 --pairs 10 --seed 61
+    python3 tools/bench_pairs.py --base HEAD~1 --out BENCH_10.json --pairs 10 --seed 61
 
 The base commit is checked out with ``git worktree add --detach`` into a
-temporary directory, which is removed at the end. Pair i runs
+temporary directory, which is removed at the end. For every workload that
+BENCHMARK.json lists, pair i runs
 ``python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0``
 once in the working tree and once in the base checkout, with the same seed;
 even pairs run the working tree first and odd pairs the base. T is
-BENCHMARK.json's ``run_seconds`` unless ``--seconds`` is given. Workloads
-default to the ones BENCHMARK.json lists.
+BENCHMARK.json's ``run_seconds``.
 
-The output JSON keeps every run's end-to-end metrics and, per workload and
-metric: both sides' quartiles, the pairs the working tree won and lost (ties
-count for neither), the relative change of the median, the base's quartile
-spread relative to its median, and the bound from BENCHMARK.json. Standard
-library only.
+The output JSON keeps every run's end-to-end metrics and, per workload, each
+side's failed operations and unfinished or incorrect runs and, per metric:
+both sides' quartiles, the pairs the working tree won and lost (ties count
+for neither), the relative change of the median, the base's quartile spread
+relative to its median, and the bound from BENCHMARK.json. A metric counts
+as better only if the working tree won at least 9 in 10 of all pairs run,
+its median beat the base's by more than the base's quartile spread, and it
+failed no more operations and left no more runs unfinished or incorrect
+than the base. Standard library only.
 """
 
 from __future__ import annotations
@@ -61,11 +64,20 @@ def quartiles(values) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def compare(pairs: list[dict], name: str, better: str, bound: float) -> dict:
-    """Summary of one metric over the pairs whose runs both finished."""
+def operations(runs: list[dict]) -> dict:
+    return {"failed": sum(r.get("failed", 0) for r in runs),
+            "attempted": sum(r.get("attempted", 0) for r in runs),
+            "runs_unfinished_or_incorrect": sum(
+                1 for r in runs if "error" in r or not r["correct"])}
+
+
+def compare(pairs: list[dict], name: str, better: str, bound: float, sound: bool) -> dict:
+    """Summary of one metric. Quartiles and pair counts come from the pairs
+    whose runs both finished; a gain is judged against all pairs run, and
+    only if ``sound``: the working tree failed no more than the base."""
     done = [p for p in pairs if name in p["before"] and name in p["after"]]
     if not done:
-        return {"pairs": 0, "verdict": "no finished pair"}
+        return {"pairs": len(pairs), "finished_pairs": 0, "verdict": "no finished pair"}
     before = [p["before"][name] for p in done]
     after = [p["after"][name] for p in done]
     sign = 1.0 if better == "higher" else -1.0
@@ -74,7 +86,7 @@ def compare(pairs: list[dict], name: str, better: str, bound: float) -> dict:
     qb, qa = quartiles(before), quartiles(after)
     change = qa[1] / qb[1] - 1.0 if qb[1] else 0.0
     spread = (qb[2] - qb[0]) / qb[1] if qb[1] else 0.0
-    if won >= 0.9 * len(done) and sign * (qa[1] - qb[1]) > qb[2] - qb[0]:
+    if sound and won >= 0.9 * len(pairs) and sign * (qa[1] - qb[1]) > qb[2] - qb[0]:
         verdict = "better: won at least 9 in 10 pairs, by more than the base's spread"
     elif -sign * change > bound:
         verdict = "worse than the base by more than the bound"
@@ -86,7 +98,7 @@ def compare(pairs: list[dict], name: str, better: str, bound: float) -> dict:
             "after_quartiles": [round(x, 4) for x in qa],
             "median_change": round(change, 4), "parent_spread": round(spread, 4),
             "bound": bound, "after_better_pairs": won, "after_worse_pairs": lost,
-            "pairs": len(done), "verdict": verdict}
+            "pairs": len(pairs), "finished_pairs": len(done), "verdict": verdict}
 
 
 def main(argv=None) -> int:
@@ -94,19 +106,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="commit to compare the working tree with")
     parser.add_argument("--out", required=True, help="path of the BENCH_<pr>.json to write")
-    parser.add_argument("--workload", action="append",
-                        help="workload to run (repeatable); default: BENCHMARK.json's list")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seed < 0 or args.seconds <= 0:
-        parser.error("--pairs must be >= 1, --seed >= 0 and --seconds > 0")
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    if args.pairs < 1 or args.seed < 0:
+        parser.error("--pairs must be >= 1 and --seed >= 0")
+    seconds = spec["run_seconds"]
     base = git("rev-parse", args.base)
     doc = {
         "command": " ".join(spec["command"]) + " --workload W --seed S --seconds "
-                   f"{args.seconds:g} --trace 0",
+                   f"{seconds:g} --trace 0",
         "machine": f"{os.cpu_count()} CPUs, {platform.platform()}, "
                    f"Python {platform.python_version()}",
         "before": base,
@@ -120,27 +129,25 @@ def main(argv=None) -> int:
         checkout = Path(tmp) / "base"
         git("worktree", "add", "--detach", str(checkout), base)
         try:
-            for workload in workloads:
+            for workload in (w["name"] for w in spec["workloads"]):
                 pairs = []
                 for i in range(args.pairs):
                     seed = args.seed + i
                     sides = [("after", ROOT), ("before", checkout)]
-                    pair = {side: run_once(spec["command"], root, workload, seed, args.seconds)
+                    pair = {side: run_once(spec["command"], root, workload, seed, seconds)
                             for side, root in (sides if i % 2 == 0 else sides[::-1])}
                     pairs.append(pair)
                     print(f"{workload} seed {seed}: {json.dumps(pair)}", file=sys.stderr)
                 doc["untraced_pairs"][workload] = {
                     str(args.seed + i): pair for i, pair in enumerate(pairs)}
+                ops = {side: operations([p[side] for p in pairs]) for side in ("before", "after")}
+                sound = all(ops["after"][k] <= ops["before"][k]
+                            for k in ("failed", "runs_unfinished_or_incorrect"))
                 doc["summary"][workload] = {
-                    m["name"]: compare(pairs, m["name"], m["better"], m["bound"])
+                    m["name"]: compare(pairs, m["name"], m["better"], m["bound"], sound)
                     for m in spec["end_to_end"]}
                 for side in ("before", "after"):
-                    runs = [p[side] for p in pairs]
-                    doc["summary"][workload][f"{side}_operations"] = {
-                        "failed": sum(r.get("failed", 0) for r in runs),
-                        "attempted": sum(r.get("attempted", 0) for r in runs),
-                        "runs_unfinished_or_incorrect": sum(
-                            1 for r in runs if "error" in r or not r["correct"])}
+                    doc["summary"][workload][f"{side}_operations"] = ops[side]
         finally:
             git("worktree", "remove", "--force", str(checkout))
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -14,8 +14,6 @@ from .errors import (
     FormatError,
     NMPruneError,
     VerificationError,
-    ZeroColumnError,
-    ZeroRowError,
 )
 from .graphs import (
     ENUM_VERTEX_LIMIT,

@@ -2,9 +2,10 @@
 
 Scores come from one row-block kernel that widens |W| to float64 a block
 of rows at a time, so the pipeline holds no full-size float64 scores; ria
-takes a first pass that keeps only the row and column sums of |W|. The
-public score functions join those blocks into float64 matrices of the
-input's shape, so their bits do not depend on its memory order.
+takes a first pass that keeps only the row and column sums of |W|. An
+all-zero row or column sum divides as 1, so a dead channel scores exactly
+0. The public score functions join those blocks into float64 matrices of
+the input's shape, so their bits do not depend on its memory order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NMPruneError, ZeroColumnError, ZeroRowError
+from .errors import ConfigError, NMPruneError
 
 DEFAULT_ALPHA = 0.5
 # float64 values per kernel row block and importance_select chunk: 2 MiB
@@ -61,10 +62,10 @@ def _check_norms_length(act: ActivationNorms, f_in: int) -> None:
         raise NMPruneError(f"activation norms length {len(act)} != input channels {f_in}")
 
 
-def _first_zero(sums, error) -> None:
-    zero = np.flatnonzero(sums == 0.0)
-    if zero.size:
-        raise error(int(zero[0]))
+def _divisors(sums) -> np.ndarray:
+    """Row or column sums of |W| with an all-zero one set to 1: each cell of
+    that line is 0, so it scores exactly 0, and every other sum keeps its bits."""
+    return np.where(sums == 0.0, 1.0, sums)
 
 
 def abs_blocks(w):
@@ -93,18 +94,15 @@ def add_rows(total, block) -> np.ndarray:
 
 def layer_sums(w, act: ActivationNorms):
     """The kernel's first pass: validate ``w`` and ``act`` for ria and keep only
-    (row sums of |W|, column sums of |W|, norms**alpha)."""
+    (row sums of |W|, column sums of |W|, norms**alpha), the sums as divisors."""
     row_sums, col_sums = [], None
     for _, a in abs_blocks(w):
         row_sums.append(a.sum(axis=1))
         col_sums = add_rows(col_sums, a)
     _check_norms_length(act, col_sums.shape[0])
-    row_sums = np.concatenate(row_sums)
-    _first_zero(row_sums, ZeroRowError)
-    _first_zero(col_sums, ZeroColumnError)
     if act.alpha < 0 and np.any(act.norms == 0.0):
         raise NMPruneError("zero activation norm cannot be raised to a negative alpha")
-    return row_sums, col_sums, act.norms**act.alpha
+    return _divisors(np.concatenate(row_sums)), _divisors(col_sums), act.norms**act.alpha
 
 
 def ria_cells(a, sums, rows, cols):
@@ -153,18 +151,18 @@ def _joined(w, blocks) -> np.ndarray:
 def rri(w) -> np.ndarray:
     """Weight magnitudes normalized by their row's absolute sum.
 
-    Every row of the result sums to 1. Raises ZeroRowError for a row
-    whose absolute sum is zero.
+    Every row of the result sums to 1, except an all-zero row: its sum
+    divides as 1, so it scores 0.
     """
-    row_sums = np.concatenate([a.sum(axis=1) for _, a in abs_blocks(w)])
-    _first_zero(row_sums, ZeroRowError)
+    row_sums = _divisors(np.concatenate([a.sum(axis=1) for _, a in abs_blocks(w)]))
     return _joined(w, ((rows, a / row_sums[rows, None]) for rows, a in abs_blocks(w)))
 
 
 def ria(w, act: ActivationNorms) -> np.ndarray:
     """Row-relative plus column-relative magnitude, scaled by activation norms.
 
-    score[i][j] = (|w_ij| / sum_k |w_ik| + |w_ij| / sum_k |w_kj|) * norms[j]**alpha
+    score[i][j] = (|w_ij| / sum_k |w_ik| + |w_ij| / sum_k |w_kj|) * norms[j]**alpha,
+    where a zero sum divides as 1.
     """
     return _joined(w, ria_blocks(w, layer_sums(w, act)))
 

@@ -13,8 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from nmprune import (METHODS, ActivationNorms, ConfigError, MethodReport, NMPruneError, PruneConfig,
-                     ZeroColumnError, ZeroRowError, apply_mask, prune_with_method,
-                     reconstruction_error, verify_degree_laws)
+                     apply_mask, prune_with_method, reconstruction_error, verify_degree_laws)
 
 
 def random_layer(seed, f_out, f_in, alpha=0.5):
@@ -114,25 +113,28 @@ def top_k_per_window_oracle(scores, n, m):
     return mask
 
 
+def divisors_oracle(sums):
+    """Row or column sums to divide by, each zero sum replaced by 1."""
+    return np.array([1.0 if x == 0 else x for x in sums])
+
+
 def ria_rri_oracle(w, act):
     """ria and rri as plain whole-matrix expressions, with no buffer reuse.
 
     Checks the layer first and raises what the library raises, in the same
-    order: non-finite weights, the norms length, the first zero row, the
-    first zero column, a zero norm under a negative alpha.
+    order: non-finite weights, the norms length, a zero norm under a
+    negative alpha. An all-zero row or column sum divides as 1, so the
+    cells of a dead line score 0.
     """
     a = np.abs(np.asarray(w, dtype=np.float64))
     if not np.isfinite(a).all():
         raise NMPruneError("weights must be finite")
     if len(act) != a.shape[1]:
         raise NMPruneError(f"activation norms length {len(act)} != input channels {a.shape[1]}")
-    for sums, error in ((a.sum(axis=1), ZeroRowError), (a.sum(axis=0), ZeroColumnError)):
-        if (sums == 0).any():
-            raise error(int(np.argmax(sums == 0)))
     if act.alpha < 0 and (act.norms == 0).any():
         raise NMPruneError("zero activation norm cannot be raised to a negative alpha")
-    row_sums = a.sum(axis=1)
-    col_sums = a.sum(axis=0)
+    row_sums = divisors_oracle(a.sum(axis=1))
+    col_sums = divisors_oracle(a.sum(axis=0))
     scale = act.norms**act.alpha
     return (a / row_sums[:, None] + a / col_sums[None, :]) * scale[None, :], a / row_sums[:, None]
 
@@ -231,6 +233,9 @@ def compare_methods_oracle(w, norms, cfg, methods=METHODS, z=None):
                 raise NMPruneError("weights are identically zero")
             error = float(np.linalg.norm(w64 - w64 * res.mask) / denom)
         else:
+            # the library checks the batch's shape before it reorders the rows
+            if np.ndim(z) != 2 or np.shape(z)[0] != w_arr.shape[1]:
+                raise NMPruneError("calibration batch rows must match the weight columns")
             z_m = z if res.permutation is None else z[res.permutation.forward, :]
             error = reconstruction_error(res.weights, res.mask, z_m)
         in_deg = res.mask.sum(axis=0)

@@ -363,3 +363,58 @@ class TestScoredOnce:
         assert run("eval", "--in", str(path), "--n", "2", "--m", "4") == 0
         assert calls == {"layer_sums": 2, "order_rows": 1}
         assert len(json.loads(capsys.readouterr().out)) == 4
+
+
+class TestDeadChannels:
+    """A layer with an exactly-zero column and row: every command runs, and
+    eggs keeps the dead input channel connected."""
+
+    def test_every_command_runs_and_eggs_keeps_the_channel(self, tmp_path, capsys):
+        bundle = load_bundle(gen_layer(tmp_path, dims="16x16", seed=5))
+        bundle["W"][:, 5] = 0.0
+        bundle["W"][7] = 0.0
+        src = tmp_path / "dead.tensors"
+        save_bundle(bundle, src)
+        nm = ["--n", "2", "--m", "4", "--b", "2"]
+        outs = {}
+        for method in ("ria", "eggs"):
+            outs[method] = tmp_path / f"{method}.tensors"
+            assert run("prune", "--in", str(src), "--out", str(outs[method]),
+                       "--method", method, *nm) == 0
+        assert load_bundle(outs["eggs"])["mask_unpermuted"][:, 5].sum() >= 2
+        capsys.readouterr()
+        assert run("verify", "--in", str(outs["eggs"]), *nm) == 0
+        assert json.loads(capsys.readouterr().out)["min_in_degree"] >= 2
+        assert run("eval", "--in", str(src), "--methods", "ria,eggs", *nm) == 0
+        ria, eggs = json.loads(capsys.readouterr().out)
+        assert ria["corrupted"] >= 1 and eggs["corrupted"] == 0
+        assert run("sweep", "--in", str(src), "--b-range", "0..2", "--n", "2", "--m", "4") == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+REFUSALS = [
+    pytest.param(["sweep", "--in", "{src}", "--b-range", "1-3", "--n", "2", "--m", "4"], 2,
+                 "argument --b-range: expected LO..HI, got '1-3'", id="b-range-separator"),
+    pytest.param(["sweep", "--in", "{src}", "--b-range", "a..3", "--n", "2", "--m", "4"], 2,
+                 "argument --b-range: expected LO..HI, got 'a..3'", id="b-range-bound"),
+    pytest.param(["verify", "--in", "{src}", "--n", "2", "--m", "4", "--c", "half"], 2,
+                 "argument --c: expected NUM/DEN, got 'half'", id="c-separator"),
+    pytest.param(["verify", "--in", "{src}", "--n", "2", "--m", "4", "--c", "a/4"], 2,
+                 "argument --c: expected NUM/DEN, got 'a/4'", id="c-numerator"),
+    pytest.param(["verify", "--in", "{src}", "--n", "2", "--m", "4", "--c", "1/0"], 2,
+                 "argument --c: expected NUM/DEN, got '1/0'", id="c-zero-denominator"),
+    pytest.param(["eval", "--in", "{src}", "--n", "2", "--m", "4", "--csv", "{tmp}"], 1,
+                 "cannot write {tmp}: [Errno 21] Is a directory: '{tmp}'",
+                 id="csv-unwritable"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSALS)
+def test_refusals(tmp_path, capsys, argv, code, message):
+    names = {"src": str(gen_layer(tmp_path)), "tmp": str(tmp_path)}
+    try:
+        got = run(*(a.format(**names) for a in argv))
+    except SystemExit as exc:  # argparse refuses a malformed value itself
+        got = exc.code
+    assert got == code
+    assert capsys.readouterr().err.endswith(f"error: {message.format(**names)}\n")

@@ -174,3 +174,19 @@ class TestBruteForceExpansion:
             brute_force_expansion(g, Fraction(3, 2))
         with pytest.raises(NMPruneError, match=r"subset fraction must be in \(0, 1\)"):
             brute_force_expansion(g, 0)
+
+
+REFUSALS = [
+    pytest.param(lambda: mask_to_graph(np.ones(4)), NMPruneError, "mask must be 2-D",
+                 id="graph-of-a-vector"),
+    pytest.param(lambda: verify_degree_laws(np.ones(4), PruneConfig(2, 4)), NMPruneError,
+                 "mask must be 2-D", id="degree-laws-of-a-vector"),
+    pytest.param(lambda: brute_force_expansion(mask_to_graph(np.ones((23, 4))), Fraction(1, 2)),
+                 NMPruneError, "23 outputs exceed the enumeration limit 22",
+                 id="outputs-over-the-limit"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(call, error, message):
+    assert helpers.outcome(call)[0] == (error, message)

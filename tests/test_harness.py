@@ -213,3 +213,23 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < mib * 2**20
+
+
+REFUSALS = [
+    pytest.param(lambda: gen_synthetic(0, 0, 4), ConfigError, "dimensions must be at least 1",
+                 id="no-rows"),
+    pytest.param(lambda: gen_synthetic(0, 4, 0), ConfigError, "dimensions must be at least 1",
+                 id="no-columns"),
+    pytest.param(lambda: norms_from_batch(np.ones(4)), NMPruneError,
+                 "calibration batch must be channels x samples", id="1-d-batch"),
+    pytest.param(lambda: reconstruction_error(np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 1))),
+                 NMPruneError, "mask shape (2, 3) does not match weights shape (2, 2)",
+                 id="mask-shape"),
+    pytest.param(lambda: prune_with_method(np.ones((4, 4)), None, PruneConfig(2, 4), "random"),
+                 ConfigError, "unknown method 'random'", id="unknown-method"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(call, error, message):
+    assert helpers.outcome(call)[0] == (error, message)

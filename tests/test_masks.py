@@ -23,7 +23,9 @@ from nmprune import (
     diagonal_select,
     eggs_prune,
     importance_select,
+    prune_with_method,
     ria,
+    verify_degree_laws,
 )
 
 
@@ -265,12 +267,39 @@ class TestEggsPrune:
         np.testing.assert_array_equal(got, want)
         assert [str(x.message) for x in got_warnings] == [str(x.message) for x in want_warnings]
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 2), (1, 4), (2, 4), (3, 4), (2, 8),
+                                                       (5, 8)]),
+           st.integers(1, 26), st.integers(1, 4), st.integers(0, 5), st.floats(0.0, 1.0),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_dead_channels_meet_the_degree_laws(self, seed, nm, f_out, groups, b, p_dead,
+                                                dead_norms):
+        (n, m), f_in = nm, groups * nm[1]
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((f_out, f_in)).astype(np.float32)
+        dead = rng.random(f_in) < p_dead
+        dead[rng.integers(f_in)] = True  # at least one input channel is exactly zero
+        w[:, dead] = 0.0
+        w[rng.random(f_out) < p_dead] = 0.0
+        norms = rng.uniform(0.1, 2.0, size=f_in)
+        if dead_norms:  # a dead channel's calibration activations are zero too
+            norms[dead] = 0.0
+        cfg = PruneConfig(n, m, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a B above the full blocks clamps
+            mask = prune_with_method(w, ActivationNorms(norms, 0.5), cfg, "eggs").mask
+        laws = verify_degree_laws(mask, cfg)
+        assert laws.violation is None
+        assert laws.min_in_degree >= min(b, f_out // m)
+
     @pytest.mark.parametrize("defects", [
         ("zero-row", "zero-column"), ("zero-column", "zero-row"), ("zero-row", "nan"),
         ("overflow",), ("zero-column", "overflow"), ("overflow", "inf"),
     ])
     @pytest.mark.parametrize("chunk", [8, 24, 1 << 18])
     def test_errors_match_the_oracle(self, defects, chunk):
+        """The whole outcome, mask or error, equals the oracle's: a zero row
+        or column prunes, and never hides a later defect's error."""
         w, act = helpers.random_layer(4, 10, 8)
         norms, alpha = act.norms.copy(), act.alpha
         # each defect sits in a later row block than the one before it when blocks are small
@@ -286,9 +315,13 @@ class TestEggsPrune:
         act = ActivationNorms(norms, alpha)
         cfg = PruneConfig(2, 4, 1)
         want, _ = helpers.outcome(helpers.eggs_prune_oracle, w, act, cfg)
-        assert isinstance(want, tuple) and issubclass(want[0], NMPruneError)
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
-            assert helpers.outcome(eggs_prune, w, act, cfg)[0] == want
+            got, _ = helpers.outcome(eggs_prune, w, act, cfg)
+        if isinstance(want, tuple):
+            assert issubclass(want[0], NMPruneError) and isinstance(got, tuple) and got == want
+        else:
+            assert got.dtype == want.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
 
 
 class TestApplyMask:
@@ -379,3 +412,27 @@ class TestCheckNmPattern:
         with pytest.raises(VerificationError) as info:
             check_nm_pattern(mask, n, m)
         assert str(info.value) == f"row {i} window {k}: {count} ones, expected {m - n}"
+
+
+REFUSALS = [
+    pytest.param(lambda: PruneConfig(2.0, 4), ConfigError, "N and M must be integers, got 2.0:4",
+                 id="float-n"),
+    pytest.param(lambda: importance_select(np.ones(4), 2, "4"), ConfigError,
+                 "N and M must be integers, got 2:'4'", id="string-m"),
+    pytest.param(lambda: importance_select(np.ones(4), 2, 4), NMPruneError,
+                 "score matrix must be 2-D", id="1-d-scores"),
+    pytest.param(lambda: check_nm_pattern(np.ones(4), 2, 4), VerificationError,
+                 "mask must be 2-D", id="1-d-mask"),
+    pytest.param(lambda: connectivity_select(np.ones((4, 2)), np.ones((4, 2)), 2, 4),
+                 NMPruneError, "connectivity selection needs 4x4 blocks, got (4, 2) and (4, 2)",
+                 id="block-shape"),
+    pytest.param(lambda: connectivity_select(np.ones((4, 4)), np.ones((2, 4, 4)), 2, 4),
+                 NMPruneError,
+                 "connectivity selection needs 4x4 blocks, got (4, 4) and (2, 4, 4)",
+                 id="score-shape"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(call, error, message):
+    assert helpers.outcome(call)[0] == (error, message)

@@ -11,8 +11,6 @@ import helpers
 from nmprune import (
     ActivationNorms,
     NMPruneError,
-    ZeroColumnError,
-    ZeroRowError,
     channel_scores,
     magnitude_score,
     ria,
@@ -33,10 +31,9 @@ class TestRri:
         out = rri(np.array([[2.0, 2.0], [1.0, 3.0]]))
         np.testing.assert_allclose(out, [[0.5, 0.5], [0.25, 0.75]])
 
-    def test_zero_row_rejected(self):
-        with pytest.raises(ZeroRowError) as info:
-            rri(np.array([[0.0, 0.0, 0.0]]))
-        assert info.value.row == 0
+    def test_zero_row_scores_zero(self):
+        out = rri(np.array([[0.0, 0.0, 0.0], [1.0, 3.0, 0.0]]))
+        assert out.tobytes() == np.array([[0.0, 0.0, 0.0], [0.25, 0.75, 0.0]]).tobytes()
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(21)
@@ -68,11 +65,12 @@ class TestRia:
         got = ria(w, act)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
-    def test_zero_column_rejected(self):
+    def test_zero_column_scores_zero(self):
         w = np.array([[1.0, 0.0], [2.0, 0.0]])
-        with pytest.raises(ZeroColumnError) as info:
-            ria(w, ActivationNorms(np.ones(2)))
-        assert info.value.col == 1
+        out = ria(w, ActivationNorms(np.array([4.0, 9.0]), alpha=0.5))
+        # row term 1 plus column terms 1/3 and 2/3, times 4**0.5
+        np.testing.assert_allclose(out[:, 0], [8 / 3, 10 / 3], rtol=1e-15)
+        assert out[:, 1].tobytes() == np.zeros(2).tobytes()
 
     def test_zero_norm_negative_alpha(self):
         with pytest.raises(NMPruneError, match="zero activation norm cannot be raised"):
@@ -204,6 +202,9 @@ def kernel_layer(seed, f_out, f_in, alpha, kind):
         w = rng.standard_t(2, size=(f_out, f_in)).astype(np.float32)
     else:
         w = rng.standard_normal((f_out, f_in))
+    if kind == "dead":  # all-zero rows and columns, each sum dividing as 1
+        w[rng.random(f_out) < 0.3] = 0.0
+        w[:, rng.random(f_in) < 0.3] = 0.0
     return w, ActivationNorms(rng.uniform(0.1, 2.0, size=f_in), alpha)
 
 
@@ -215,10 +216,21 @@ class TestRowBlocks:
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 48),
            st.integers(1, 1 << 9), st.sampled_from([0.0, 0.5, 1.0, -0.5]),
-           st.sampled_from(["float", "integer", "heavy"]), st.booleans())
+           st.sampled_from(["float", "integer", "heavy", "dead"]), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_matches_whole_matrix_sums(self, seed, f_out, f_in, chunk, alpha, kind, fortran):
-        w, act = kernel_layer(seed, f_out, f_in, alpha, kind)
+        self.check_kernel(*kernel_layer(seed, f_out, f_in, alpha, kind), chunk, fortran)
+
+    @pytest.mark.parametrize("step", range(1, 13))
+    def test_dead_lines_at_every_block_split(self, step):
+        # _TOPK_CHUNK // F_in rows per block: every split of the 12 rows
+        w, act = kernel_layer(5, 12, 16, 0.5, "dead")
+        w[3], w[:, 6] = 0.0, 0.0
+        self.check_kernel(w, act, step * 16, False)
+        self.check_kernel(w, act, step * 16, True)
+
+    @staticmethod
+    def check_kernel(w, act, chunk, fortran):
         # scores follow the C-ordered sums whatever the input's memory order
         w_in = np.asfortranarray(w) if fortran else w
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
@@ -229,13 +241,16 @@ class TestRowBlocks:
                     for blocks in (metrics.wanda_blocks(w_in, act), metrics.abs_blocks(w_in))]
         a = np.abs(np.asarray(w, dtype=np.float64))
         want_ria, want_rri = helpers.ria_rri_oracle(w, act)
-        assert row_sums.tobytes() == a.sum(axis=1).tobytes()
-        assert col_sums.tobytes() == a.sum(axis=0).tobytes()
-        assert scale.tobytes() == (act.norms**alpha).tobytes()
+        assert row_sums.tobytes() == helpers.divisors_oracle(a.sum(axis=1)).tobytes()
+        assert col_sums.tobytes() == helpers.divisors_oracle(a.sum(axis=0)).tobytes()
+        assert scale.tobytes() == (act.norms**act.alpha).tobytes()
         assert channel.tobytes() == want_ria.sum(axis=0).tobytes()
         for score, want in zip(got, [want_ria, want_rri, a * act.norms, a, a * act.norms, a],
                                strict=True):
             assert score.tobytes() == want.tobytes()
+        # a dead line scores exactly 0 in ria and rri
+        dead = (a.sum(axis=1) == 0)[:, None] | (a.sum(axis=0) == 0)[None, :]
+        assert not got[0][dead].any() and not got[1][dead].any()
 
     @pytest.mark.parametrize("defects", [
         ("nan", "zero-row", "length"), ("inf", "zero-column"), ("length", "zero-row"),
@@ -263,3 +278,16 @@ class TestRowBlocks:
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
             for fn in (metrics.layer_sums, ria, metrics.ria_channel_scores):
                 assert helpers.outcome(fn, w, act)[0] == want
+
+
+REFUSALS = [
+    pytest.param(lambda: ActivationNorms(np.ones((2, 2))), NMPruneError,
+                 "activation norms must be a 1-D vector", id="2-d-norms"),
+    pytest.param(lambda: channel_scores(np.ones(3)), NMPruneError, "score matrix must be 2-D",
+                 id="1-d-scores"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(call, error, message):
+    assert helpers.outcome(call)[0] == (error, message)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from nmprune import (
     ChannelPermutation,
     FormatError,
@@ -176,3 +177,38 @@ class TestEquality:
         perm = build_permutation(np.random.default_rng(2).uniform(size=12), 4)
         save_permutation(perm, tmp_path / "perm.json")
         assert load_permutation(tmp_path / "perm.json") == perm
+
+
+def sidecar(tmp_path, text):
+    path = tmp_path / "perm.json"
+    path.write_text(text)
+    return path
+
+
+REFUSALS = [
+    pytest.param(lambda tmp: ChannelPermutation(np.zeros((2, 2), dtype=int)), NMPruneError,
+                 "forward must be a 1-D vector", id="2-d-forward"),
+    pytest.param(lambda tmp: build_permutation([1.0, np.nan], 2), NMPruneError,
+                 "channel scores must be finite", id="nan-scores"),
+    pytest.param(lambda tmp: build_permutation([np.inf, 1.0], 2), NMPruneError,
+                 "channel scores must be finite", id="inf-scores"),
+    pytest.param(lambda tmp: build_permutation(np.ones((2, 2)), 2), NMPruneError,
+                 "channel scores must be a 1-D vector", id="2-d-scores"),
+    pytest.param(lambda tmp: unpermute_mask(np.ones((2, 3)), ChannelPermutation([1, 0])),
+                 NMPruneError, "mask columns do not match permutation length",
+                 id="unpermute-length"),
+    pytest.param(lambda tmp: load_permutation(sidecar(tmp, "nope")), FormatError,
+                 "malformed permutation sidecar: Expecting value: line 1 column 1 (char 0)",
+                 id="malformed-sidecar"),
+    pytest.param(lambda tmp: load_permutation(sidecar(tmp, "[0, 1]")), FormatError,
+                 "permutation sidecar must be an object with a 'forward' list",
+                 id="list-sidecar"),
+    pytest.param(lambda tmp: load_permutation(sidecar(tmp, '{"fwd": [0, 1]}')), FormatError,
+                 "permutation sidecar must be an object with a 'forward' list",
+                 id="sidecar-without-forward"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(tmp_path, call, error, message):
+    assert helpers.outcome(call, tmp_path)[0] == (error, message)

@@ -24,8 +24,6 @@ EXPORTS = [
     "PruneConfig",
     "PruneResult",
     "VerificationError",
-    "ZeroColumnError",
-    "ZeroRowError",
     "apply_mask",
     "apply_to_columns",
     "assign_blocks",

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import helpers
 from nmprune import (
     FormatError,
     NMPruneError,
@@ -158,3 +159,26 @@ class TestBundleInvariants:
         with pytest.raises(NMPruneError, match="cannot write"):
             save_bundle({"w": np.zeros((1,), dtype=np.float32)},
                         tmp_path / "missing" / "dir" / "x.tensors")
+
+
+def container(tmp_path, header):
+    path = tmp_path / "bad.tensors"
+    path.write_bytes(craft_container(header, b"\x00"))
+    return path
+
+
+META = {"dtype": "u8", "shape": [1], "offset": 0, "nbytes": 1}
+
+REFUSALS = [
+    pytest.param([META], "container header must be a JSON object", id="list-header"),
+    pytest.param({"": META}, "container header has an empty entry name", id="empty-name"),
+    pytest.param({"w": 1}, "entry 'w': header record must be an object", id="number-record"),
+    pytest.param({"w": {k: v for k, v in META.items() if k != "offset"}},
+                 "entry 'w': missing header field 'offset'", id="missing-field"),
+]
+
+
+@pytest.mark.parametrize("header, message", REFUSALS)
+def test_refusals(tmp_path, header, message):
+    path = container(tmp_path, header)
+    assert helpers.outcome(load_bundle, path)[0] == (FormatError, message)

@@ -34,9 +34,9 @@ from .harness import (
     sweep_blocks,
 )
 from .masks import PruneConfig, apply_mask, check_nm_pattern
-from .metrics import DEFAULT_ALPHA, ActivationNorms
+from .metrics import _TOPK_CHUNK, DEFAULT_ALPHA, ActivationNorms
 from .permute import save_permutation, unpermute_mask
-from .tensor_store import load_bundle, save_bundle
+from .tensor_store import BlockSource, load_bundle, save_bundle
 
 
 def _parse_dims(text: str):
@@ -103,21 +103,24 @@ def _cmd_gen(args) -> int:
 def _cmd_prune(args) -> int:
     cfg = _config(args)
     bundle = load_bundle(args.infile)
-    w = _fetch(bundle, args.weights)
+    _fetch(bundle, args.weights)
     norms = None if args.method == "magnitude" else _read_acts(bundle, args)[0]
-    res = prune_with_method(w, norms, cfg, args.method)
-    pruned = apply_mask(res.weights, res.mask)
+    # the bundle gives up W, so W_perm can replace it in memory
+    res = prune_with_method(bundle.pop(args.weights), norms, cfg, args.method)
+    w, mask, perm = res.weights, np.asarray(res.mask, dtype=np.uint8), res.permutation
+    step = max(_TOPK_CHUNK // w.shape[1], 1)
+    rows = [slice(i, i + step) for i in range(0, w.shape[0], step)]
     entries = {
-        "mask": np.asarray(res.mask, dtype=np.uint8),
-        "W_pruned": np.asarray(pruned, dtype=np.float32),
+        "mask": mask,
+        "W_pruned": BlockSource(np.float32, w.shape, (apply_mask(w[r], mask[r]) for r in rows)),
     }
-    if res.permutation is not None:
-        entries["W_perm"] = np.asarray(res.weights, dtype=np.float32)
-        entries["mask_unpermuted"] = np.asarray(unpermute_mask(res.mask, res.permutation),
-                                                dtype=np.uint8)
+    if perm is not None:
+        entries["W_perm"] = np.asarray(w, dtype=np.float32)
+        entries["mask_unpermuted"] = BlockSource(np.uint8, mask.shape,
+                                                 (unpermute_mask(mask[r], perm) for r in rows))
     save_bundle(entries, args.out)
-    if res.permutation is not None:
-        save_permutation(res.permutation, args.out + ".perm.json")
+    if perm is not None:
+        save_permutation(perm, args.out + ".perm.json")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -128,9 +131,8 @@ def _fraction_pair(value):
 
 def _cmd_verify(args) -> int:
     cfg = PruneConfig(args.n, args.m, args.b)
-    bundle = load_bundle(args.infile)
-    mask = _fetch(bundle, "mask")
-    arr = np.asarray(mask)
+    # only the mask is kept: the bundle's other entries are freed at once
+    arr = np.asarray(_fetch(load_bundle(args.infile), "mask"))
     if arr.ndim != 2:
         raise NMPruneError("mask tensor must be 2-D")
     f_out, f_in = arr.shape

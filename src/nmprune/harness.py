@@ -231,10 +231,13 @@ def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     layer = _ScoredLayer(w, acts, cfg.n, cfg.m)
-    mask = layer.mask(method, cfg)
+    del w  # the layer holds W's last reference here; ria and eggs drop it
     if method in ("magnitude", "wanda"):
-        return PruneResult(mask, layer.w, None)
-    return PruneResult(mask, layer.w_perm, layer.perm)
+        return PruneResult(layer.mask(method, cfg), layer.w, None)
+    if acts is not None:  # without norms, mask() refuses
+        layer.w_perm  # built from W, which is dead from here on
+        layer.w = None
+    return PruneResult(layer.mask(method, cfg), layer.w_perm, layer.perm)
 
 
 def compare_methods(w, norms: ActivationNorms | None, cfg: PruneConfig, methods=METHODS,

@@ -204,21 +204,23 @@ def check_nm_pattern(mask, n: int, m: int) -> None:
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise VerificationError("mask must be 2-D")
-    ones = arr == 1
-    if not (ones | (arr == 0)).all():
-        raise VerificationError("mask entries must be 0 or 1")
     rows, cols = arr.shape
+    step = max(_TOPK_CHUNK // max(cols, 1), 1)  # no full-size temporary is made
+    blocks = [(start, arr[start : start + step]) for start in range(0, rows, step)]
+    if not all(((block == 1) | (block == 0)).all() for _, block in blocks):
+        raise VerificationError("mask entries must be 0 or 1")
     if cols % m:
         raise VerificationError(f"{cols} columns not divisible by window width {m}")
-    # integer counts are exact in any order; adding one window position at a
-    # time is faster than a sum over every m-wide window
-    windows = ones.reshape(rows, cols // m, m)
-    counts = np.zeros(windows.shape[:2], dtype=np.min_scalar_type(m))
-    for j in range(m):
-        counts += windows[..., j]
-    bad = np.argwhere(counts != m - n)
-    if bad.size:
-        i, k = (int(x) for x in bad[0])
-        raise VerificationError(
-            f"row {i} window {k}: {int(counts[i, k])} ones, expected {m - n}"
-        )
+    for start, block in blocks:
+        # integer counts are exact in any order; adding one window position
+        # at a time is faster than a sum over every m-wide window
+        windows = (block == 1).reshape(len(block), cols // m, m)
+        counts = np.zeros(windows.shape[:2], dtype=np.min_scalar_type(m))
+        for j in range(m):
+            counts += windows[..., j]
+        bad = np.argwhere(counts != m - n)
+        if bad.size:
+            i, k = (int(x) for x in bad[0])
+            raise VerificationError(
+                f"row {start + i} window {k}: {int(counts[i, k])} ones, expected {m - n}"
+            )

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import NMPruneError
+from .metrics import _TOPK_CHUNK
 
 
 def order_rows(sums, count: int | None = None) -> np.ndarray:
@@ -26,21 +27,25 @@ def order_rows(sums, count: int | None = None) -> np.ndarray:
     s = np.asarray(sums, dtype=np.float64)
     if s.ndim != 2:
         raise NMPruneError("group sums must be 2-D")
-    f_out = s.shape[0]
-    sums = np.ascontiguousarray(s.T)
+    f_out, groups = s.shape
     count = f_out if count is None else min(max(count, 0), f_out)
+    order = np.empty((groups, count), dtype=np.int64)
     if not count:
-        return np.empty((sums.shape[0], 0), dtype=np.int64)
-    # candidates: the rows at or below each group's count-th smallest sum. A
-    # stable argsort of "above" lists them first, in row order; sorting as
-    # many leading rows as the widest group has candidates is enough, since
-    # any non-candidate among them sorts after every candidate
-    kth = np.partition(sums, count - 1, axis=1)[:, [count - 1]]
-    above = sums > kth
-    width = f_out - int(above.sum(axis=1).min())
-    rows = np.argsort(above, axis=1, kind="stable")[:, :width]
-    ranked = np.argsort(np.take_along_axis(sums, rows, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(rows, ranked[:, :count], axis=1)
+        return order
+    step = max(_TOPK_CHUNK // f_out, 1)  # groups are independent: order a chunk at a time
+    for start in range(0, groups, step):
+        chunk = np.ascontiguousarray(s[:, start : start + step].T)
+        # candidates: the rows at or below each group's count-th smallest sum.
+        # A stable argsort of "above" lists them first, in row order; sorting
+        # as many leading rows as the widest group has candidates is enough,
+        # since any non-candidate among them sorts after every candidate
+        kth = np.partition(chunk, count - 1, axis=1)[:, [count - 1]]
+        above = chunk > kth
+        width = f_out - int(above.sum(axis=1).min())
+        rows = np.argsort(above, axis=1, kind="stable")[:, :width]
+        ranked = np.argsort(np.take_along_axis(chunk, rows, axis=1), axis=1, kind="stable")
+        order[start : start + step] = np.take_along_axis(rows, ranked[:, :count], axis=1)
+    return order
 
 
 def assign_blocks(order, m: int, b: int) -> np.ndarray:

@@ -6,7 +6,7 @@ then a raw row-major payload region. Offsets are relative to the start of
 the payload region. Only float32 ("f32") and uint8 ("u8") entries exist.
 
 A bundle is a plain dict of named arrays; ``save_bundle`` checks each name
-and dtype as it writes.
+and dtype as it writes, and also takes a BlockSource for an array it streams.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ import json
 import math
 import os
 import uuid
+from collections.abc import Iterable
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,15 +27,35 @@ _TAG_TO_DTYPE = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 _DTYPE_TO_TAG = {np.dtype(np.float32): "f32", np.dtype(np.uint8): "u8"}
 
 
-def _check_entry(name, arr) -> np.ndarray:
+class BlockSource(NamedTuple):
+    """An entry save_bundle writes as it comes: dtype, shape, contiguous row blocks."""
+    dtype: np.dtype
+    shape: tuple
+    blocks: Iterable
+
+
+def _check_entry(name, entry) -> BlockSource:
     if not isinstance(name, str) or not name:
         raise NMPruneError(f"entry names must be non-empty strings, got {name!r}")
-    arr = np.asarray(arr)
-    if arr.dtype not in _DTYPE_TO_TAG:
-        raise NMPruneError(
-            f"entry {name!r} has dtype {arr.dtype}; only float32 and uint8 are stored"
-        )
-    return arr
+    if not isinstance(entry, BlockSource):
+        arr = np.asarray(entry)
+        entry = BlockSource(arr.dtype, arr.shape, [arr])
+    dtype = np.dtype(entry.dtype)
+    if dtype not in _DTYPE_TO_TAG:
+        raise NMPruneError(f"entry {name!r} has dtype {dtype}; only float32 and uint8 are stored")
+    return entry._replace(dtype=dtype)
+
+
+def _payload(name, source: BlockSource, nbytes: int):
+    """The source's blocks as little-endian bytes, refused unless they hold ``nbytes``."""
+    for block in source.blocks:
+        raw = np.ascontiguousarray(block, dtype=source.dtype.newbyteorder("<"))
+        nbytes -= raw.nbytes
+        if nbytes < 0:
+            break
+        yield raw.data
+    if nbytes:
+        raise NMPruneError(f"entry {name!r}: row blocks do not fill its shape exactly")
 
 
 def _is_count(value) -> bool:
@@ -130,21 +153,16 @@ def write_atomic(path, chunks) -> None:
         raise NMPruneError(f"cannot write {path}: {exc}") from exc
 
 
-def save_bundle(entries: dict[str, np.ndarray], path) -> None:
-    """Write named float32/uint8 arrays atomically; byte-deterministic."""
-    arrays = {name: _check_entry(name, arr) for name, arr in entries.items()}
-    blobs = []
-    header = {}
-    offset = 0
-    for name, arr in sorted(arrays.items()):
-        raw = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False)
-        header[name] = {
-            "dtype": _DTYPE_TO_TAG[arr.dtype],
-            "shape": list(arr.shape),
-            "offset": offset,
-            "nbytes": raw.nbytes,
-        }
-        blobs.append(raw.data)
-        offset += raw.nbytes
+def save_bundle(entries: dict, path) -> None:
+    """Write named float32/uint8 arrays or BlockSources atomically; byte-deterministic."""
+    sources = sorted((name, _check_entry(name, entry)) for name, entry in entries.items())
+    header, offset = {}, 0
+    for name, source in sources:
+        nbytes = math.prod(source.shape) * source.dtype.itemsize
+        header[name] = {"dtype": _DTYPE_TO_TAG[source.dtype], "shape": list(source.shape),
+                        "offset": offset, "nbytes": nbytes}
+        offset += nbytes
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    write_atomic(path, [len(header_bytes).to_bytes(8, "little"), header_bytes, *blobs])
+    payload = (chunk for name, source in sources
+               for chunk in _payload(name, source, header[name]["nbytes"]))
+    write_atomic(path, chain([len(header_bytes).to_bytes(8, "little"), header_bytes], payload))

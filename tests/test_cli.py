@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,49 @@ class TestScoredOnce:
         assert run("eval", "--in", str(path), "--n", "2", "--m", "4") == 0
         assert calls == {"layer_sums": 2, "order_rows": 1}
         assert len(json.loads(capsys.readouterr().out)) == 4
+
+
+class TestMemory:
+    """tracemalloc peaks of whole commands, the bundle load included. Once
+    W_perm exists, prune holds no other full-size weight matrix and streams
+    W_pruned and mask_unpermuted; verify keeps only the mask. Each bound
+    lies between the peaks measured before and after those changes, except
+    magnitude at 1024x1024, which peaks while scoring both before and after."""
+
+    @pytest.fixture(scope="class")
+    def layers(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("memory")
+        for dims in ("1024x1024", "2048x2048"):
+            assert run("gen", "--out", str(root / dims), "--dims", dims, "--seed", "3") == 0
+        return root
+
+    @pytest.mark.parametrize("method, dims, mib", [
+        ("eggs", "1024x1024", 16),  # 18.1 MiB before, 14.1 after
+        ("ria", "1024x1024", 14),  # 16.0 before, 12.0 after
+        ("magnitude", "1024x1024", 11),  # 10.0 before and after
+        ("magnitude", "2048x2048", 30),  # 36.3 before, 25.1 after
+    ])
+    def test_prune(self, layers, tmp_path, capsys, method, dims, mib):
+        argv = ["prune", "--in", str(layers / dims), "--out", str(tmp_path / "out.t"),
+                "--method", method, "--n", "2", "--m", "4", "--b", "2"]
+        assert traced_peak(argv) < mib * 2**20
+
+    def test_verify(self, layers, tmp_path, capsys):
+        out = tmp_path / "eggs.t"
+        assert run("prune", "--in", str(layers / "1024x1024"), "--out", str(out),
+                   "--method", "eggs", "--n", "2", "--m", "4", "--b", "2") == 0
+        # 12.0 MiB before, 10.0 after: the load itself holds all 10 MiB of the bundle
+        assert traced_peak(["verify", "--in", str(out), "--n", "2", "--m", "4", "--b", "2"]) < (
+            11 * 2**20)
+
+
+def traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) in (0, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestDeadChannels:

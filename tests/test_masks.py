@@ -414,6 +414,47 @@ class TestCheckNmPattern:
         assert str(info.value) == f"row {i} window {k}: {count} ones, expected {m - n}"
 
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 15), st.integers(1, 9),
+           st.integers(0, 4), st.integers(0, 7), st.integers(0, 3), st.integers(0, 2),
+           st.sampled_from([np.uint8, np.float32]), st.integers(1, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_row_blocks_match_the_whole_matrix(self, seed, half_m, n, rows, windows, extra,
+                                               flips, odd, dtype, chunk):
+        # chunk below the column count gives one row per block; above it, the
+        # blocks hold several rows and the last one may be partial
+        m = 2 * half_m
+        n = 1 + (n - 1) % (m - 1)
+        extra %= m
+        rng = np.random.default_rng(seed)
+        mask = importance_select(rng.standard_normal((rows, windows * m + m)), n, m)
+        mask = mask[:, : windows * m + extra].astype(dtype)
+        cols = mask.shape[1]
+        for _ in range(flips if cols else 0):
+            i, j = rng.integers(rows), rng.integers(cols)
+            mask[i, j] = 1 - mask[i, j]
+        for _ in range(odd if cols else 0):
+            mask[rng.integers(rows), rng.integers(cols)] = 2 if dtype is np.uint8 else 0.5
+        want = check_whole(mask, n, m)
+        with mock.patch.object(masks, "_TOPK_CHUNK", chunk):
+            got = helpers.outcome(check_nm_pattern, mask, n, m)[0]
+        assert got == (None if want is None else (VerificationError, want))
+
+
+def check_whole(mask, n, m):
+    """check_nm_pattern's message, or None, from whole-matrix expressions."""
+    ones = mask == 1
+    if not (ones | (mask == 0)).all():
+        return "mask entries must be 0 or 1"
+    rows, cols = mask.shape
+    if cols % m:
+        return f"{cols} columns not divisible by window width {m}"
+    counts = ones.reshape(rows, cols // m, m).sum(axis=2)
+    bad = np.argwhere(counts != m - n)
+    if not bad.size:
+        return None
+    i, k = bad[0]
+    return f"row {i} window {k}: {counts[i, k]} ones, expected {m - n}"
+
 REFUSALS = [
     pytest.param(lambda: PruneConfig(2.0, 4), ConfigError, "N and M must be integers, got 2.0:4",
                  id="float-n"),

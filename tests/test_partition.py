@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from nmprune import (ActivationNorms, NMPruneError, assign_blocks, metrics, order_rows,
-                     plan_groups, rri)
+                     partition, plan_groups, rri)
 from nmprune.masks import ria_select
 
 
@@ -244,3 +244,31 @@ class TestSharedOrder:
             want, want_warnings = helpers.outcome(plan_groups, sums, m, b)
             np.testing.assert_array_equal(got, want)
             assert got.shape == want.shape and got_warnings == want_warnings
+
+
+class TestChunkedOrder:
+    """order_rows orders a chunk of groups at a time, _TOPK_CHUNK // rows
+    groups per chunk; the order must not depend on where the chunks split."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8).map(lambda h: 2 * h), st.integers(1, 24),
+           st.integers(1, 7), st.integers(0, 30), st.sampled_from(["float", "integer"]),
+           st.integers(2, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_chunks_match_the_oracle_and_one_chunk(self, seed, m, f_out, groups, count, kind,
+                                                   per_chunk):
+        rng = np.random.default_rng(seed)
+        shape = (f_out, groups * m)
+        if kind == "float":
+            scores = rng.uniform(size=shape)
+        else:  # integer sums tie often
+            scores = rng.integers(0, 3, size=shape).astype(float)
+        sums = helpers.group_sums(scores, m)
+        whole = order_rows(sums, count)  # the default chunk holds every group here
+        want = helpers.order_rows_oracle(scores, m)[:, :count]  # count may exceed f_out
+        # one group per chunk, then per_chunk groups, which leaves a partial
+        # tail whenever per_chunk does not divide the group count
+        for chunk in (f_out, per_chunk * f_out + f_out - 1):
+            with mock.patch.object(partition, "_TOPK_CHUNK", chunk):
+                got = order_rows(sums, count)
+            assert got.dtype == np.int64 and got.tobytes() == whole.tobytes()
+            np.testing.assert_array_equal(got, want)

@@ -12,6 +12,7 @@ from nmprune import (
     load_bundle,
     save_bundle,
 )
+from nmprune.tensor_store import BlockSource
 
 
 def craft_container(header: dict, payload: bytes) -> bytes:
@@ -159,6 +160,55 @@ class TestBundleInvariants:
         with pytest.raises(NMPruneError, match="cannot write"):
             save_bundle({"w": np.zeros((1,), dtype=np.float32)},
                         tmp_path / "missing" / "dir" / "x.tensors")
+
+
+def rows_of(arr, step):
+    return [arr[i : i + step] for i in range(0, len(arr), step)]
+
+
+class TestBlockSource:
+    """An entry streamed as row blocks writes the bytes of the whole array."""
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 7])
+    def test_streamed_entry_matches_the_whole_array(self, tmp_path, step):
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((7, 5)).astype(np.float32)
+        mask = rng.integers(0, 2, size=(7, 5)).astype(np.uint8)
+        save_bundle({"w": w, "mask": mask, "z": w[:2]}, tmp_path / "whole.tensors")
+        streamed = {"w": BlockSource(np.float32, w.shape, iter(rows_of(w, step))),
+                    "mask": BlockSource(np.dtype(np.uint8), mask.shape, rows_of(mask, step)),
+                    "z": w[:2]}
+        save_bundle(streamed, tmp_path / "streamed.tensors")
+        assert (tmp_path / "streamed.tensors").read_bytes() == (
+            tmp_path / "whole.tensors").read_bytes()
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_a_byte_too_few_or_too_many_is_refused(self, tmp_path, change):
+        blocks = [np.zeros(3, dtype=np.uint8), np.zeros(2 + change, dtype=np.uint8)]
+        entries = {"a": np.ones(2, dtype=np.float32),
+                   "mask": BlockSource(np.uint8, (5,), blocks)}
+        target = tmp_path / "x.tensors"
+        with pytest.raises(NMPruneError) as info:
+            save_bundle(entries, target)
+        assert str(info.value) == "entry 'mask': row blocks do not fill its shape exactly"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_existing_target_survives_a_refused_stream(self, tmp_path):
+        target = tmp_path / "x.tensors"
+        target.write_bytes(b"old")
+        with pytest.raises(NMPruneError, match="entry 'w'"):
+            save_bundle({"w": BlockSource(np.float32, (2, 2), [np.zeros((1, 2))])}, target)
+        assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"old"
+
+    def test_unsupported_dtype_rejected(self, tmp_path):
+        source = BlockSource(np.float64, (1,), [np.zeros(1)])
+        with pytest.raises(NMPruneError) as info:
+            save_bundle({"w": source}, tmp_path / "x.tensors")
+        assert str(info.value) == (
+            "entry 'w' has dtype float64; only float32 and uint8 are stored")
+        assert helpers.outcome(save_bundle, {"w": np.zeros(1)}, tmp_path / "x.tensors")[0] == (
+            NMPruneError, str(info.value))
+        assert list(tmp_path.iterdir()) == []
 
 
 def container(tmp_path, header):

@@ -13,6 +13,9 @@ once in the working tree and once in the base checkout, with the same seed;
 even pairs run the working tree first and odd pairs the base. T is
 BENCHMARK.json's ``run_seconds``.
 
+The working tree is recorded as "with uncommitted changes" when any of
+CODE, the files the benchmark runs, differs from HEAD or is untracked.
+
 The output JSON keeps every run's end-to-end metrics and, per workload, each
 side's failed operations and unfinished or incorrect runs and, per metric:
 both sides' quartiles, the pairs the working tree won and lost (ties count
@@ -37,6 +40,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# what the benchmark runs; changes elsewhere (docs, tests) do not mark the working tree
+CODE = ("src", "perfbench", "BENCHMARK.json")
 
 
 def git(*args) -> str:
@@ -120,7 +125,8 @@ def main(argv=None) -> int:
                    f"Python {platform.python_version()}",
         "before": base,
         "after": f"working tree on {git('rev-parse', 'HEAD')}"
-                 + (" with uncommitted changes" if git("status", "--porcelain") else ""),
+                 + (" with uncommitted changes"
+                    if git("status", "--porcelain", "--", *CODE) else ""),
         "note": f"pair i uses seed {args.seed}+i; even pairs ran the working tree first",
         "untraced_pairs": {},
         "summary": {},

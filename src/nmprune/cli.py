@@ -34,7 +34,7 @@ from .harness import (
     sweep_blocks,
 )
 from .masks import PruneConfig, apply_mask, check_nm_pattern
-from .metrics import _TOPK_CHUNK, DEFAULT_ALPHA, ActivationNorms
+from .metrics import DEFAULT_ALPHA, ActivationNorms, row_blocks
 from .permute import save_permutation, unpermute_mask
 from .tensor_store import BlockSource, load_bundle, save_bundle
 
@@ -108,8 +108,7 @@ def _cmd_prune(args) -> int:
     # the bundle gives up W, so W_perm can replace it in memory
     res = prune_with_method(bundle.pop(args.weights), norms, cfg, args.method)
     w, mask, perm = res.weights, np.asarray(res.mask, dtype=np.uint8), res.permutation
-    step = max(_TOPK_CHUNK // w.shape[1], 1)
-    rows = [slice(i, i + step) for i in range(0, w.shape[0], step)]
+    rows = row_blocks(*w.shape)
     entries = {
         "mask": mask,
         "W_pruned": BlockSource(np.float32, w.shape, (apply_mask(w[r], mask[r]) for r in rows)),

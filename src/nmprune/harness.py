@@ -33,15 +33,17 @@ def gen_synthetic(seed, f_out: int, f_in: int, profile: str = "gaussian", k: int
     """
     if f_out < 1 or f_in < 1:
         raise ConfigError("dimensions must be at least 1")
+    if profile not in PROFILES:
+        raise ConfigError(f"unknown profile {profile!r}")
+    if profile == "dead-columns" and not 1 <= k <= f_in - 1:
+        raise ConfigError(f"dead-columns needs 1 <= k <= {f_in - 1}, got {k}")
     rng = np.random.default_rng(seed)
-    if profile == "gaussian":
+    if profile == "heavy-tail":
+        w = rng.standard_t(df=2, size=(f_out, f_in))
+    else:
         w = rng.standard_normal((f_out, f_in))
-        z = rng.standard_normal((f_in, _SAMPLES))
-    elif profile == "dead-columns":
-        if not 1 <= k <= f_in - 1:
-            raise ConfigError(f"dead-columns needs 1 <= k <= {f_in - 1}, got {k}")
-        w = rng.standard_normal((f_out, f_in))
-        z = rng.standard_normal((f_in, _SAMPLES))
+    z = rng.standard_normal((f_in, _SAMPLES))
+    if profile == "dead-columns":
         # keep the globally largest weight outside the dead set so the
         # magnitude reference point is unaffected by the scaling
         top_col = int(np.argmax(np.abs(w)) % f_in)
@@ -49,11 +51,6 @@ def gen_synthetic(seed, f_out: int, f_in: int, profile: str = "gaussian", k: int
         dead = rng.choice(candidates, size=k, replace=False)
         w[:, dead] *= 1e-6
         z[dead, :] *= 1e-6
-    elif profile == "heavy-tail":
-        w = rng.standard_t(df=2, size=(f_out, f_in))
-        z = rng.standard_normal((f_in, _SAMPLES))
-    else:
-        raise ConfigError(f"unknown profile {profile!r}")
     return w.astype(np.float32), z.astype(np.float32)
 
 
@@ -140,12 +137,12 @@ class _ScoredLayer:
     """The layer-only work of one command, each piece done at most once: the
     ria channel permutation, the permuted layer's ria sums with its top-k
     mask and, from the same row-block pass, the rri row order for ``max_b``
-    blocks, of which every smaller B's order is a prefix. With ``max_b``
-    None, eggs masks come from eggs_prune. The error reference is kept per
-    layout, and no float64 copy of W or of its scores is held.
+    blocks, of which every smaller B's order is a prefix. The error
+    reference is kept per layout, and no float64 copy of W or of its scores
+    is held.
     """
 
-    def __init__(self, w, norms, n: int, m: int, z=None, max_b: int | None = None):
+    def __init__(self, w, norms, n: int, m: int, z=None, max_b: int = 0):
         if norms is not None and not isinstance(norms, ActivationNorms):
             raise NMPruneError("norms must be ActivationNorms or None; pass a batch as z")
         self.w, self.norms, self.z = np.asarray(w), norms, z
@@ -178,13 +175,11 @@ class _ScoredLayer:
             raise ConfigError(f"method {method!r} requires activation norms")
         if method == "wanda":
             return select_blocks(wanda_blocks(self.w, self.norms), self.w.shape, self.n, self.m)
-        if method == "eggs" and self.max_b is None:
-            return eggs_prune(self.w_perm, self.norms_perm, cfg)
         sums, order, base = self._scored
         if method == "ria" or cfg.b == 0:
             return base
         mask = base.copy()
-        rows = assign_blocks(order[:, : cfg.b * self.m], self.m, cfg.b)
+        rows = assign_blocks(order, self.m, cfg.b)
         overlay_blocks(mask, self.w_perm, sums, rows, self.n, self.m)
         return mask
 
@@ -232,12 +227,12 @@ def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,
         raise ConfigError(f"unknown method {method!r}")
     layer = _ScoredLayer(w, acts, cfg.n, cfg.m)
     del w  # the layer holds W's last reference here; ria and eggs drop it
-    if method in ("magnitude", "wanda"):
+    if method in ("magnitude", "wanda") or acts is None:  # without norms, mask() refuses
         return PruneResult(layer.mask(method, cfg), layer.w, None)
-    if acts is not None:  # without norms, mask() refuses
-        layer.w_perm  # built from W, which is dead from here on
-        layer.w = None
-    return PruneResult(layer.mask(method, cfg), layer.w_perm, layer.perm)
+    w_perm, norms_perm = layer.w_perm, layer.norms_perm  # built from W, dead from here on
+    layer.w = None
+    mask = eggs_prune(w_perm, norms_perm, cfg) if method == "eggs" else layer.mask(method, cfg)
+    return PruneResult(mask, w_perm, layer.perm)
 
 
 def compare_methods(w, norms: ActivationNorms | None, cfg: PruneConfig, methods=METHODS,

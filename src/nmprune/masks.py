@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NMPruneError, VerificationError
-from .metrics import _TOPK_CHUNK, ActivationNorms, layer_sums, ria_blocks, ria_cells
+from .metrics import ActivationNorms, layer_sums, ria_blocks, ria_cells, row_blocks
 from .partition import plan_groups
 
 
@@ -67,15 +67,14 @@ def importance_select(scores, n: int, m: int) -> np.ndarray:
     # whose (m, chunk) planes stay small and contiguous.
     rank_type = np.min_scalar_type(m - 1)
     start_rank = np.arange(m, dtype=rank_type)[:, None]
-    step = max(_TOPK_CHUNK // m, 1)
-    for start in range(0, windows.shape[0], step):
-        planes = np.ascontiguousarray(windows[start : start + step].T)
+    for chunk in row_blocks(windows.shape[0], m):
+        planes = np.ascontiguousarray(windows[chunk].T)
         rank = np.repeat(start_rank, planes.shape[1], axis=1)
         for j in range(m - 1):
             later_wins = planes[j + 1 :] > planes[j]
             rank[j] += later_wins.sum(axis=0, dtype=rank_type)
             rank[j + 1 :] -= later_wins
-        keep[start : start + step] = (rank < m - n).T
+        keep[chunk] = (rank < m - n).T
     return keep.reshape(rows, cols)
 
 
@@ -205,8 +204,7 @@ def check_nm_pattern(mask, n: int, m: int) -> None:
     if arr.ndim != 2:
         raise VerificationError("mask must be 2-D")
     rows, cols = arr.shape
-    step = max(_TOPK_CHUNK // max(cols, 1), 1)  # no full-size temporary is made
-    blocks = [(start, arr[start : start + step]) for start in range(0, rows, step)]
+    blocks = [(r.start, arr[r]) for r in row_blocks(rows, cols)]  # no full-size temporary
     if not all(((block == 1) | (block == 0)).all() for _, block in blocks):
         raise VerificationError("mask entries must be 0 or 1")
     if cols % m:

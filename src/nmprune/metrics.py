@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, NMPruneError
 
 DEFAULT_ALPHA = 0.5
-# float64 values per kernel row block and importance_select chunk: 2 MiB
+# values per block of every chunked pass (2 MiB of float64); see row_blocks
 _TOPK_CHUNK = 1 << 18
 
 
@@ -68,17 +68,24 @@ def _divisors(sums) -> np.ndarray:
     return np.where(sums == 0.0, 1.0, sums)
 
 
+def row_blocks(count: int, width: int) -> list[slice]:
+    """Slices that cover ``count`` lines of ``width`` values each, in order:
+    at most _TOPK_CHUNK values and at least one line per block. Every chunked
+    pass takes its blocks from here."""
+    step = max(_TOPK_CHUNK // max(width, 1), 1)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
 def abs_blocks(w):
     """|W| in float64, row block by row block: yields (rows, block), views of
     one buffer of at most _TOPK_CHUNK values, with a spare row for add_rows."""
     arr = check_weights(w)
     f_out, f_in = arr.shape
     # numpy sums a single column pairwise, as one run, so it stays one block
-    step = f_out if f_in == 1 else min(max(_TOPK_CHUNK // f_in, 1), f_out)
-    buf = np.empty((step + 1, f_in))
-    for start in range(0, f_out, step):
-        rows = slice(start, min(start + step, f_out))
-        a = buf[1 : 1 + rows.stop - start]
+    blocks = [slice(0, f_out)] if f_in == 1 else row_blocks(f_out, f_in)
+    buf = np.empty((blocks[0].stop + 1, f_in))
+    for rows in blocks:
+        a = buf[1 : 1 + rows.stop - rows.start]
         yield rows, np.abs(arr[rows], out=a, dtype=np.float64)
 
 

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import NMPruneError
-from .metrics import _TOPK_CHUNK
+from .metrics import row_blocks
 
 
 def order_rows(sums, count: int | None = None) -> np.ndarray:
@@ -32,9 +32,8 @@ def order_rows(sums, count: int | None = None) -> np.ndarray:
     order = np.empty((groups, count), dtype=np.int64)
     if not count:
         return order
-    step = max(_TOPK_CHUNK // f_out, 1)  # groups are independent: order a chunk at a time
-    for start in range(0, groups, step):
-        chunk = np.ascontiguousarray(s[:, start : start + step].T)
+    for part in row_blocks(groups, f_out):  # groups are independent: a chunk at a time
+        chunk = np.ascontiguousarray(s[:, part].T)
         # candidates: the rows at or below each group's count-th smallest sum.
         # A stable argsort of "above" lists them first, in row order; sorting
         # as many leading rows as the widest group has candidates is enough,
@@ -44,7 +43,7 @@ def order_rows(sums, count: int | None = None) -> np.ndarray:
         width = f_out - int(above.sum(axis=1).min())
         rows = np.argsort(above, axis=1, kind="stable")[:, :width]
         ranked = np.argsort(np.take_along_axis(chunk, rows, axis=1), axis=1, kind="stable")
-        order[start : start + step] = np.take_along_axis(rows, ranked[:, :count], axis=1)
+        order[part] = np.take_along_axis(rows, ranked[:, :count], axis=1)
     return order
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from nmprune import masks, metrics
+from nmprune import metrics
 from nmprune import (
     ActivationNorms,
     ConfigError,
@@ -109,7 +109,7 @@ class TestImportanceSelect:
             scores = np.repeat(rng.standard_normal((rows, windows, 1)), m, axis=2).reshape(shape)
         else:
             scores = rng.choice([0.0, -0.0], size=shape)
-        with mock.patch.object(masks, "_TOPK_CHUNK", chunk):
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
             got = importance_select(scores, n, m)
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, helpers.top_k_per_window_oracle(scores, n, m))
@@ -243,8 +243,9 @@ class TestEggsPrune:
            st.integers(1, 1 << 9))
     @settings(max_examples=200, deadline=None)
     def test_matches_group_by_group_oracle(self, seed, m, n, f_out, groups, b, integer, chunk):
-        # a small _TOPK_CHUNK splits the kernel's row blocks: a partial last
-        # block, or one row per block when it is below the width
+        # a small _TOPK_CHUNK splits every pass of the prune: the kernel's
+        # row blocks, the top-k window chunks and order_rows' group chunks,
+        # with a partial last block, or one line per block below the width
         n = 1 + (n - 1) % (m - 1)
         rng = np.random.default_rng(seed)
         shape = (f_out, groups * m)
@@ -435,7 +436,7 @@ class TestCheckNmPattern:
         for _ in range(odd if cols else 0):
             mask[rng.integers(rows), rng.integers(cols)] = 2 if dtype is np.uint8 else 0.5
         want = check_whole(mask, n, m)
-        with mock.patch.object(masks, "_TOPK_CHUNK", chunk):
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
             got = helpers.outcome(check_nm_pattern, mask, n, m)[0]
         assert got == (None if want is None else (VerificationError, want))
 

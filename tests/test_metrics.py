@@ -280,6 +280,31 @@ class TestRowBlocks:
                 assert helpers.outcome(fn, w, act)[0] == want
 
 
+def check_row_blocks(count, width, blocks):
+    # the slices tile [0, count) in order, every block but the last full
+    lines = max(metrics._TOPK_CHUNK // max(width, 1), 1)
+    assert all(isinstance(b, slice) and b.step is None for b in blocks)
+    assert [b.start for b in blocks] == list(range(0, count, lines))
+    assert [b.stop for b in blocks] == [min(b.start + lines, count) for b in blocks]
+    assert all(0 < b.stop - b.start <= lines for b in blocks)
+    assert all(width * (b.stop - b.start) <= metrics._TOPK_CHUNK or b.stop - b.start == 1
+               for b in blocks)
+
+
+@given(st.integers(0, 100), st.integers(0, 80), st.integers(1, 64))
+@settings(max_examples=300, deadline=None)
+def test_row_blocks_tile_the_lines(count, width, chunk):
+    # widths above the patched constant give one line per block
+    with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+        check_row_blocks(count, width, metrics.row_blocks(count, width))
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 4097])
+@pytest.mark.parametrize("width", [0, 1, 64, 4096, (1 << 18) + 1, 1 << 20])
+def test_row_blocks_at_the_real_block_size(count, width):
+    check_row_blocks(count, width, metrics.row_blocks(count, width))
+
+
 REFUSALS = [
     pytest.param(lambda: ActivationNorms(np.ones((2, 2))), NMPruneError,
                  "activation norms must be a 1-D vector", id="2-d-norms"),

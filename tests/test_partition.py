@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from nmprune import (ActivationNorms, NMPruneError, assign_blocks, metrics, order_rows,
-                     partition, plan_groups, rri)
+                     plan_groups, rri)
 from nmprune.masks import ria_select
 
 
@@ -268,7 +268,7 @@ class TestChunkedOrder:
         # one group per chunk, then per_chunk groups, which leaves a partial
         # tail whenever per_chunk does not divide the group count
         for chunk in (f_out, per_chunk * f_out + f_out - 1):
-            with mock.patch.object(partition, "_TOPK_CHUNK", chunk):
+            with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
                 got = order_rows(sums, count)
             assert got.dtype == np.int64 and got.tobytes() == whole.tobytes()
             np.testing.assert_array_equal(got, want)

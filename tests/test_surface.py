@@ -84,3 +84,10 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported_names(tree) if name not in used] == []
+
+
+def test_only_metrics_names_the_block_size():
+    # every chunked pass takes its blocks from metrics.row_blocks
+    named = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if "_TOPK_CHUNK" in path.read_text()]
+    assert named == ["metrics.py"]

@@ -5,8 +5,8 @@ Usage (from the repository root):
 
     python3 tools/bench_pairs.py --base HEAD~1 --out BENCH_10.json --pairs 10 --seed 61
 
-The base commit is checked out with ``git worktree add --detach`` into a
-temporary directory, which is removed at the end. For every workload that
+The base commit is exported with ``git archive`` into a temporary
+directory, which is removed at the end. For every workload that
 BENCHMARK.json lists, pair i runs
 ``python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0``
 once in the working tree and once in the base checkout, with the same seed;
@@ -133,29 +133,29 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkout = Path(tmp) / "base"
-        git("worktree", "add", "--detach", str(checkout), base)
-        try:
-            for workload in (w["name"] for w in spec["workloads"]):
-                pairs = []
-                for i in range(args.pairs):
-                    seed = args.seed + i
-                    sides = [("after", ROOT), ("before", checkout)]
-                    pair = {side: run_once(spec["command"], root, workload, seed, seconds)
-                            for side, root in (sides if i % 2 == 0 else sides[::-1])}
-                    pairs.append(pair)
-                    print(f"{workload} seed {seed}: {json.dumps(pair)}", file=sys.stderr)
-                doc["untraced_pairs"][workload] = {
-                    str(args.seed + i): pair for i, pair in enumerate(pairs)}
-                ops = {side: operations([p[side] for p in pairs]) for side in ("before", "after")}
-                sound = all(ops["after"][k] <= ops["before"][k]
-                            for k in ("failed", "runs_unfinished_or_incorrect"))
-                doc["summary"][workload] = {
-                    m["name"]: compare(pairs, m["name"], m["better"], m["bound"], sound)
-                    for m in spec["end_to_end"]}
-                for side in ("before", "after"):
-                    doc["summary"][workload][f"{side}_operations"] = ops[side]
-        finally:
-            git("worktree", "remove", "--force", str(checkout))
+        checkout.mkdir()
+        archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(checkout)], input=archive, check=True)
+        for workload in (w["name"] for w in spec["workloads"]):
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                sides = [("after", ROOT), ("before", checkout)]
+                pair = {side: run_once(spec["command"], root, workload, seed, seconds)
+                        for side, root in (sides if i % 2 == 0 else sides[::-1])}
+                pairs.append(pair)
+                print(f"{workload} seed {seed}: {json.dumps(pair)}", file=sys.stderr)
+            doc["untraced_pairs"][workload] = {
+                str(args.seed + i): pair for i, pair in enumerate(pairs)}
+            ops = {side: operations([p[side] for p in pairs]) for side in ("before", "after")}
+            sound = all(ops["after"][k] <= ops["before"][k]
+                        for k in ("failed", "runs_unfinished_or_incorrect"))
+            doc["summary"][workload] = {
+                m["name"]: compare(pairs, m["name"], m["better"], m["bound"], sound)
+                for m in spec["end_to_end"]}
+            for side in ("before", "after"):
+                doc["summary"][workload][f"{side}_operations"] = ops[side]
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Peak RSS of each nmprune command on one synthetic layer, in fresh processes.
+
+Usage (from the repository root):
+
+    python3 tools/peak_rss.py --dims 4096x4096 --out peak_rss.json
+
+In a temporary directory this runs, each in its own child process:
+``gen`` of a gaussian layer (seed 0), ``prune`` of it with every method at
+2:4 and B=2, ``verify`` of the eggs bundle, and ``eval`` of all four
+methods. Every child imports nmprune from this checkout's ``src/``, runs
+one ``nmprune.cli.main`` call and reports its own ``ru_maxrss``, so each
+peak includes the interpreter and numpy but no other command. The output
+JSON maps each command to its peak in MiB. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+METHODS = ("magnitude", "wanda", "ria", "eggs")
+NM = ["--n", "2", "--m", "4", "--b", "2"]
+# runs one CLI call, then prints the process's peak RSS (KiB on Linux) last
+CHILD = ("import resource, sys\n"
+         "from nmprune.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+         "sys.exit(code)\n")
+
+
+def peak_mib(argv: list[str]) -> float:
+    """Peak RSS of one fresh process that runs ``nmprune argv``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env, capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"nmprune {' '.join(argv)} exited {proc.returncode}: {proc.stderr}")
+    return round(int(proc.stdout.split()[-1]) / 1024, 1)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dims", required=True, metavar="RxC", help="layer shape, as for gen")
+    parser.add_argument("--out", required=True, help="path of the JSON to write")
+    args = parser.parse_args(argv)
+    peaks = {}
+    with tempfile.TemporaryDirectory(prefix="peak_rss_") as tmp:
+        layer = str(Path(tmp) / "layer.t")
+        peaks["gen"] = peak_mib(["gen", "--out", layer, "--dims", args.dims])
+        for method in METHODS:
+            out = str(Path(tmp) / f"{method}.t")
+            peaks[f"prune --method {method}"] = peak_mib(
+                ["prune", "--in", layer, "--out", out, "--method", method, *NM])
+        peaks["verify"] = peak_mib(["verify", "--in", str(Path(tmp) / "eggs.t"), *NM])
+        peaks["eval"] = peak_mib(["eval", "--in", layer, *NM])
+    doc = {
+        "dims": args.dims,
+        "machine": f"{os.cpu_count()} CPUs, {platform.platform()}, "
+                   f"Python {platform.python_version()}",
+        "unit": "MiB",
+        "peak_rss": peaks,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

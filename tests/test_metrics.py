@@ -286,7 +286,6 @@ def check_row_blocks(count, width, blocks):
     assert all(isinstance(b, slice) and b.step is None for b in blocks)
     assert [b.start for b in blocks] == list(range(0, count, lines))
     assert [b.stop for b in blocks] == [min(b.start + lines, count) for b in blocks]
-    assert all(0 < b.stop - b.start <= lines for b in blocks)
     assert all(width * (b.stop - b.start) <= metrics._TOPK_CHUNK or b.stop - b.start == 1
                for b in blocks)
 

@@ -7,14 +7,14 @@ masks either purely by score or with a connectivity-aware strategy that
 guarantees every input channel keeps a minimum number of connections.
 Masks can be checked as bipartite graphs: exact degree laws always, and
 exact vertex-expansion ratios over all subsets at desk scale.
+
+``import nmprune`` gives the user API below. The pipeline's building blocks
+(scores, group planning, mask selection, permutation) are reached through
+their modules: ``nmprune.metrics``, ``nmprune.partition``, ``nmprune.masks``
+and ``nmprune.permute``.
 """
 
-from .errors import (
-    ConfigError,
-    FormatError,
-    NMPruneError,
-    VerificationError,
-)
+from .errors import ConfigError, FormatError, NMPruneError, VerificationError
 from .graphs import (
     ENUM_VERTEX_LIMIT,
     DegreeLawReport,
@@ -36,39 +36,9 @@ from .harness import (
     reports_to_csv,
     reports_to_json,
 )
-from .masks import (
-    PruneConfig,
-    apply_mask,
-    check_nm_pattern,
-    connectivity_select,
-    diagonal_select,
-    eggs_prune,
-    importance_select,
-)
-from .metrics import (
-    ActivationNorms,
-    channel_scores,
-    magnitude_score,
-    ria,
-    rri,
-    wanda_score,
-)
-from .partition import (
-    assign_blocks,
-    order_rows,
-    plan_groups,
-)
-from .permute import (
-    ChannelPermutation,
-    apply_to_columns,
-    build_permutation,
-    load_permutation,
-    save_permutation,
-    unpermute_mask,
-)
-from .tensor_store import (
-    load_bundle,
-    save_bundle,
-)
+from .masks import PruneConfig, apply_mask, check_nm_pattern
+from .metrics import ActivationNorms
+from .permute import ChannelPermutation, load_permutation, save_permutation
+from .tensor_store import load_bundle, save_bundle
 
 __version__ = "0.1.0"

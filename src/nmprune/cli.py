@@ -39,32 +39,17 @@ from .permute import save_permutation, unpermute_mask
 from .tensor_store import BlockSource, load_bundle, save_bundle
 
 
-def _parse_dims(text: str):
-    try:
-        rows, _, cols = text.lower().partition("x")
-        return int(rows), int(cols)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected ROWSxCOLS, got {text!r}")
-
-
-def _parse_b_range(text: str):
-    lo, sep, hi = text.partition("..")
-    if sep != "..":
-        raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
-
-
-def _parse_fraction(text: str) -> Fraction:
-    num, sep, den = text.partition("/")
-    if sep != "/":
-        raise argparse.ArgumentTypeError(f"expected NUM/DEN, got {text!r}")
-    try:
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected NUM/DEN, got {text!r}")
+def _pair(sep: str, form: str, build):
+    """argparse type for ``A<sep>B``: both sides as ints, passed to ``build``."""
+    def parse(text: str):
+        a, found, b = text.lower().partition(sep)
+        try:
+            if found:
+                return build(int(a), int(b))
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+    return parse
 
 
 def _fetch(bundle: dict, name: str):
@@ -235,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a synthetic layer bundle")
     p.add_argument("--out", required=True)
-    p.add_argument("--dims", type=_parse_dims, required=True, metavar="RxC")
+    p.add_argument("--dims", type=_pair("x", "ROWSxCOLS", lambda *rc: rc), required=True,
+                   metavar="RxC")
     p.add_argument("--profile", choices=PROFILES, default="gaussian")
     p.add_argument("--k", type=int, default=1, help="dead column count for dead-columns")
     p.add_argument("--seed", type=int, default=0)
@@ -254,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a mask's window counts, degree laws, and expansion")
     p.add_argument("--in", dest="infile", required=True)
     add_nm(p, b_default=0)
-    p.add_argument("--c", type=_parse_fraction, default=None, metavar="NUM/DEN",
+    p.add_argument("--c", type=_pair("/", "NUM/DEN", Fraction), default=None, metavar="NUM/DEN",
                    help="subset fraction for expansion enumeration")
     p.set_defaults(func=_cmd_verify)
 
@@ -269,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the connectivity method across a range of block counts")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--b-range", dest="b_range", type=_parse_b_range, required=True,
-                   metavar="LO..HI")
+    p.add_argument("--b-range", dest="b_range", type=_pair("..", "LO..HI", lambda *lohi: lohi),
+                   required=True, metavar="LO..HI")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)

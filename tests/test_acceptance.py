@@ -20,24 +20,21 @@ from nmprune import (
     ActivationNorms,
     ChannelPermutation,
     PruneConfig,
-    apply_to_columns,
     brute_force_expansion,
-    build_permutation,
-    channel_scores,
     check_nm_pattern,
     compare_methods,
-    diagonal_select,
     gen_synthetic,
     load_bundle,
     mask_to_graph,
     norms_from_batch,
     prune_with_method,
-    ria,
-    rri,
     save_bundle,
     verify_degree_laws,
 )
 from nmprune.cli import main as cli_main
+from nmprune.masks import diagonal_select
+from nmprune.metrics import channel_scores, ria, rri
+from nmprune.permute import apply_to_columns, build_permutation
 
 CONFIGS = [(2, 4), (4, 8), (1, 4), (2, 8)]
 B_VALUES = (0, 1, 2, 3)

@@ -437,6 +437,8 @@ class TestDeadChannels:
 
 
 REFUSALS = [
+    pytest.param(["gen", "--out", "{tmp}/x.npz", "--dims", "8x"], 2,
+                 "argument --dims: expected ROWSxCOLS, got '8x'", id="dims-empty-side"),
     pytest.param(["sweep", "--in", "{src}", "--b-range", "1-3", "--n", "2", "--m", "4"], 2,
                  "argument --b-range: expected LO..HI, got '1-3'", id="b-range-separator"),
     pytest.param(["sweep", "--in", "{src}", "--b-range", "a..3", "--n", "2", "--m", "4"], 2,

@@ -13,10 +13,10 @@ from nmprune import (
     NMPruneError,
     PruneConfig,
     brute_force_expansion,
-    eggs_prune,
     mask_to_graph,
     verify_degree_laws,
 )
+from nmprune.masks import eggs_prune
 
 
 class TestMaskToGraph:

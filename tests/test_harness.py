@@ -18,7 +18,6 @@ from nmprune import (
     PruneConfig,
     compare_methods,
     gen_synthetic,
-    importance_select,
     norms_from_batch,
     prune_with_method,
     reconstruction_error,
@@ -26,6 +25,7 @@ from nmprune import (
     reports_to_json,
 )
 from nmprune.harness import sweep_blocks
+from nmprune.masks import importance_select
 
 
 class TestGenSynthetic:

@@ -19,14 +19,11 @@ from nmprune import (
     VerificationError,
     apply_mask,
     check_nm_pattern,
-    connectivity_select,
-    diagonal_select,
-    eggs_prune,
-    importance_select,
     prune_with_method,
-    ria,
     verify_degree_laws,
 )
+from nmprune.masks import connectivity_select, diagonal_select, eggs_prune, importance_select
+from nmprune.metrics import ria
 
 
 class TestPruneConfig:

@@ -8,18 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from nmprune import (
-    ActivationNorms,
-    NMPruneError,
-    channel_scores,
-    magnitude_score,
-    ria,
-    apply_to_columns,
-    build_permutation,
-    rri,
-    wanda_score,
-)
+from nmprune import ActivationNorms, NMPruneError
 from nmprune import metrics
+from nmprune.metrics import channel_scores, magnitude_score, ria, rri, wanda_score
+from nmprune.permute import apply_to_columns, build_permutation
 
 
 class TestRri:

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from nmprune import (ActivationNorms, NMPruneError, assign_blocks, metrics, order_rows,
-                     plan_groups, rri)
+from nmprune import ActivationNorms, NMPruneError, metrics
 from nmprune.masks import ria_select
+from nmprune.metrics import rri
+from nmprune.partition import assign_blocks, order_rows, plan_groups
 
 
 def group_sums(w, m):

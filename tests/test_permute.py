@@ -10,12 +10,10 @@ from nmprune import (
     ChannelPermutation,
     FormatError,
     NMPruneError,
-    apply_to_columns,
-    build_permutation,
     load_permutation,
     save_permutation,
-    unpermute_mask,
 )
+from nmprune.permute import apply_to_columns, build_permutation, unpermute_mask
 
 
 class TestBuildPermutation:
@@ -98,7 +96,7 @@ class TestApply:
             apply_to_columns(np.ones((2, 3)), ChannelPermutation(np.arange(4)))
 
     def test_total_importance_preserved(self):
-        from nmprune import channel_scores
+        from nmprune.metrics import channel_scores
 
         rng = np.random.default_rng(23)
         scores = rng.uniform(size=(5, 8))

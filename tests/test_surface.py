@@ -1,6 +1,7 @@
 """The package's public names, and no stale imports inside it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -25,36 +26,21 @@ EXPORTS = [
     "PruneResult",
     "VerificationError",
     "apply_mask",
-    "apply_to_columns",
-    "assign_blocks",
     "brute_force_expansion",
-    "build_permutation",
-    "channel_scores",
     "check_nm_pattern",
     "compare_methods",
-    "connectivity_select",
-    "diagonal_select",
-    "eggs_prune",
     "gen_synthetic",
-    "importance_select",
     "load_bundle",
     "load_permutation",
-    "magnitude_score",
     "mask_to_graph",
     "norms_from_batch",
-    "order_rows",
-    "plan_groups",
     "prune_with_method",
     "reconstruction_error",
     "reports_to_csv",
     "reports_to_json",
-    "ria",
-    "rri",
     "save_bundle",
     "save_permutation",
-    "unpermute_mask",
     "verify_degree_laws",
-    "wanda_score",
 ]
 
 
@@ -73,6 +59,23 @@ def test_exports_are_pinned():
     tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
     assert sorted(imported_names(tree)) == EXPORTS
     assert all(hasattr(nmprune, name) for name in EXPORTS)
+
+
+# the pipeline's steps, each public under its own module only
+BUILDING_BLOCKS = {
+    "metrics": ["ria", "rri", "magnitude_score", "wanda_score", "channel_scores"],
+    "partition": ["order_rows", "assign_blocks", "plan_groups"],
+    "masks": ["importance_select", "connectivity_select", "diagonal_select", "eggs_prune"],
+    "permute": ["build_permutation", "apply_to_columns", "unpermute_mask"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(BUILDING_BLOCKS))
+def test_building_blocks_have_one_public_name(module):
+    home = importlib.import_module(f"nmprune.{module}")
+    names = BUILDING_BLOCKS[module]
+    assert [name for name in names if not callable(getattr(home, name, None))] == []
+    assert [name for name in names if hasattr(nmprune, name)] == []
 
 
 # __init__.py is left out: its imports are the exports pinned above

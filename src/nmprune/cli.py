@@ -58,14 +58,14 @@ def _fetch(bundle: dict, name: str):
     return bundle[name]
 
 
-def _read_acts(bundle: dict, args):
+def _read_acts(bundle: dict, alpha: float):
     """Activation norms with --alpha, and the calibration batch or None: a 1-D
-    entry holds norms, a 2-D entry is a batch the norms are taken from."""
-    arr = _fetch(bundle, args.acts)
+    ``Z`` holds norms, a 2-D ``Z`` is a batch the norms are taken from."""
+    arr = _fetch(bundle, "Z")
     if arr.ndim == 1:
-        return ActivationNorms(arr, args.alpha), None
+        return ActivationNorms(arr, alpha), None
     if arr.ndim == 2:
-        return norms_from_batch(arr, args.alpha), arr
+        return norms_from_batch(arr, alpha), arr
     raise NMPruneError("activation tensor must be a norms vector or a channels x samples batch")
 
 
@@ -80,7 +80,7 @@ def _config(args) -> PruneConfig:
 def _cmd_gen(args) -> int:
     f_out, f_in = args.dims
     w, z = gen_synthetic(args.seed, f_out, f_in, profile=args.profile, k=args.k)
-    save_bundle({args.weights: w, args.acts: z}, args.out)
+    save_bundle({"W": w, "Z": z}, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -88,10 +88,10 @@ def _cmd_gen(args) -> int:
 def _cmd_prune(args) -> int:
     cfg = _config(args)
     bundle = load_bundle(args.infile)
-    _fetch(bundle, args.weights)
-    norms = None if args.method == "magnitude" else _read_acts(bundle, args)[0]
+    _fetch(bundle, "W")
+    norms = None if args.method == "magnitude" else _read_acts(bundle, args.alpha)[0]
     # the bundle gives up W, so W_perm can replace it in memory
-    res = prune_with_method(bundle.pop(args.weights), norms, cfg, args.method)
+    res = prune_with_method(bundle.pop("W"), norms, cfg, args.method)
     w, mask, perm = res.weights, np.asarray(res.mask, dtype=np.uint8), res.permutation
     rows = row_blocks(*w.shape)
     entries = {
@@ -170,10 +170,10 @@ def _cmd_eval(args) -> int:
     if not methods:
         raise ConfigError("no methods requested")
     bundle = load_bundle(args.infile)
-    w = _fetch(bundle, args.weights)
+    w = _fetch(bundle, "W")
     norms, z = None, None
     if any(m != "magnitude" for m in methods):
-        norms, z = _read_acts(bundle, args)
+        norms, z = _read_acts(bundle, args.alpha)
     reports = compare_methods(w, norms, cfg, methods, z)
     print(reports_to_json(reports))
     if args.csv:
@@ -190,8 +190,8 @@ def _cmd_sweep(args) -> int:
     if b_lo < 0 or b_hi < b_lo:
         raise ConfigError(f"bad block-count range {b_lo}..{b_hi}")
     bundle = load_bundle(args.infile)
-    w = _fetch(bundle, args.weights)
-    norms, z = _read_acts(bundle, args)
+    w = _fetch(bundle, "W")
+    norms, z = _read_acts(bundle, args.alpha)
     bs = range(b_lo, b_hi + 1)
     rows = ["B,error,corrupted,min_in_degree,lemma1_pass"]
     for b, r in zip(bs, sweep_blocks(w, norms, args.n, args.m, bs, z)):
@@ -214,10 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", type=int, default=b_default,
                        help="connectivity blocks per pruning group")
 
-    def add_names(p):
-        p.add_argument("--weights", default="W", help="weight tensor name in the bundle")
-        p.add_argument("--acts", default="Z", help="activation tensor name in the bundle")
-
     p = sub.add_parser("gen", help="write a synthetic layer bundle")
     p.add_argument("--out", required=True)
     p.add_argument("--dims", type=_pair("x", "ROWSxCOLS", lambda *rc: rc), required=True,
@@ -225,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=PROFILES, default="gaussian")
     p.add_argument("--k", type=int, default=1, help="dead column count for dead-columns")
     p.add_argument("--seed", type=int, default=0)
-    add_names(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("prune", help="prune one layer bundle")
@@ -234,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, required=True)
     add_nm(p, b_default=1)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    add_names(p)
     p.set_defaults(func=_cmd_prune)
 
     p = sub.add_parser("verify", help="check a mask's window counts, degree laws, and expansion")
@@ -250,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_nm(p, b_default=1)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--csv", default=None, help="also write a CSV summary here")
-    add_names(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="run the connectivity method across a range of block counts")
@@ -260,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    add_names(p)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

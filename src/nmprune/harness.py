@@ -37,7 +37,10 @@ def gen_synthetic(seed, f_out: int, f_in: int, profile: str = "gaussian", k: int
         raise ConfigError(f"unknown profile {profile!r}")
     if profile == "dead-columns" and not 1 <= k <= f_in - 1:
         raise ConfigError(f"dead-columns needs 1 <= k <= {f_in - 1}, got {k}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}") from exc
     if profile == "heavy-tail":
         w = rng.standard_t(df=2, size=(f_out, f_in))
     else:

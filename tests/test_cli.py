@@ -439,6 +439,11 @@ class TestDeadChannels:
 REFUSALS = [
     pytest.param(["gen", "--out", "{tmp}/x.npz", "--dims", "8x"], 2,
                  "argument --dims: expected ROWSxCOLS, got '8x'", id="dims-empty-side"),
+    pytest.param(["gen", "--out", "{tmp}/x.t", "--dims", "4x4", "--seed", "-1"], 2,
+                 "seed must be a non-negative integer, got -1", id="negative-seed"),
+    pytest.param(["prune", "--in", "{src}", "--out", "{tmp}/x.t", "--method", "ria", "--n", "2",
+                  "--m", "4", "--weights", "W"], 2,
+                 "unrecognized arguments: --weights W", id="no-weights-flag"),
     pytest.param(["sweep", "--in", "{src}", "--b-range", "1-3", "--n", "2", "--m", "4"], 2,
                  "argument --b-range: expected LO..HI, got '1-3'", id="b-range-separator"),
     pytest.param(["sweep", "--in", "{src}", "--b-range", "a..3", "--n", "2", "--m", "4"], 2,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nmprune import save_bundle
+from nmprune import load_bundle, save_bundle
 from nmprune.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -100,8 +100,10 @@ def cli_records(tmp: Path) -> dict:
     run("verify-missing", "verify", "--in", tmp / "missing.t", *NM)
     run("eval-alpha", "eval", "--in", gauss, "--methods", "ria,eggs", *NM, "--alpha", "0.25")
     run("eval-no-methods", "eval", "--in", gauss, "--methods", ",", *NM)
-    run("eval-magnitude-only", "eval", "--in", gauss, "--methods", "magnitude", *NM,
-        "--acts", "absent")
+    # a magnitude-only eval reads no activations: the bundle holds W alone
+    w_only = tmp / "w-only.t"
+    save_bundle({"W": load_bundle(gauss)["W"]}, w_only)
+    run("eval-magnitude-only", "eval", "--in", w_only, "--methods", "magnitude", *NM)
     run("sweep-reversed", "sweep", "--in", gauss, "--b-range", "3..1", *NM)
     run("sweep-clamped", "sweep", "--in", tmp / "clamped.t", "--b-range", "1..4", *NM)
     run("prune-odd-m", "prune", "--in", gauss, "--out", tmp / "odd.t", "--method", "ria",

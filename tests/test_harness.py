@@ -222,6 +222,8 @@ REFUSALS = [
                  id="no-rows"),
     pytest.param(lambda: gen_synthetic(0, 4, 0), ConfigError, "dimensions must be at least 1",
                  id="no-columns"),
+    pytest.param(lambda: gen_synthetic(-1, 4, 4), ConfigError,
+                 "seed must be a non-negative integer, got -1", id="negative-seed"),
     pytest.param(lambda: norms_from_batch(np.ones(4)), NMPruneError,
                  "calibration batch must be channels x samples", id="1-d-batch"),
     pytest.param(lambda: reconstruction_error(np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 1))),

@@ -1,5 +1,6 @@
-"""The package's public names, and no stale imports inside it."""
+"""The package's public names, the CLI's options, and no stale imports inside it."""
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import nmprune
+from nmprune.cli import build_parser
 
 PACKAGE_DIR = Path(nmprune.__file__).parent
 
@@ -76,6 +78,25 @@ def test_building_blocks_have_one_public_name(module):
     names = BUILDING_BLOCKS[module]
     assert [name for name in names if not callable(getattr(home, name, None))] == []
     assert [name for name in names if hasattr(nmprune, name)] == []
+
+
+# every option each subcommand accepts, -h aside: a new flag is a deliberate edit
+CLI_OPTIONS = {
+    "gen": ["--dims", "--k", "--out", "--profile", "--seed"],
+    "prune": ["--alpha", "--b", "--in", "--m", "--method", "--n", "--out"],
+    "verify": ["--b", "--c", "--in", "--m", "--n"],
+    "eval": ["--alpha", "--b", "--csv", "--in", "--m", "--methods", "--n"],
+    "sweep": ["--alpha", "--b-range", "--in", "--m", "--n"],
+}
+
+
+def test_cli_options():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: sorted(opt for action in p._actions for opt in action.option_strings
+                        if opt not in ("-h", "--help"))
+           for name, p in sub.choices.items()}
+    assert got == CLI_OPTIONS
+    assert sum(map(len, got.values())) == 29
 
 
 # __init__.py is left out: its imports are the exports pinned above

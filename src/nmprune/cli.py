@@ -58,23 +58,20 @@ def _fetch(bundle: dict, name: str):
     return bundle[name]
 
 
-def _read_acts(bundle: dict, alpha: float):
-    """Activation norms with --alpha, and the calibration batch or None: a 1-D
-    ``Z`` holds norms, a 2-D ``Z`` is a batch the norms are taken from."""
-    arr = _fetch(bundle, "Z")
-    if arr.ndim == 1:
-        return ActivationNorms(arr, alpha), None
-    if arr.ndim == 2:
-        return norms_from_batch(arr, alpha), arr
-    raise NMPruneError("activation tensor must be a norms vector or a channels x samples batch")
-
-
-def _config(args) -> PruneConfig:
-    """prune's and eval's config; alpha is checked even where no norms are built."""
-    cfg = PruneConfig(args.n, args.m, args.b)
+def _read_layer(args):
+    """The bundle, with ``W`` checked, plus activation norms with --alpha and
+    the calibration batch, both None when there is no ``Z``: a 1-D ``Z`` holds
+    norms, a 2-D ``Z`` is a batch the norms are taken from."""
     if not np.isfinite(args.alpha):
         raise ConfigError("alpha must be finite")
-    return cfg
+    bundle = load_bundle(args.infile)
+    _fetch(bundle, "W")
+    z = bundle.get("Z")
+    if z is not None and z.ndim == 1:
+        return bundle, ActivationNorms(z, args.alpha), None
+    if z is not None and z.ndim != 2:
+        raise NMPruneError("activation tensor must be a norms vector or a channels x samples batch")
+    return bundle, None if z is None else norms_from_batch(z, args.alpha), z
 
 
 def _cmd_gen(args) -> int:
@@ -86,10 +83,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    cfg = _config(args)
-    bundle = load_bundle(args.infile)
-    _fetch(bundle, "W")
-    norms = None if args.method == "magnitude" else _read_acts(bundle, args.alpha)[0]
+    cfg = PruneConfig(args.n, args.m, args.b)
+    bundle, norms, _ = _read_layer(args)
     # the bundle gives up W, so W_perm can replace it in memory
     res = prune_with_method(bundle.pop("W"), norms, cfg, args.method)
     w, mask, perm = res.weights, np.asarray(res.mask, dtype=np.uint8), res.permutation
@@ -165,16 +160,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _config(args)
+    cfg = PruneConfig(args.n, args.m, args.b)
     methods = [s.strip() for s in args.methods.split(",") if s.strip()]
     if not methods:
         raise ConfigError("no methods requested")
-    bundle = load_bundle(args.infile)
-    w = _fetch(bundle, "W")
-    norms, z = None, None
-    if any(m != "magnitude" for m in methods):
-        norms, z = _read_acts(bundle, args.alpha)
-    reports = compare_methods(w, norms, cfg, methods, z)
+    bundle, norms, z = _read_layer(args)
+    reports = compare_methods(bundle["W"], norms, cfg, methods, z)
     print(reports_to_json(reports))
     if args.csv:
         try:
@@ -189,12 +180,10 @@ def _cmd_sweep(args) -> int:
     b_lo, b_hi = args.b_range
     if b_lo < 0 or b_hi < b_lo:
         raise ConfigError(f"bad block-count range {b_lo}..{b_hi}")
-    bundle = load_bundle(args.infile)
-    w = _fetch(bundle, "W")
-    norms, z = _read_acts(bundle, args.alpha)
+    bundle, norms, z = _read_layer(args)
     bs = range(b_lo, b_hi + 1)
     rows = ["B,error,corrupted,min_in_degree,lemma1_pass"]
-    for b, r in zip(bs, sweep_blocks(w, norms, args.n, args.m, bs, z)):
+    for b, r in zip(bs, sweep_blocks(bundle["W"], norms, args.n, args.m, bs, z)):
         rows.append(f"{b},{r.error!r},{r.corrupted},{r.min_in_degree},"
                     f"{str(r.lemma1_pass).lower()}")
     print("\n".join(rows))

@@ -83,15 +83,6 @@ class TestPrune:
         bundle = load_bundle(out)
         assert set(bundle) == {"mask", "W_pruned"}
 
-    def test_missing_acts_is_pipeline_error(self, tmp_path, capsys):
-        w = load_bundle(gen_layer(tmp_path))["W"]
-        only_w = tmp_path / "w_only.tensors"
-        save_bundle({"W": w}, only_w)
-        code = run("prune", "--in", str(only_w), "--out", str(tmp_path / "x"),
-                   "--method", "eggs", "--n", "2", "--m", "4")
-        assert code == 1
-        assert "no tensor named" in capsys.readouterr().err
-
     def test_deterministic_reruns(self, tmp_path):
         src = gen_layer(tmp_path)
         out1, out2 = tmp_path / "p1.tensors", tmp_path / "p2.tensors"
@@ -235,11 +226,34 @@ class TestEval:
         save_bundle({"W": np.ones((8, 8), dtype=np.float32),
                      "Z": np.ones((8, 2, 2), dtype=np.float32)}, path)
         capsys.readouterr()
-        for argv in (["eval"], ["sweep", "--b-range", "0..1"],
-                     ["prune", "--out", str(tmp_path / "x"), "--method", "ria"]):
+        prune = ["prune", "--out", str(tmp_path / "x"), "--method"]
+        for argv in (["eval"], ["eval", "--methods", "magnitude"], ["sweep", "--b-range", "0..1"],
+                     [*prune, "ria"], [*prune, "magnitude"]):
             assert run(*argv, "--in", str(path), "--n", "2", "--m", "4") == 1
             assert capsys.readouterr().err == (
                 "error: activation tensor must be a norms vector or a channels x samples batch\n")
+
+    def test_each_row_as_in_the_four_method_eval(self, tmp_path, capsys):
+        """A method's report does not depend on the others asked for: every
+        command reads the batch whenever the bundle holds one."""
+        src = gen_layer(tmp_path, dims="16x16", seed=3)
+        nm = ["--n", "2", "--m", "4", "--b", "2"]
+        capsys.readouterr()
+        assert run("eval", "--in", str(src), *nm) == 0
+        together = json.loads(capsys.readouterr().out)
+        for row in together:
+            assert run("eval", "--in", str(src), "--methods", row["method"], *nm) == 0
+            assert json.loads(capsys.readouterr().out) == [row]
+
+    def test_indivisible_width_one_refusal(self, tmp_path, capsys):
+        src = gen_layer(tmp_path, dims="8x6")
+        prune = ["prune", "--out", str(tmp_path / "x"), "--method"]
+        capsys.readouterr()
+        for argv in (["eval", "--methods", "magnitude"], ["eval", "--methods", "ria"], ["eval"],
+                     ["sweep", "--b-range", "0..2"],
+                     *([*prune, method] for method in ("magnitude", "ria", "eggs"))):
+            assert run(*argv, "--in", str(src), "--n", "2", "--m", "4") == 1
+            assert capsys.readouterr().err == "error: 6 columns not divisible by window width 4\n"
 
 
 class TestSweep:
@@ -457,12 +471,22 @@ REFUSALS = [
     pytest.param(["eval", "--in", "{src}", "--n", "2", "--m", "4", "--csv", "{tmp}"], 1,
                  "cannot write {tmp}: [Errno 21] Is a directory: '{tmp}'",
                  id="csv-unwritable"),
+    # a bundle without Z: the harness refuses each method that needs activations
+    pytest.param(["prune", "--in", "{w_only}", "--out", "{tmp}/x.t", "--method", "eggs", "--n",
+                  "2", "--m", "4"], 2, "method 'eggs' requires activation norms",
+                 id="prune-eggs-no-acts"),
+    pytest.param(["eval", "--in", "{w_only}", "--methods", "ria", "--n", "2", "--m", "4"], 2,
+                 "method 'ria' requires activation norms", id="eval-ria-no-acts"),
+    pytest.param(["sweep", "--in", "{w_only}", "--b-range", "0..1", "--n", "2", "--m", "4"], 2,
+                 "method 'eggs' requires activation norms", id="sweep-no-acts"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, message", REFUSALS)
 def test_refusals(tmp_path, capsys, argv, code, message):
-    names = {"src": str(gen_layer(tmp_path)), "tmp": str(tmp_path)}
+    names = {"src": str(gen_layer(tmp_path)), "tmp": str(tmp_path),
+             "w_only": str(tmp_path / "w_only.t")}
+    save_bundle({"W": load_bundle(names["src"])["W"]}, names["w_only"])
     try:
         got = run(*(a.format(**names) for a in argv))
     except SystemExit as exc:  # argparse refuses a malformed value itself

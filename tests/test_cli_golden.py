@@ -104,6 +104,8 @@ def cli_records(tmp: Path) -> dict:
     w_only = tmp / "w-only.t"
     save_bundle({"W": load_bundle(gauss)["W"]}, w_only)
     run("eval-magnitude-only", "eval", "--in", w_only, "--methods", "magnitude", *NM)
+    # with a batch in the bundle, magnitude's error is measured on it, as beside other methods
+    run("eval-magnitude-batch", "eval", "--in", gauss, "--methods", "magnitude", *NM)
     run("sweep-reversed", "sweep", "--in", gauss, "--b-range", "3..1", *NM)
     run("sweep-clamped", "sweep", "--in", tmp / "clamped.t", "--b-range", "1..4", *NM)
     run("prune-odd-m", "prune", "--in", gauss, "--out", tmp / "odd.t", "--method", "ria",

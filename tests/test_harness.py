@@ -208,13 +208,34 @@ class TestMemory:
     def test_traced_peak_of_a_1024_prune(self, method, mib):
         w, z = gen_synthetic(3, 1024, 1024)
         norms = norms_from_batch(z)
-        tracemalloc.start()
-        try:
-            prune_with_method(w, norms, PruneConfig(2, 4, 2), method)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < mib * 2**20
+        assert traced_peak(prune_with_method, w, norms, PruneConfig(2, 4, 2), method) < (
+            mib * 2**20)
+
+    # eval's library path, whose full-size float64 copies are still held:
+    # 18.6 MiB for compare_methods and 18.3 for sweep_blocks when these bounds were set
+    def test_traced_peak_of_a_1024_compare(self):
+        w, z = gen_synthetic(3, 1024, 1024)
+        norms = norms_from_batch(z)
+        assert traced_peak(compare_methods, w, norms, PruneConfig(2, 4, 2), METHODS, z) < (
+            20 * 2**20)
+
+    def test_traced_peak_of_a_1024_sweep(self):
+        w, z = gen_synthetic(3, 1024, 1024)
+        norms = norms_from_batch(z)
+        assert traced_peak(sweep_blocks, w, norms, 2, 4, range(5), z) < 20 * 2**20
+
+    def test_traced_peak_of_a_1024_gen(self):
+        # 13.1 MiB when set: the layer is drawn in float64, then cast
+        assert traced_peak(gen_synthetic, 3, 1024, 1024) < 14 * 2**20
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 REFUSALS = [
@@ -231,6 +252,9 @@ REFUSALS = [
                  id="mask-shape"),
     pytest.param(lambda: prune_with_method(np.ones((4, 4)), None, PruneConfig(2, 4), "random"),
                  ConfigError, "unknown method 'random'", id="unknown-method"),
+    pytest.param(lambda: prune_with_method(np.ones((4, 6)), ActivationNorms(np.ones(6)),
+                                           PruneConfig(2, 4), "ria"),
+                 NMPruneError, "6 columns not divisible by window width 4", id="indivisible-ria"),
 ]
 
 

@@ -115,3 +115,13 @@ def test_only_metrics_names_the_block_size():
     named = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
              if "_TOPK_CHUNK" in path.read_text()]
     assert named == ["metrics.py"]
+
+
+def test_cli_names_no_method():
+    # which methods need activations is the harness's rule; the CLI takes the names from it
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    strings = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert [s for s in strings if set(s.split(",")) & set(nmprune.METHODS)] == []
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "harness"
+               and "METHODS" in [alias.name for alias in node.names] for node in ast.walk(tree))

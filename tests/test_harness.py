@@ -203,25 +203,27 @@ class TestMemory:
     rri is held, and order_rows sorts a chunk of groups at a time. W itself,
     made before tracing starts, is not counted."""
 
+    @pytest.fixture(scope="class")
+    def layer(self):
+        w, z = gen_synthetic(3, 1024, 1024)
+        return w, norms_from_batch(z), z
+
     @pytest.mark.parametrize("method, mib", [("eggs", 15), ("ria", 13), ("magnitude", 7),
                                              ("wanda", 7)])
-    def test_traced_peak_of_a_1024_prune(self, method, mib):
-        w, z = gen_synthetic(3, 1024, 1024)
-        norms = norms_from_batch(z)
+    def test_traced_peak_of_a_1024_prune(self, layer, method, mib):
+        w, norms, _ = layer
         assert traced_peak(prune_with_method, w, norms, PruneConfig(2, 4, 2), method) < (
             mib * 2**20)
 
     # eval's library path, whose full-size float64 copies are still held:
     # 18.6 MiB for compare_methods and 18.3 for sweep_blocks when these bounds were set
-    def test_traced_peak_of_a_1024_compare(self):
-        w, z = gen_synthetic(3, 1024, 1024)
-        norms = norms_from_batch(z)
+    def test_traced_peak_of_a_1024_compare(self, layer):
+        w, norms, z = layer
         assert traced_peak(compare_methods, w, norms, PruneConfig(2, 4, 2), METHODS, z) < (
             20 * 2**20)
 
-    def test_traced_peak_of_a_1024_sweep(self):
-        w, z = gen_synthetic(3, 1024, 1024)
-        norms = norms_from_batch(z)
+    def test_traced_peak_of_a_1024_sweep(self, layer):
+        w, norms, z = layer
         assert traced_peak(sweep_blocks, w, norms, 2, 4, range(5), z) < 20 * 2**20
 
     def test_traced_peak_of_a_1024_gen(self):

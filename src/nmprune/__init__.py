@@ -33,8 +33,6 @@ from .harness import (
     norms_from_batch,
     prune_with_method,
     reconstruction_error,
-    reports_to_csv,
-    reports_to_json,
 )
 from .masks import PruneConfig, apply_mask, check_nm_pattern
 from .metrics import ActivationNorms

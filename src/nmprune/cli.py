@@ -29,14 +29,12 @@ from .harness import (
     gen_synthetic,
     norms_from_batch,
     prune_with_method,
-    reports_to_csv,
-    reports_to_json,
     sweep_blocks,
 )
 from .masks import PruneConfig, apply_mask, check_nm_pattern
 from .metrics import DEFAULT_ALPHA, ActivationNorms, row_blocks
 from .permute import save_permutation, unpermute_mask
-from .tensor_store import BlockSource, load_bundle, save_bundle
+from .tensor_store import BlockSource, load_bundle, save_bundle, write_atomic
 
 
 def _pair(sep: str, form: str, build):
@@ -159,6 +157,25 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _csv_row(*cells) -> str:
+    """One CSV line: a float as its repr, a bool in lower case, None as an empty cell."""
+    return ",".join("" if c is None else str(c).lower() if isinstance(c, bool) else str(c)
+                    for c in cells)
+
+
+def _report_doc(report) -> dict:
+    """One eval report as JSON: ``lemma1_pass`` only where it is known."""
+    doc = {
+        "method": report.method,
+        "error": report.error,
+        "corrupted": report.corrupted,
+        "retained_fraction": report.retained_fraction,
+    }
+    if report.lemma1_pass is not None:
+        doc["lemma1_pass"] = report.lemma1_pass
+    return doc
+
+
 def _cmd_eval(args) -> int:
     cfg = PruneConfig(args.n, args.m, args.b)
     methods = [s.strip() for s in args.methods.split(",") if s.strip()]
@@ -166,13 +183,11 @@ def _cmd_eval(args) -> int:
         raise ConfigError("no methods requested")
     bundle, norms, z = _read_layer(args)
     reports = compare_methods(bundle["W"], norms, cfg, methods, z)
-    print(reports_to_json(reports))
+    print(json.dumps([_report_doc(r) for r in reports]))
     if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(reports_to_csv(reports))
-        except OSError as exc:
-            raise NMPruneError(f"cannot write {args.csv}: {exc}") from exc
+        lines = [_csv_row("method", "error", "corrupted", "lemma1_pass")]
+        lines += [_csv_row(r.method, r.error, r.corrupted, r.lemma1_pass) for r in reports]
+        write_atomic(args.csv, [("\n".join(lines) + "\n").encode("utf-8")])
     return 0
 
 
@@ -182,11 +197,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad block-count range {b_lo}..{b_hi}")
     bundle, norms, z = _read_layer(args)
     bs = range(b_lo, b_hi + 1)
-    rows = ["B,error,corrupted,min_in_degree,lemma1_pass"]
-    for b, r in zip(bs, sweep_blocks(bundle["W"], norms, args.n, args.m, bs, z)):
-        rows.append(f"{b},{r.error!r},{r.corrupted},{r.min_in_degree},"
-                    f"{str(r.lemma1_pass).lower()}")
-    print("\n".join(rows))
+    reports = sweep_blocks(bundle["W"], norms, args.n, args.m, bs, z)
+    print(_csv_row("B", "error", "corrupted", "min_in_degree", "lemma1_pass"))
+    for b, r in zip(bs, reports):
+        print(_csv_row(b, r.error, r.corrupted, r.min_in_degree, r.lemma1_pass))
     return 0
 
 

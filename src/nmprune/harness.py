@@ -3,7 +3,6 @@ side-by-side method comparison."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +17,7 @@ from .partition import assign_blocks, order_rows
 from .permute import ChannelPermutation, apply_to_columns, build_permutation
 
 METHODS = ("magnitude", "wanda", "ria", "eggs")
+_PERMUTED = ("ria", "eggs")  # the methods whose mask is in the permuted layout
 PROFILES = ("gaussian", "dead-columns", "heavy-tail")
 _SAMPLES = 32  # calibration samples per synthetic layer
 
@@ -114,8 +114,7 @@ class PruneResult:
 
 @dataclass(frozen=True)
 class MethodReport:
-    """One method's scores on a layer. ``to_dict`` and the CSV summary leave
-    out ``min_in_degree``."""
+    """One method's scores on a layer."""
 
     method: str
     error: float
@@ -123,17 +122,6 @@ class MethodReport:
     min_in_degree: int
     retained_fraction: float
     lemma1_pass: bool | None = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "method": self.method,
-            "error": self.error,
-            "corrupted": self.corrupted,
-            "retained_fraction": self.retained_fraction,
-        }
-        if self.lemma1_pass is not None:
-            doc["lemma1_pass"] = self.lemma1_pass
-        return doc
 
 
 class _ScoredLayer:
@@ -206,8 +194,9 @@ class _ScoredLayer:
         """One method's error, input degrees and retained magnitude."""
         abs_total = self._abs_total  # before the first mask: its float64 copy meets no scores
         mask = self.mask(method, cfg)
-        weights = self.w_perm if method in ("ria", "eggs") else self.w
-        z64, denom = self._reference(method in ("ria", "eggs"))
+        permuted = method in _PERMUTED
+        weights = self.w_perm if permuted else self.w
+        z64, denom = self._reference(permuted)
         # for a 0/1 mask these equal W - W*mask and W*mask up to the sign of
         # a zero, which neither a norm nor an absolute sum sees
         removed = np.where(mask == 1, 0, weights).astype(np.float64, copy=False)
@@ -233,7 +222,7 @@ def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,
         raise ConfigError(f"unknown method {method!r}")
     layer = _ScoredLayer(w, acts, cfg.n, cfg.m)
     del w  # the layer holds W's last reference here; ria and eggs drop it
-    if method in ("magnitude", "wanda") or acts is None:  # without norms, mask() refuses
+    if method not in _PERMUTED or acts is None:  # without norms, mask() refuses
         return PruneResult(layer.mask(method, cfg), layer.w, None)
     w_perm, norms_perm = layer.w_perm, layer.norms_perm  # built from W, dead from here on
     layer.w = None
@@ -262,17 +251,3 @@ def sweep_blocks(w, norms: ActivationNorms, n: int, m: int, bs, z=None) -> list[
     cfgs = [PruneConfig(n, m, b) for b in bs]
     layer = _ScoredLayer(w, norms, n, m, z, max((cfg.b for cfg in cfgs), default=0))
     return [layer.report("eggs", cfg) for cfg in cfgs]
-
-
-def reports_to_json(reports) -> str:
-    """Deterministic JSON array of method reports."""
-    return json.dumps([r.to_dict() for r in reports])
-
-
-def reports_to_csv(reports) -> str:
-    """Summary rows: method, error, corrupted, lemma1_pass."""
-    lines = ["method,error,corrupted,lemma1_pass"]
-    for r in reports:
-        lemma = "" if r.lemma1_pass is None else str(r.lemma1_pass).lower()
-        lines.append(f"{r.method},{r.error!r},{r.corrupted},{lemma}")
-    return "\n".join(lines) + "\n"

@@ -149,8 +149,8 @@ def write_atomic(path, chunks) -> None:
         except BaseException:
             os.unlink(tmp_path)
             raise
-    except OSError as exc:
-        raise NMPruneError(f"cannot write {path}: {exc}") from exc
+    except OSError as exc:  # the reason alone: the temporary name differs on every run
+        raise NMPruneError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def save_bundle(entries: dict, path) -> None:

@@ -6,6 +6,7 @@ implementation mistakes rather than mirror them.
 """
 
 import itertools
+import tracemalloc
 import warnings
 from fractions import Fraction
 from typing import NamedTuple
@@ -213,6 +214,16 @@ def outcome(fn, *args):
         except Exception as exc:  # an error is an outcome to compare too
             out = (type(exc), str(exc))
     return out, [(w.category, str(w.message)) for w in caught]
+
+
+def traced_peak(fn, *args):
+    """fn(*args)'s result and the call's tracemalloc peak in bytes; memory
+    allocated before the call is not counted."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def compare_methods_oracle(w, norms, cfg, methods=METHODS, z=None):

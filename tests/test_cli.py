@@ -1,16 +1,17 @@
 """CLI contract: exit codes, output files, and stream separation."""
 
+import errno
 import json
 import os
 import stat
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import helpers
 import nmprune
 from nmprune import load_bundle, load_permutation, save_bundle
 from nmprune import metrics, partition
@@ -98,6 +99,17 @@ class TestPrune:
                    "--method", "ria", "--n", "2", "--m", "4") == 0
         sidecar = tmp_path / "pruned.tensors.perm.json"
         assert stat.S_IMODE(os.stat(out).st_mode) == stat.S_IMODE(os.stat(sidecar).st_mode)
+
+    def test_failed_write_reruns_with_identical_stderr(self, tmp_path, capsys):
+        # the message names the path asked for, not the random temporary file
+        src, out = gen_layer(tmp_path), tmp_path / "missing" / "x.t"
+        errs = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert run("prune", "--in", str(src), "--out", str(out), "--method", "ria",
+                       "--n", "2", "--m", "4") == 1
+            errs.append(capsys.readouterr().err)
+        assert errs == [f"error: cannot write {out}: No such file or directory\n"] * 2
 
 
 class TestVerify:
@@ -220,6 +232,49 @@ class TestEval:
         assert run("eval", "--in", str(src), "--methods", "eggs",
                    "--n", "2", "--m", "4", "--b", "1", "--csv", str(csv_path)) == 0
         assert csv_path.read_text().startswith("method,error,corrupted,lemma1_pass")
+
+    def test_csv_summary_shape(self, tmp_path):
+        src = gen_layer(tmp_path, seed=15)
+        csv_path = tmp_path / "summary.csv"
+        assert run("eval", "--in", str(src), "--methods", "ria,eggs", "--n", "2", "--m", "4",
+                   "--b", "1", "--csv", str(csv_path)) == 0
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "method,error,corrupted,lemma1_pass"
+        assert lines[1].startswith("ria,") and lines[1].endswith(",")
+        assert lines[2].startswith("eggs,") and lines[2].endswith(",true")
+        assert len(lines) == 3
+
+    def test_failed_csv_write_keeps_the_old_file(self, tmp_path, capsys, monkeypatch):
+        src = gen_layer(tmp_path)
+        csv_path = tmp_path / "summary.csv"
+        csv_path.write_bytes(b"old summary\n")
+
+        def refuse(*args):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        capsys.readouterr()
+        assert run("eval", "--in", str(src), "--n", "2", "--m", "4", "--csv", str(csv_path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {csv_path}: {os.strerror(errno.EACCES)}\n")
+        assert csv_path.read_bytes() == b"old summary\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["layer.tensors", "summary.csv"]
+
+    def test_single_method_json_has_no_lemma_field(self, tmp_path, capsys):
+        src = gen_layer(tmp_path, seed=12)
+        capsys.readouterr()
+        assert run("eval", "--in", str(src), "--methods", "ria", "--n", "2", "--m", "4") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc) == 1 and "lemma1_pass" not in doc[0]
+
+    def test_json_determinism(self, tmp_path, capsys):
+        src = gen_layer(tmp_path, seed=14)
+        outs = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert run("eval", "--in", str(src), "--n", "2", "--m", "4", "--b", "1") == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_acts_read_as_prune_and_sweep_read_them(self, tmp_path, capsys):
         path = tmp_path / "acts3d.tensors"
@@ -403,24 +458,17 @@ class TestMemory:
     def test_prune(self, layers, tmp_path, capsys, method, dims, mib):
         argv = ["prune", "--in", str(layers / dims), "--out", str(tmp_path / "out.t"),
                 "--method", method, "--n", "2", "--m", "4", "--b", "2"]
-        assert traced_peak(argv) < mib * 2**20
+        code, peak = helpers.traced_peak(main, argv)
+        assert code in (0, 1) and peak < mib * 2**20
 
     def test_verify(self, layers, tmp_path, capsys):
         out = tmp_path / "eggs.t"
         assert run("prune", "--in", str(layers / "1024x1024"), "--out", str(out),
                    "--method", "eggs", "--n", "2", "--m", "4", "--b", "2") == 0
         # 12.0 MiB before, 10.0 after: the load itself holds all 10 MiB of the bundle
-        assert traced_peak(["verify", "--in", str(out), "--n", "2", "--m", "4", "--b", "2"]) < (
-            11 * 2**20)
-
-
-def traced_peak(argv) -> int:
-    tracemalloc.start()
-    try:
-        assert main(argv) in (0, 1)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        code, peak = helpers.traced_peak(main, ["verify", "--in", str(out), "--n", "2", "--m", "4",
+                                                "--b", "2"])
+        assert code in (0, 1) and peak < 11 * 2**20
 
 
 class TestDeadChannels:
@@ -469,7 +517,7 @@ REFUSALS = [
     pytest.param(["verify", "--in", "{src}", "--n", "2", "--m", "4", "--c", "1/0"], 2,
                  "argument --c: expected NUM/DEN, got '1/0'", id="c-zero-denominator"),
     pytest.param(["eval", "--in", "{src}", "--n", "2", "--m", "4", "--csv", "{tmp}"], 1,
-                 "cannot write {tmp}: [Errno 21] Is a directory: '{tmp}'",
+                 "cannot write {tmp}: Is a directory",
                  id="csv-unwritable"),
     # a bundle without Z: the harness refuses each method that needs activations
     pytest.param(["prune", "--in", "{w_only}", "--out", "{tmp}/x.t", "--method", "eggs", "--n",

@@ -1,8 +1,5 @@
 """Synthetic generation, reconstruction error, and method comparison."""
 
-import json
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +18,6 @@ from nmprune import (
     norms_from_batch,
     prune_with_method,
     reconstruction_error,
-    reports_to_csv,
-    reports_to_json,
 )
 from nmprune.harness import sweep_blocks
 from nmprune.masks import importance_select
@@ -117,12 +112,6 @@ class TestCompareMethods:
         for name in ("magnitude", "wanda", "ria"):
             assert by_method[name].corrupted >= 1
 
-    def test_single_method_json_has_no_lemma_field(self):
-        w, z = gen_synthetic(12, 8, 8, "gaussian")
-        reports = compare_methods(w, norms_from_batch(z), PruneConfig(2, 4, 1), ["ria"], z)
-        doc = json.loads(reports_to_json(reports))
-        assert len(doc) == 1 and "lemma1_pass" not in doc[0]
-
     def test_norms_only_uses_identity_inputs(self):
         rng = np.random.default_rng(13)
         w = rng.standard_normal((8, 8)).astype(np.float32)
@@ -136,22 +125,6 @@ class TestCompareMethods:
         w, z = gen_synthetic(1, 8, 8, "gaussian")
         with pytest.raises(ConfigError):
             compare_methods(w, norms_from_batch(z), PruneConfig(2, 4, 1), ["sparsegpt"], z)
-
-    def test_json_determinism(self):
-        w, z = gen_synthetic(14, 8, 8, "gaussian")
-        cfg = PruneConfig(2, 4, 1)
-        a = reports_to_json(compare_methods(w, norms_from_batch(z), cfg, z=z))
-        b = reports_to_json(compare_methods(w, norms_from_batch(z), cfg, z=z))
-        assert a == b
-
-    def test_csv_summary_shape(self):
-        w, z = gen_synthetic(15, 8, 8, "gaussian")
-        text = reports_to_csv(compare_methods(w, norms_from_batch(z), PruneConfig(2, 4, 1),
-                                              ["ria", "eggs"], z))
-        lines = text.strip().splitlines()
-        assert lines[0] == "method,error,corrupted,lemma1_pass"
-        assert lines[1].startswith("ria,") and lines[1].endswith(",")
-        assert lines[2].startswith("eggs,") and lines[2].endswith(",true")
 
 
 class TestSharedLayer:
@@ -212,32 +185,25 @@ class TestMemory:
                                              ("wanda", 7)])
     def test_traced_peak_of_a_1024_prune(self, layer, method, mib):
         w, norms, _ = layer
-        assert traced_peak(prune_with_method, w, norms, PruneConfig(2, 4, 2), method) < (
-            mib * 2**20)
+        _, peak = helpers.traced_peak(prune_with_method, w, norms, PruneConfig(2, 4, 2), method)
+        assert peak < mib * 2**20
 
     # eval's library path, whose full-size float64 copies are still held:
     # 18.6 MiB for compare_methods and 18.3 for sweep_blocks when these bounds were set
     def test_traced_peak_of_a_1024_compare(self, layer):
         w, norms, z = layer
-        assert traced_peak(compare_methods, w, norms, PruneConfig(2, 4, 2), METHODS, z) < (
-            20 * 2**20)
+        _, peak = helpers.traced_peak(compare_methods, w, norms, PruneConfig(2, 4, 2), METHODS, z)
+        assert peak < 20 * 2**20
 
     def test_traced_peak_of_a_1024_sweep(self, layer):
         w, norms, z = layer
-        assert traced_peak(sweep_blocks, w, norms, 2, 4, range(5), z) < 20 * 2**20
+        _, peak = helpers.traced_peak(sweep_blocks, w, norms, 2, 4, range(5), z)
+        assert peak < 20 * 2**20
 
     def test_traced_peak_of_a_1024_gen(self):
         # 13.1 MiB when set: the layer is drawn in float64, then cast
-        assert traced_peak(gen_synthetic, 3, 1024, 1024) < 14 * 2**20
-
-
-def traced_peak(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        _, peak = helpers.traced_peak(gen_synthetic, 3, 1024, 1024)
+        assert peak < 14 * 2**20
 
 
 REFUSALS = [

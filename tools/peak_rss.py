@@ -7,8 +7,8 @@ Usage (from the repository root):
 
 In a temporary directory this runs, each in its own child process:
 ``gen`` of a gaussian layer (seed 0), ``prune`` of it with every method at
-2:4 and B=2, ``verify`` of the eggs bundle, and ``eval`` of all four
-methods. Every child imports nmprune from this checkout's ``src/``, runs
+2:4 and B=2, ``verify`` of the eggs bundle, ``eval`` of all four methods
+and ``sweep`` over B 0..4. Every child imports nmprune from this checkout's ``src/``, runs
 one ``nmprune.cli.main`` call and reports its own ``ru_maxrss``, so each
 peak includes the interpreter and numpy but no other command. The output
 JSON maps each command to its peak in MiB. Standard library only.
@@ -61,6 +61,8 @@ def main(argv=None) -> int:
                 ["prune", "--in", layer, "--out", out, "--method", method, *NM])
         peaks["verify"] = peak_mib(["verify", "--in", str(Path(tmp) / "eggs.t"), *NM])
         peaks["eval"] = peak_mib(["eval", "--in", layer, *NM])
+        peaks["sweep"] = peak_mib(["sweep", "--in", layer, "--b-range", "0..4",
+                                   "--n", "2", "--m", "4"])
     doc = {
         "dims": args.dims,
         "machine": f"{os.cpu_count()} CPUs, {platform.platform()}, "

@@ -466,8 +466,8 @@ class TestMemory:
         assert run("prune", "--in", str(layers / "1024x1024"), "--out", str(out),
                    "--method", "eggs", "--n", "2", "--m", "4", "--b", "2") == 0
         # 12.0 MiB before, 10.0 after: the load itself holds all 10 MiB of the bundle
-        code, peak = helpers.traced_peak(main, ["verify", "--in", str(out), "--n", "2", "--m", "4",
-                                                "--b", "2"])
+        argv = ["verify", "--in", str(out), "--n", "2", "--m", "4", "--b", "2"]
+        code, peak = helpers.traced_peak(main, argv)
         assert code in (0, 1) and peak < 11 * 2**20
 
 

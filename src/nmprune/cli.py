@@ -12,6 +12,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -98,6 +99,8 @@ def _cmd_prune(args) -> int:
     save_bundle(entries, args.out)
     if perm is not None:
         save_permutation(perm, args.out + ".perm.json")
+    else:  # a sidecar left by an earlier ria or eggs run would describe another mask
+        Path(args.out + ".perm.json").unlink(missing_ok=True)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -112,39 +115,30 @@ def _cmd_verify(args) -> int:
     arr = np.asarray(_fetch(load_bundle(args.infile), "mask"))
     if arr.ndim != 2:
         raise NMPruneError("mask tensor must be 2-D")
-    f_out, f_in = arr.shape
-
-    violation = None
     try:
         check_nm_pattern(arr, cfg.n, cfg.m)
+        violation = None
     except VerificationError as exc:
         violation = str(exc)
     laws = verify_degree_laws(arr, cfg)
     violation = violation or laws.violation
     if violation:
         print(f"error: {violation}", file=sys.stderr)
-    ok = lemma_pass = violation is None
 
-    c = args.c if args.c is not None else (laws.c_bound / 2 if laws.c_bound > 0 else None)
-    a_in = a_out = None
-    if c is None or not 0 < c < 1:
-        print("expansion enumeration skipped: no admissible subset fraction", file=sys.stderr)
-        c = None
-    elif f_in > ENUM_VERTEX_LIMIT or f_out > ENUM_VERTEX_LIMIT:
-        print(
-            f"expansion enumeration skipped: a side exceeds {ENUM_VERTEX_LIMIT} vertices",
-            file=sys.stderr,
-        )
+    c = args.c if args.c is not None else laws.c_bound / 2
+    a_in = a_out = skipped = None
+    if not 0 < c < 1:
+        c, skipped = None, "no admissible subset fraction"
+    elif max(arr.shape) > ENUM_VERTEX_LIMIT:
+        skipped = f"a side exceeds {ENUM_VERTEX_LIMIT} vertices"
     else:
         try:
-            graph = mask_to_graph(arr)
-        except VerificationError:
-            # check_nm_pattern has already reported the non-binary entries
-            print("expansion enumeration skipped: the mask is not binary", file=sys.stderr)
-        else:
-            report = brute_force_expansion(graph, c)
+            report = brute_force_expansion(mask_to_graph(arr), c)
             a_in, a_out = report.a_in, report.a_out
-            ok = ok and (a_in is None or a_in > 1) and (a_out is None or a_out > 1)
+        except VerificationError:  # check_nm_pattern has already named the entries
+            skipped = "the mask is not binary"
+    if skipped:
+        print(f"expansion enumeration skipped: {skipped}", file=sys.stderr)
 
     print(json.dumps({
         "min_in_degree": laws.min_in_degree,
@@ -152,8 +146,9 @@ def _cmd_verify(args) -> int:
         "a_I": _fraction_pair(a_in),
         "a_O": _fraction_pair(a_out),
         "c": _fraction_pair(c),
-        "lemma1_pass": lemma_pass,
+        "lemma1_pass": violation is None,
     }))
+    ok = violation is None and all(a is None or a > 1 for a in (a_in, a_out))
     return 0 if ok else 1
 
 

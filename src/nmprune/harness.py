@@ -141,10 +141,10 @@ class _ScoredLayer:
 
     @cached_property
     def perm(self) -> ChannelPermutation:
-        scores, cols = ria_channel_scores(self.w, self.norms), self.w.shape[1]
+        cols = self.w.shape[1]
         if cols % self.m:  # the refusal of every method, not build_permutation's own
             raise NMPruneError(f"{cols} columns not divisible by window width {self.m}")
-        return build_permutation(scores, self.m)
+        return build_permutation(ria_channel_scores(self.w, self.norms), self.m)
 
     @cached_property
     def w_perm(self) -> np.ndarray:

@@ -100,6 +100,16 @@ class TestPrune:
         sidecar = tmp_path / "pruned.tensors.perm.json"
         assert stat.S_IMODE(os.stat(out).st_mode) == stat.S_IMODE(os.stat(sidecar).st_mode)
 
+    @pytest.mark.parametrize("method", ["magnitude", "wanda"])
+    def test_unpermuted_prune_removes_a_stale_sidecar(self, tmp_path, method):
+        src, out = gen_layer(tmp_path), tmp_path / "s.t"
+        sidecar = tmp_path / "s.t.perm.json"
+        for m in ("eggs", method):
+            assert run("prune", "--in", str(src), "--out", str(out), "--method", m,
+                       "--n", "2", "--m", "4") == 0
+        assert set(load_bundle(out)) == {"mask", "W_pruned"}
+        assert not sidecar.exists()
+
     def test_failed_write_reruns_with_identical_stderr(self, tmp_path, capsys):
         # the message names the path asked for, not the random temporary file
         src, out = gen_layer(tmp_path), tmp_path / "missing" / "x.t"
@@ -426,6 +436,18 @@ class TestScoredOnce:
         # ria on the original layout for the permutation, then the permuted layout
         assert calls == {"layer_sums": 2, "order_rows": 1}
         assert len(capsys.readouterr().out.splitlines()) == 6
+
+    @pytest.mark.parametrize("argv", [["prune", "--out", "x.t", "--method", "ria"],
+                                      ["eval", "--methods", "ria"]])
+    def test_width_refused_before_scoring(self, tmp_path, capsys, monkeypatch, calls, argv):
+        # ria refuses a width that M does not divide before it scores, like magnitude
+        monkeypatch.chdir(tmp_path)
+        path = gen_layer(tmp_path, dims="8x6")
+        calls.clear()
+        capsys.readouterr()
+        assert run(*argv, "--in", str(path), "--n", "2", "--m", "4") == 1
+        assert capsys.readouterr().err == "error: 6 columns not divisible by window width 4\n"
+        assert calls == {}
 
     def test_eval_scores_once(self, tmp_path, capsys, calls):
         path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)

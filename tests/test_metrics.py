@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from nmprune import ActivationNorms, NMPruneError
+from nmprune import ActivationNorms, ConfigError, NMPruneError
 from nmprune import metrics
 from nmprune.metrics import channel_scores, magnitude_score, ria, rri, wanda_score
 from nmprune.permute import apply_to_columns, build_permutation
@@ -301,6 +301,8 @@ REFUSALS = [
                  "activation norms must be a 1-D vector", id="2-d-norms"),
     pytest.param(lambda: channel_scores(np.ones(3)), NMPruneError, "score matrix must be 2-D",
                  id="1-d-scores"),
+    pytest.param(lambda: ActivationNorms(np.ones(2), alpha=float("nan")), ConfigError,
+                 "alpha must be finite", id="nan-alpha"),
 ]
 
 

@@ -100,7 +100,11 @@ def _cmd_prune(args) -> int:
     if perm is not None:
         save_permutation(perm, args.out + ".perm.json")
     else:  # a sidecar left by an earlier ria or eggs run would describe another mask
-        Path(args.out + ".perm.json").unlink(missing_ok=True)
+        sidecar = args.out + ".perm.json"
+        try:
+            Path(sidecar).unlink(missing_ok=True)
+        except OSError as exc:
+            raise NMPruneError(f"cannot write {sidecar}: {exc.strerror or exc}") from exc
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

@@ -3,6 +3,7 @@ side-by-side method comparison."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -12,7 +13,7 @@ from .errors import ConfigError, NMPruneError
 from .graphs import verify_degree_laws
 from .masks import PruneConfig, eggs_prune, overlay_blocks, ria_select, select_blocks
 from .metrics import (DEFAULT_ALPHA, ActivationNorms, abs_blocks, ria_channel_scores,
-                      wanda_blocks)
+                      row_blocks, wanda_blocks)
 from .partition import assign_blocks, order_rows
 from .permute import ChannelPermutation, apply_to_columns, build_permutation
 
@@ -41,20 +42,40 @@ def gen_synthetic(seed, f_out: int, f_in: int, profile: str = "gaussian", k: int
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}") from exc
-    if profile == "heavy-tail":
-        w = rng.standard_t(df=2, size=(f_out, f_in))
-    else:
-        w = rng.standard_normal((f_out, f_in))
+    start = rng.bit_generator.state
+    w, best = np.empty((f_out, f_in), dtype=np.float32), -1.0
+    for rows, block in _w_blocks(rng, profile, w.shape):
+        if profile == "dead-columns":
+            top = int(np.argmax(np.abs(block, out=block)))  # first largest, as argmax of all of W
+            if block.flat[top] > best:
+                best, top_col = block.flat[top], top % f_in
+        else:
+            w[rows] = block
+        del block  # one block alive while the next is drawn
     z = rng.standard_normal((f_in, _SAMPLES))
     if profile == "dead-columns":
         # keep the globally largest weight outside the dead set so the
         # magnitude reference point is unaffected by the scaling
-        top_col = int(np.argmax(np.abs(w)) % f_in)
         candidates = np.setdiff1d(np.arange(f_in), [top_col])
         dead = rng.choice(candidates, size=k, replace=False)
-        w[:, dead] *= 1e-6
         z[dead, :] *= 1e-6
-    return w.astype(np.float32), z.astype(np.float32)
+        rng.bit_generator.state = start  # W again, its dead columns scaled before the cast
+        for rows, block in _w_blocks(rng, profile, w.shape):
+            block[:, dead] *= 1e-6
+            w[rows] = block
+            del block
+    return w, z.astype(np.float32)
+
+
+def _w_blocks(rng, profile: str, shape):
+    """The profile's float64 weights as (rows, block) over row_blocks: the
+    same stream, value for value, as one draw of the whole matrix."""
+    for rows in row_blocks(*shape):
+        size = (rows.stop - rows.start, shape[1])
+        if profile == "heavy-tail":
+            yield rows, rng.standard_t(df=2, size=size)
+        else:
+            yield rows, rng.standard_normal(size)
 
 
 def norms_from_batch(z, alpha: float = DEFAULT_ALPHA) -> ActivationNorms:
@@ -71,27 +92,41 @@ def reconstruction_error(w, mask, z) -> float:
     ||W Z - (W * mask) Z||_F / ||W Z||_F, computed in float64. Raises
     NMPruneError when the reference output is identically zero.
     """
-    w_arr = np.asarray(w, dtype=np.float64)
-    m_arr = np.asarray(mask)
-    z_arr = np.asarray(z, dtype=np.float64)
+    w_arr, m_arr = np.asarray(w), np.asarray(mask)
     if w_arr.ndim != 2 or w_arr.shape != m_arr.shape:
         raise NMPruneError(f"mask shape {m_arr.shape} does not match weights shape {w_arr.shape}")
-    z_arr, denom = _reference(w_arr, z_arr)
-    removed = (w_arr - w_arr * m_arr) @ z_arr
-    return float(np.linalg.norm(removed) / denom)
+    z64, denom = _reference(w_arr, np.asarray(z))
+    return math.sqrt(_masked_sums(w_arr, m_arr, z64)[0]) / denom
 
 
-def _reference(w64, z, rows=None):
+def _masked_sums(w, mask, z64):
+    """(||R Z||_F², sum |K|) in float64, widened a row block at a time, with
+    K = W * mask and R = W - K, or R = K = W without a mask; z64 None means
+    identity inputs, ||R||_F². For a 0/1 mask, R and K hold W's cells off
+    and on the mask, up to the sign of a zero."""
+    squares = total = 0.0
+    for rows in row_blocks(*w.shape):
+        if mask is None:
+            kept = removed = w[rows].astype(np.float64)
+        else:
+            kept = np.multiply(w[rows], mask[rows], dtype=np.float64)
+            removed = np.subtract(w[rows], kept, dtype=np.float64)
+        out = (removed if z64 is None else removed @ z64).ravel()
+        squares += float(out.dot(out))  # np.linalg.norm's own sum of squares
+        total += float(np.abs(kept, out=kept).sum())  # removed is spent by now
+    return squares, total
+
+
+def _reference(w, z, rows=None):
     """The checked float64 batch, rows in ``rows`` order if given, and ||W Z||_F;
     z None means identity inputs: no batch and ||W||_F."""
-    z64, ref = None, w64
+    z64 = None
     if z is not None:
         z = np.asarray(z)
-        if z.ndim != 2 or z.shape[0] != w64.shape[1]:
+        if z.ndim != 2 or z.shape[0] != w.shape[1]:
             raise NMPruneError("calibration batch rows must match the weight columns")
         z64 = np.asarray(z if rows is None else z[rows], dtype=np.float64)
-        ref = w64 @ z64
-    denom = float(np.linalg.norm(ref))
+    denom = math.sqrt(_masked_sums(w, None, z64)[0])
     if denom == 0.0:
         what = "weights are" if z is None else "reference output is"
         raise NMPruneError(f"{what} identically zero")
@@ -180,34 +215,24 @@ class _ScoredLayer:
     def _reference(self, permuted: bool):
         """A layout's float64 batch (None for identity inputs) and reference norm."""
         if permuted not in self._refs:
-            w64 = np.asarray(self.w_perm if permuted else self.w, dtype=np.float64)
             rows = self.perm.forward if permuted else None
-            self._refs[permuted] = _reference(w64, self.z, rows)
+            self._refs[permuted] = _reference(self.w_perm if permuted else self.w, self.z, rows)
         return self._refs[permuted]
 
     @cached_property
     def _abs_total(self) -> float:
-        a = np.array(self.w, dtype=np.float64)
-        return float(np.abs(a, out=a).sum())
+        return _masked_sums(self.w, None, None)[1]
 
     def report(self, method: str, cfg: PruneConfig) -> MethodReport:
         """One method's error, input degrees and retained magnitude."""
-        abs_total = self._abs_total  # before the first mask: its float64 copy meets no scores
-        mask = self.mask(method, cfg)
+        mask = self.mask(method, cfg)  # refuses a bad width or method before any pass
         permuted = method in _PERMUTED
-        weights = self.w_perm if permuted else self.w
         z64, denom = self._reference(permuted)
-        # for a 0/1 mask these equal W - W*mask and W*mask up to the sign of
-        # a zero, which neither a norm nor an absolute sum sees
-        removed = np.where(mask == 1, 0, weights).astype(np.float64, copy=False)
-        error = float(np.linalg.norm(removed if z64 is None else removed @ z64) / denom)
-        del removed
-        kept = np.where(mask == 1, weights, 0).astype(np.float64, copy=False)
-        retained = float(np.abs(kept, out=kept).sum() / abs_total)
+        squares, kept = _masked_sums(self.w_perm if permuted else self.w, mask, z64)
         in_deg = mask.sum(axis=0)
         lemma = verify_degree_laws(mask, cfg).violation is None if method == "eggs" else None
-        return MethodReport(method, error, int((in_deg == 0).sum()), int(in_deg.min()),
-                            retained, lemma)
+        return MethodReport(method, math.sqrt(squares) / denom, int((in_deg == 0).sum()),
+                            int(in_deg.min()), kept / self._abs_total, lemma)
 
 
 def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,

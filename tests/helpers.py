@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nmprune import (METHODS, ActivationNorms, ConfigError, MethodReport, NMPruneError, PruneConfig,
-                     apply_mask, prune_with_method, reconstruction_error, verify_degree_laws)
+from nmprune import (METHODS, PROFILES, ActivationNorms, ConfigError, MethodReport, NMPruneError,
+                     PruneConfig, apply_mask, prune_with_method, verify_degree_laws)
 
 
 def random_layer(seed, f_out, f_in, alpha=0.5):
@@ -248,7 +248,7 @@ def compare_methods_oracle(w, norms, cfg, methods=METHODS, z=None):
             if np.ndim(z) != 2 or np.shape(z)[0] != w_arr.shape[1]:
                 raise NMPruneError("calibration batch rows must match the weight columns")
             z_m = z if res.permutation is None else z[res.permutation.forward, :]
-            error = reconstruction_error(res.weights, res.mask, z_m)
+            error = reconstruction_error_oracle(res.weights, res.mask, z_m)
         in_deg = res.mask.sum(axis=0)
         retained = float(
             np.abs(apply_mask(np.asarray(res.weights, dtype=np.float64), res.mask)).sum()
@@ -265,3 +265,36 @@ def compare_methods_oracle(w, norms, cfg, methods=METHODS, z=None):
 def sweep_oracle(w, norms, n, m, bs, z=None):
     """One compare_methods_oracle eggs report per block count."""
     return [compare_methods_oracle(w, norms, PruneConfig(n, m, b), ["eggs"], z)[0] for b in bs]
+
+
+def reconstruction_error_oracle(w, mask, z):
+    """||W Z - (W * mask) Z||_F / ||W Z||_F as whole-matrix float64 expressions."""
+    w64 = np.asarray(w, dtype=np.float64)
+    z64 = np.asarray(z, dtype=np.float64)
+    denom = float(np.linalg.norm(w64 @ z64))
+    if denom == 0.0:
+        raise NMPruneError("reference output is identically zero")
+    return float(np.linalg.norm((w64 - w64 * np.asarray(mask)) @ z64) / denom)
+
+
+def gen_synthetic_oracle(seed, f_out, f_in, profile="gaussian", k=1):
+    """gen_synthetic as one whole-matrix float64 draw of W, then of Z, with the
+    dead columns picked from those and scaled before the cast."""
+    if f_out < 1 or f_in < 1:
+        raise ConfigError("dimensions must be at least 1")
+    if profile not in PROFILES:
+        raise ConfigError(f"unknown profile {profile!r}")
+    if profile == "dead-columns" and not 1 <= k <= f_in - 1:
+        raise ConfigError(f"dead-columns needs 1 <= k <= {f_in - 1}, got {k}")
+    rng = np.random.default_rng(seed)
+    if profile == "heavy-tail":
+        w = rng.standard_t(df=2, size=(f_out, f_in))
+    else:
+        w = rng.standard_normal((f_out, f_in))
+    z = rng.standard_normal((f_in, 32))
+    if profile == "dead-columns":
+        top_col = int(np.argmax(np.abs(w)) % f_in)
+        dead = rng.choice(np.setdiff1d(np.arange(f_in), [top_col]), size=k, replace=False)
+        w[:, dead] *= 1e-6
+        z[dead, :] *= 1e-6
+    return w.astype(np.float32), z.astype(np.float32)

@@ -14,7 +14,7 @@ import pytest
 import helpers
 import nmprune
 from nmprune import load_bundle, load_permutation, save_bundle
-from nmprune import metrics, partition
+from nmprune import harness, metrics, partition
 from nmprune.cli import main
 
 
@@ -109,6 +109,18 @@ class TestPrune:
                        "--n", "2", "--m", "4") == 0
         assert set(load_bundle(out)) == {"mask", "W_pruned"}
         assert not sidecar.exists()
+
+    @pytest.mark.parametrize("method", ["magnitude", "wanda"])
+    def test_stale_sidecar_that_cannot_be_removed(self, tmp_path, capsys, monkeypatch, method):
+        # the bundle is written first; the sidecar's failure reads like a failed write
+        monkeypatch.chdir(tmp_path)
+        src = gen_layer(tmp_path)
+        (tmp_path / "s.t.perm.json").mkdir()
+        capsys.readouterr()
+        assert run("prune", "--in", str(src), "--out", "s.t", "--method", method,
+                   "--n", "2", "--m", "4") == 1
+        assert capsys.readouterr().err == "error: cannot write s.t.perm.json: Is a directory\n"
+        assert set(load_bundle(tmp_path / "s.t")) == {"mask", "W_pruned"}
 
     def test_failed_write_reruns_with_identical_stderr(self, tmp_path, capsys):
         # the message names the path asked for, not the random temporary file
@@ -415,10 +427,11 @@ class TestScoredOnce:
     """eval and sweep score, permute and order the layer once per command: the
     kernel's validation pass runs once per layout."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
+    @staticmethod
+    def count(monkeypatch, *fns) -> dict:
+        """Calls of each of ``fns`` by name, wherever nmprune's modules hold it."""
         counts = {}
-        for fn in (metrics.layer_sums, partition.order_rows):
+        for fn in fns:
             def counted(*args, _fn=fn, **kwargs):
                 counts[_fn.__name__] = counts.get(_fn.__name__, 0) + 1
                 return _fn(*args, **kwargs)
@@ -428,6 +441,10 @@ class TestScoredOnce:
                         if value is fn:
                             monkeypatch.setattr(module, attr, counted)
         return counts
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return self.count(monkeypatch, metrics.layer_sums, partition.order_rows)
 
     def test_sweep_scores_and_orders_once(self, tmp_path, capsys, calls):
         path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
@@ -449,6 +466,16 @@ class TestScoredOnce:
         assert capsys.readouterr().err == "error: 6 columns not divisible by window width 4\n"
         assert calls == {}
 
+    def test_width_refused_before_any_pass(self, tmp_path, capsys, monkeypatch):
+        # magnitude's mask refuses the width on its first block, before any
+        # error, reference or absolute sum goes over W
+        path = gen_layer(tmp_path, dims="8x6")
+        counts = self.count(monkeypatch, metrics.check_weights, harness._masked_sums)
+        capsys.readouterr()
+        assert run("eval", "--in", str(path), "--methods", "magnitude", "--n", "2", "--m", "4") == 1
+        assert capsys.readouterr().err == "error: 6 columns not divisible by window width 4\n"
+        assert counts == {"check_weights": 1}
+
     def test_eval_scores_once(self, tmp_path, capsys, calls):
         path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
         calls.clear()
@@ -460,7 +487,8 @@ class TestScoredOnce:
 class TestMemory:
     """tracemalloc peaks of whole commands, the bundle load included. Once
     W_perm exists, prune holds no other full-size weight matrix and streams
-    W_pruned and mask_unpermuted; verify keeps only the mask. Each bound
+    W_pruned and mask_unpermuted; verify keeps only the mask; eval sums its
+    errors a row block at a time. Each bound
     lies between the peaks measured before and after those changes, except
     magnitude at 1024x1024, which peaks while scoring both before and after."""
 
@@ -482,6 +510,12 @@ class TestMemory:
                 "--method", method, "--n", "2", "--m", "4", "--b", "2"]
         code, peak = helpers.traced_peak(main, argv)
         assert code in (0, 1) and peak < mib * 2**20
+
+    def test_eval(self, layers, capsys):
+        # 22.7 MiB with eval's full-size float64 copies, 18.3 with its row-block sums
+        argv = ["eval", "--in", str(layers / "1024x1024"), "--n", "2", "--m", "4", "--b", "2"]
+        code, peak = helpers.traced_peak(main, argv)
+        assert code == 0 and peak < 20 * 2**20
 
     def test_verify(self, layers, tmp_path, capsys):
         out = tmp_path / "eggs.t"

@@ -1,5 +1,7 @@
 """Synthetic generation, reconstruction error, and method comparison."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from nmprune import (
     prune_with_method,
     reconstruction_error,
 )
+from nmprune import metrics
 from nmprune.harness import sweep_blocks
 from nmprune.masks import importance_select
 
@@ -60,6 +63,21 @@ class TestGenSynthetic:
         with pytest.raises(ConfigError):
             gen_synthetic(1, 4, 4, "dead-columns", k=4)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(PROFILES),
+           st.sampled_from([(32, 32), (33, 17), (7, 1), (1, 9), (5, 40)]), st.integers(1, 8),
+           st.sampled_from([1, 5, 64, 1 << 18]))
+    @settings(max_examples=150, deadline=None)
+    def test_row_blocks_draw_the_whole_matrix_bits(self, seed, profile, shape, k, chunk):
+        # a small _TOPK_CHUNK splits the draw into many row blocks, or one row per block
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+            got, _ = helpers.outcome(gen_synthetic, seed, *shape, profile, k)
+        want, _ = helpers.outcome(helpers.gen_synthetic_oracle, seed, *shape, profile, k)
+        if isinstance(want[0], np.ndarray):
+            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
+                [(a.dtype, a.shape, a.tobytes()) for a in want]
+        else:  # a dead-columns k that F_in cannot hold, refused by both
+            assert got == want
+
 
 class TestReconstructionError:
     def test_all_ones_mask_is_zero(self):
@@ -91,6 +109,64 @@ class TestReconstructionError:
             mask = importance_select(np.abs(w), 2, 4)
             err = reconstruction_error(w, mask, z)
             assert 0.0 < err < 1.0
+
+
+class TestMultiBlock:
+    """A small _TOPK_CHUNK splits every error, retained and reference sum into
+    many row blocks. Masks and integer fields equal the whole-matrix oracles';
+    error and retained_fraction agree to a relative 1e-12, since the blocks'
+    sums are added in another order. With one block they agree exactly."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(32, 32), (30, 16), (32, 8)]),
+           st.sampled_from([1, 2, 3]), st.sampled_from([True, False]),
+           st.sampled_from([np.float32, np.float64]), st.sampled_from([1, 7, 100, 1 << 18]))
+    @settings(max_examples=80, deadline=None)
+    def test_reconstruction_error(self, seed, shape, samples, binary, dtype, chunk):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(shape).astype(dtype)
+        mask = (rng.integers(0, 2, size=shape, dtype=np.uint8) if binary
+                else rng.uniform(0.0, 1.0, size=shape))
+        z = rng.standard_normal((shape[1], samples)).astype(dtype)
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+            got = reconstruction_error(w, mask, z)
+        want = helpers.reconstruction_error_oracle(w, mask, z)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        if chunk >= w.size:
+            assert got == want
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(PROFILES),
+           st.sampled_from([(32, 32), (30, 32), (32, 8)]),
+           st.sampled_from([(1, 4), (2, 4), (4, 8)]),
+           st.lists(st.sampled_from(METHODS), min_size=1, max_size=4), st.integers(0, 3),
+           st.booleans(), st.sampled_from([8, 32, 100, 1000]))
+    @settings(max_examples=60, deadline=None)
+    def test_compare_and_sweep(self, seed, profile, shape, nm, methods, b, batch, chunk):
+        # b stays within every shape's full blocks; TestSharedLayer covers the clamp
+        (f_out, f_in), (n, m) = shape, nm
+        w, z = gen_synthetic(seed, f_out, f_in, profile, k=2)
+        norms, z = norms_from_batch(z), z if batch else None
+        cfg, bs = PruneConfig(n, m, b), range(b + 1)
+        want = helpers.compare_methods_oracle(w, norms, cfg, methods, z)
+        want_sweep = helpers.sweep_oracle(w, norms, n, m, bs, z)
+        whole = [prune_with_method(w, norms, cfg, method).mask for method in methods]
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+            got = compare_methods(w, norms, cfg, methods, z)
+            got_sweep = sweep_blocks(w, norms, n, m, bs, z)
+            results = [prune_with_method(w, norms, cfg, method) for method in methods]
+            # eval's error is reconstruction_error of the pruned layer, bit for bit
+            errors = [reconstruction_error(res.weights, res.mask, z if res.permutation is None
+                                           else z[res.permutation.forward])
+                      for res in results] if batch else [r.error for r in got]
+        for mask, res in zip(whole, results):
+            np.testing.assert_array_equal(res.mask, mask)
+        assert [r.error for r in got] == errors
+        for got_reports, want_reports in ((got, want), (got_sweep, want_sweep)):
+            assert [(r.method, r.corrupted, r.min_in_degree, r.lemma1_pass) for r in got_reports] \
+                == [(r.method, r.corrupted, r.min_in_degree, r.lemma1_pass) for r in want_reports]
+            for field in ("error", "retained_fraction"):
+                np.testing.assert_allclose([getattr(r, field) for r in got_reports],
+                                           [getattr(r, field) for r in want_reports],
+                                           rtol=1e-12, atol=0)
 
 
 class TestCompareMethods:
@@ -188,22 +264,24 @@ class TestMemory:
         _, peak = helpers.traced_peak(prune_with_method, w, norms, PruneConfig(2, 4, 2), method)
         assert peak < mib * 2**20
 
-    # eval's library path, whose full-size float64 copies are still held:
-    # 18.6 MiB for compare_methods and 18.3 for sweep_blocks when these bounds were set
+    # eval's library path sums its errors row block by row block: 14.1 MiB for
+    # compare_methods and 13.9 for sweep_blocks when these bounds were set
+    # (18.6 and 18.3 with the full-size float64 copies)
     def test_traced_peak_of_a_1024_compare(self, layer):
         w, norms, z = layer
         _, peak = helpers.traced_peak(compare_methods, w, norms, PruneConfig(2, 4, 2), METHODS, z)
-        assert peak < 20 * 2**20
+        assert peak < 16 * 2**20
 
     def test_traced_peak_of_a_1024_sweep(self, layer):
         w, norms, z = layer
         _, peak = helpers.traced_peak(sweep_blocks, w, norms, 2, 4, range(5), z)
-        assert peak < 20 * 2**20
+        assert peak < 16 * 2**20
 
     def test_traced_peak_of_a_1024_gen(self):
-        # 13.1 MiB when set: the layer is drawn in float64, then cast
+        # 6.0 MiB when set: the float32 layer plus one float64 row block
+        # (13.1 when the whole layer was drawn in float64, then cast)
         _, peak = helpers.traced_peak(gen_synthetic, 3, 1024, 1024)
-        assert peak < 14 * 2**20
+        assert peak < 8 * 2**20
 
 
 REFUSALS = [

@@ -7,14 +7,15 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "peak_rss.py"
-COMMANDS = ["gen", "prune --method magnitude", "prune --method wanda", "prune --method ria",
+COMMANDS = ["gen", "gen --profile dead-columns --k 16", "prune --method magnitude", "prune --method wanda", "prune --method ria",
             "prune --method eggs", "verify", "eval", "sweep"]
 
 
 def test_every_command_reports_a_positive_peak(tmp_path):
     out = tmp_path / "peak.json"
-    subprocess.run([sys.executable, str(TOOL), "--dims", "16x16", "--out", str(out)], check=True)
+    # 32 columns: the dead-columns layer needs more than its 16 dead ones
+    subprocess.run([sys.executable, str(TOOL), "--dims", "16x32", "--out", str(out)], check=True)
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert (doc["dims"], doc["unit"]) == ("16x16", "MiB")
+    assert (doc["dims"], doc["unit"]) == ("16x32", "MiB")
     assert sorted(doc["peak_rss"]) == sorted(COMMANDS)
     assert all(mib > 0 for mib in doc["peak_rss"].values())

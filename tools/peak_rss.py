@@ -6,12 +6,14 @@ Usage (from the repository root):
     python3 tools/peak_rss.py --dims 4096x4096 --out peak_rss.json
 
 In a temporary directory this runs, each in its own child process:
-``gen`` of a gaussian layer (seed 0), ``prune`` of it with every method at
-2:4 and B=2, ``verify`` of the eggs bundle, ``eval`` of all four methods
-and ``sweep`` over B 0..4. Every child imports nmprune from this checkout's ``src/``, runs
-one ``nmprune.cli.main`` call and reports its own ``ru_maxrss``, so each
-peak includes the interpreter and numpy but no other command. The output
-JSON maps each command to its peak in MiB. Standard library only.
+``gen`` of a gaussian layer (seed 0) and of a dead-columns layer with 16
+dead columns, whose draw takes two passes, ``prune`` of the gaussian layer
+with every method at 2:4 and B=2, ``verify`` of the eggs bundle, ``eval``
+of all four methods and ``sweep`` over B 0..4. Every child imports nmprune
+from this checkout's ``src/``, runs one ``nmprune.cli.main`` call and
+reports its own ``ru_maxrss``, so each peak includes the interpreter and
+numpy but no other command. The output JSON maps each command to its peak
+in MiB. Standard library only.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="peak_rss_") as tmp:
         layer = str(Path(tmp) / "layer.t")
         peaks["gen"] = peak_mib(["gen", "--out", layer, "--dims", args.dims])
+        peaks["gen --profile dead-columns --k 16"] = peak_mib(
+            ["gen", "--out", str(Path(tmp) / "dead.t"), "--dims", args.dims,
+             "--profile", "dead-columns", "--k", "16"])
         for method in METHODS:
             out = str(Path(tmp) / f"{method}.t")
             peaks[f"prune --method {method}"] = peak_mib(

@@ -96,11 +96,13 @@ def _cmd_prune(args) -> int:
         entries["W_perm"] = np.asarray(w, dtype=np.float32)
         entries["mask_unpermuted"] = BlockSource(np.uint8, mask.shape,
                                                  (unpermute_mask(mask[r], perm) for r in rows))
+    sidecar = args.out + ".perm.json"
+    if Path(sidecar).is_dir():  # no sidecar step could succeed: keep the old bundle
+        raise NMPruneError(f"cannot write {sidecar}: Is a directory")
     save_bundle(entries, args.out)
     if perm is not None:
-        save_permutation(perm, args.out + ".perm.json")
+        save_permutation(perm, sidecar)
     else:  # a sidecar left by an earlier ria or eggs run would describe another mask
-        sidecar = args.out + ".perm.json"
         try:
             Path(sidecar).unlink(missing_ok=True)
         except OSError as exc:

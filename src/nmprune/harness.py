@@ -11,9 +11,9 @@ import numpy as np
 
 from .errors import ConfigError, NMPruneError
 from .graphs import verify_degree_laws
-from .masks import PruneConfig, eggs_prune, overlay_blocks, ria_select, select_blocks
-from .metrics import (DEFAULT_ALPHA, ActivationNorms, abs_blocks, ria_channel_scores,
-                      row_blocks, wanda_blocks)
+from .masks import PruneConfig, eggs_select, overlay_blocks, ria_select, select_blocks
+from .metrics import (DEFAULT_ALPHA, ActivationNorms, abs_blocks, layer_sums,
+                      ria_channel_scores, row_blocks, wanda_blocks)
 from .partition import assign_blocks, order_rows
 from .permute import ChannelPermutation, apply_to_columns, build_permutation
 
@@ -160,12 +160,12 @@ class MethodReport:
 
 
 class _ScoredLayer:
-    """The layer-only work of one command, each piece done at most once: the
-    ria channel permutation, the permuted layer's ria sums with its top-k
-    mask and, from the same row-block pass, the rri row order for ``max_b``
-    blocks, of which every smaller B's order is a prefix. The error
-    reference is kept per layout, and no float64 copy of W or of its scores
-    is held.
+    """The layer-only work of one command, each piece done at most once: W's
+    column sums, the ria channel permutation, and one row-block pass over
+    the permuted layer, from those sums permuted, for its ria top-k mask and
+    the rri row order for ``max_b`` blocks, of which every smaller B's order
+    is a prefix. The error reference is kept per layout, and no float64 copy
+    of W or of its scores is held.
     """
 
     def __init__(self, w, norms, n: int, m: int, z=None, max_b: int = 0):
@@ -175,23 +175,27 @@ class _ScoredLayer:
         self.n, self.m, self.max_b, self._refs = n, m, max_b, {}
 
     @cached_property
-    def perm(self) -> ChannelPermutation:
+    def _sums(self):
         cols = self.w.shape[1]
         if cols % self.m:  # the refusal of every method, not build_permutation's own
             raise NMPruneError(f"{cols} columns not divisible by window width {self.m}")
-        return build_permutation(ria_channel_scores(self.w, self.norms), self.m)
+        return layer_sums(self.w, self.norms)
+
+    @cached_property
+    def perm(self) -> ChannelPermutation:
+        return build_permutation(ria_channel_scores(self.w, self._sums), self.m)
 
     @cached_property
     def w_perm(self) -> np.ndarray:
         return apply_to_columns(self.w, self.perm)
 
     @cached_property
-    def norms_perm(self) -> ActivationNorms:
-        return ActivationNorms(self.norms.norms[self.perm.forward], self.norms.alpha)
+    def sums_perm(self):  # W_perm's layer_sums: W's, permuted, bit for bit
+        return tuple(terms[self.perm.forward] for terms in self._sums)
 
     @cached_property
     def _scored(self):
-        base, sums, group_sums = ria_select(self.w_perm, self.norms_perm, self.n, self.m,
+        base, sums, group_sums = ria_select(self.w_perm, self.sums_perm, self.n, self.m,
                                             bool(self.max_b))
         order = order_rows(group_sums, self.max_b * self.m) if self.max_b else None
         return sums, order, base
@@ -249,9 +253,9 @@ def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,
     del w  # the layer holds W's last reference here; ria and eggs drop it
     if method not in _PERMUTED or acts is None:  # without norms, mask() refuses
         return PruneResult(layer.mask(method, cfg), layer.w, None)
-    w_perm, norms_perm = layer.w_perm, layer.norms_perm  # built from W, dead from here on
+    w_perm, sums = layer.w_perm, layer.sums_perm  # built from W, dead from here on
     layer.w = None
-    mask = eggs_prune(w_perm, norms_perm, cfg) if method == "eggs" else layer.mask(method, cfg)
+    mask = eggs_select(w_perm, sums, cfg) if method == "eggs" else layer.mask(method, cfg)
     return PruneResult(mask, w_perm, layer.perm)
 
 

@@ -63,18 +63,20 @@ def importance_select(scores, n: int, m: int) -> np.ndarray:
     # rank[k] counts the columns of its window that beat column k. It
     # starts at k, as if every earlier column won; a later column beats an
     # earlier one only when strictly larger, which moves that point from
-    # the later column's rank to the earlier one's. Windows go in chunks
-    # whose (m, chunk) planes stay small and contiguous.
+    # the later column's rank to the earlier one's. Chunks of windows compare
+    # strided column views in place, or one contiguous copy from M = 8 up.
     rank_type = np.min_scalar_type(m - 1)
     start_rank = np.arange(m, dtype=rank_type)[:, None]
     for chunk in row_blocks(windows.shape[0], m):
-        planes = np.ascontiguousarray(windows[chunk].T)
+        planes = windows[chunk].T if m < 8 else np.ascontiguousarray(windows[chunk].T)
         rank = np.repeat(start_rank, planes.shape[1], axis=1)
+        later_wins = np.empty((m - 1, planes.shape[1]), dtype=bool)
         for j in range(m - 1):
-            later_wins = planes[j + 1 :] > planes[j]
-            rank[j] += later_wins.sum(axis=0, dtype=rank_type)
-            rank[j + 1 :] -= later_wins
-        keep[chunk] = (rank < m - n).T
+            wins = np.greater(planes[j + 1 :], planes[j], out=later_wins[: m - 1 - j])
+            rank[j] += wins.sum(axis=0, dtype=rank_type)
+            rank[j + 1 :] -= wins
+        for j in range(m):
+            keep[chunk, j] = rank[j] < m - n
     return keep.reshape(rows, cols)
 
 
@@ -139,24 +141,30 @@ def connectivity_select(block_w, block_scores, n: int, m: int) -> np.ndarray:
     return mask
 
 
-def select_blocks(blocks, shape, n: int, m: int, group_sums=None) -> np.ndarray:
-    """importance_select over a metrics kernel's (rows, scores, ...) blocks into
-    one uint8 mask; with ``group_sums``, each block's rri summed per group."""
+def select_blocks(blocks, shape, n: int, m: int) -> np.ndarray:
+    """importance_select over a kernel's (rows, scores) blocks into one uint8 mask."""
     mask = np.empty(shape, dtype=np.uint8)
-    for rows, scores, *rri in blocks:
+    for rows, scores in blocks:
         mask[rows] = importance_select(scores, n, m)
-        if group_sums is not None:
-            np.add.reduce(rri[0].reshape(len(scores), -1, m), axis=2, out=group_sums[rows])
     return mask
 
 
-def ria_select(w, act: ActivationNorms, n: int, m: int, grouped: bool):
-    """w's top-k ria mask, its layer_sums and, if ``grouped``, the (F_out, G)
-    rri group sums that order_rows takes, from the row-block kernel."""
-    sums = layer_sums(w, act)
+def ria_select(w, sums, n: int, m: int, grouped: bool):
+    """One row-block pass over ``w`` from its layer_sums: the top-k ria mask,
+    the (row sums, column sums, norms**alpha) that overlay_blocks takes and,
+    if ``grouped``, the (F_out, G) rri group sums that order_rows takes."""
     shape = np.shape(w)
+    mask, row_sums = np.empty(shape, dtype=np.uint8), np.empty(shape[0])
     group_sums = np.empty((shape[0], shape[1] // m)) if grouped else None
-    return select_blocks(ria_blocks(w, sums), shape, n, m, group_sums), sums, group_sums
+    for rows, scores, rri, block_sums in ria_blocks(w, sums):
+        mask[rows], row_sums[rows] = importance_select(scores, n, m), block_sums
+        # np.add.reduce's group sums, bit for bit: it adds pairwise from M = 8
+        # up, and below left to right, as the strided column views do faster
+        if grouped and m >= 8:
+            np.add.reduce(rri.reshape(len(rri), -1, m), axis=2, out=group_sums[rows])
+        elif grouped:
+            group_sums[rows] = sum((rri[:, j::m] for j in range(1, m)), rri[:, 0::m])
+    return mask, (row_sums, *sums), group_sums
 
 
 def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarray:
@@ -169,17 +177,22 @@ def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarra
     per window. With b = 0 this degenerates to plain score-driven pruning.
     Every input column ends with degree >= min(b, rows // m).
     """
-    mask, sums, group_sums = ria_select(w_perm, act_perm, cfg.n, cfg.m, cfg.b > 0)
+    return eggs_select(w_perm, layer_sums(w_perm, act_perm), cfg)
+
+
+def eggs_select(w, sums, cfg: PruneConfig) -> np.ndarray:
+    """eggs_prune's mask of ``w`` from its layer_sums (or from the unpermuted
+    layer's, permuted): one ria_select pass, then plan_groups' overlay."""
+    mask, sums, group_sums = ria_select(w, sums, cfg.n, cfg.m, cfg.b > 0)
     if cfg.b:
-        rows = plan_groups(group_sums, cfg.m, cfg.b)
-        overlay_blocks(mask, w_perm, sums, rows, cfg.n, cfg.m)
+        overlay_blocks(mask, w, sums, plan_groups(group_sums, cfg.m, cfg.b), cfg.n, cfg.m)
     return mask
 
 
 def overlay_blocks(mask, w, sums, rows, n: int, m: int) -> None:
     """Give the blocks of a (groups, blocks, m) row plan connectivity
-    selection on their cells of ``w``, scored by ria from w's layer_sums, in
-    the mask in place. Groups own disjoint columns and blocks disjoint rows."""
+    selection on their cells of ``w``, scored by ria from ria_select's sums,
+    in the mask in place. Groups own disjoint columns and blocks disjoint rows."""
     cols = np.arange(mask.shape[1]).reshape(-1, m)
     cells = rows[..., None], cols[:, None, None, :]
     block_w = np.asarray(w)[cells]

@@ -2,10 +2,11 @@
 
 Scores come from one row-block kernel that widens |W| to float64 a block
 of rows at a time, so the pipeline holds no full-size float64 scores; ria
-takes a first pass that keeps only the row and column sums of |W|. An
-all-zero row or column sum divides as 1, so a dead channel scores exactly
-0. The public score functions join those blocks into float64 matrices of
-the input's shape, so their bits do not depend on its memory order.
+takes a first pass that keeps only the column sums of |W|, and each block
+of the second takes its own row sums. An all-zero row or column sum
+divides as 1, so a dead channel scores exactly 0. The public score
+functions join those blocks into float64 matrices of the input's shape, so
+their bits do not depend on its memory order.
 """
 
 from __future__ import annotations
@@ -101,20 +102,19 @@ def add_rows(total, block) -> np.ndarray:
 
 def layer_sums(w, act: ActivationNorms):
     """The kernel's first pass: validate ``w`` and ``act`` for ria and keep only
-    (row sums of |W|, column sums of |W|, norms**alpha), the sums as divisors."""
-    row_sums, col_sums = [], None
+    (column sums of |W| as divisors, norms**alpha); W's columns permute them bit for bit."""
+    col_sums = None
     for _, a in abs_blocks(w):
-        row_sums.append(a.sum(axis=1))
         col_sums = add_rows(col_sums, a)
     _check_norms_length(act, col_sums.shape[0])
     if act.alpha < 0 and np.any(act.norms == 0.0):
         raise NMPruneError("zero activation norm cannot be raised to a negative alpha")
-    return _divisors(np.concatenate(row_sums)), _divisors(col_sums), act.norms**act.alpha
+    return _divisors(col_sums), act.norms**act.alpha
 
 
 def ria_cells(a, sums, rows, cols):
     """(ria, rri) of the |W| cells that ``a`` holds in float64 at (rows, cols),
-    from the matrix's layer_sums; ria replaces |W| in a's buffer."""
+    from (row sums, column sums, norms**alpha); ria replaces |W| in a's buffer."""
     row_sums, col_sums, scale = sums
     rri = a / row_sums[rows]
     # IEEE addition commutes, so adding in place equals row + column term
@@ -126,15 +126,17 @@ def ria_cells(a, sums, rows, cols):
 
 def ria_blocks(w, sums):
     """ria and rri of ``w`` row block by row block, from its layer_sums:
-    yields (rows, ria, rri), ria in the abs_blocks buffer."""
+    yields (rows, ria, rri, row sums), ria in the abs_blocks buffer. Each
+    block divides by its own row sums of |W|, as divisors."""
     for rows, a in abs_blocks(w):
-        yield rows, *ria_cells(a, sums, np.s_[rows, None], np.s_[:])
+        row_sums = _divisors(a.sum(axis=1))
+        yield rows, *ria_cells(a, (row_sums, *sums), np.s_[:, None], np.s_[:]), row_sums
 
 
-def ria_channel_scores(w, act: ActivationNorms) -> np.ndarray:
-    """channel_scores(ria(w, act)), bit for bit, with no ria matrix held."""
+def ria_channel_scores(w, sums) -> np.ndarray:
+    """channel_scores(ria(w, act)) from layer_sums(w, act), bit for bit, no ria held."""
     total = None
-    for _, scores, _ in ria_blocks(w, layer_sums(w, act)):
+    for _, scores, *_ in ria_blocks(w, sums):
         total = add_rows(total, scores)
     return total
 
@@ -161,8 +163,7 @@ def rri(w) -> np.ndarray:
     Every row of the result sums to 1, except an all-zero row: its sum
     divides as 1, so it scores 0.
     """
-    row_sums = _divisors(np.concatenate([a.sum(axis=1) for _, a in abs_blocks(w)]))
-    return _joined(w, ((rows, a / row_sums[rows, None]) for rows, a in abs_blocks(w)))
+    return _joined(w, ((rows, a / _divisors(a.sum(axis=1))[:, None]) for rows, a in abs_blocks(w)))
 
 
 def ria(w, act: ActivationNorms) -> np.ndarray:

@@ -110,17 +110,25 @@ class TestPrune:
         assert set(load_bundle(out)) == {"mask", "W_pruned"}
         assert not sidecar.exists()
 
-    @pytest.mark.parametrize("method", ["magnitude", "wanda"])
+    @pytest.mark.parametrize("method", ["magnitude", "wanda", "ria", "eggs"])
     def test_stale_sidecar_that_cannot_be_removed(self, tmp_path, capsys, monkeypatch, method):
-        # the bundle is written first; the sidecar's failure reads like a failed write
+        # a directory at the sidecar path can be neither removed nor replaced:
+        # the prune is refused before the old bundle is replaced
         monkeypatch.chdir(tmp_path)
         src = gen_layer(tmp_path)
+        other = "magnitude" if method in ("ria", "eggs") else "ria"
+        assert run("prune", "--in", str(src), "--out", "s.t", "--method", other,
+                   "--n", "2", "--m", "4") == 0
+        old = (tmp_path / "s.t").read_bytes()
+        (tmp_path / "s.t.perm.json").unlink(missing_ok=True)
         (tmp_path / "s.t.perm.json").mkdir()
         capsys.readouterr()
         assert run("prune", "--in", str(src), "--out", "s.t", "--method", method,
                    "--n", "2", "--m", "4") == 1
         assert capsys.readouterr().err == "error: cannot write s.t.perm.json: Is a directory\n"
-        assert set(load_bundle(tmp_path / "s.t")) == {"mask", "W_pruned"}
+        assert (tmp_path / "s.t").read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["layer.tensors", "s.t",
+                                                              "s.t.perm.json"]
 
     def test_failed_write_reruns_with_identical_stderr(self, tmp_path, capsys):
         # the message names the path asked for, not the random temporary file
@@ -424,8 +432,9 @@ class TestAlpha:
 
 
 class TestScoredOnce:
-    """eval and sweep score, permute and order the layer once per command: the
-    kernel's validation pass runs once per layout."""
+    """prune, eval and sweep score, permute and order the layer once per
+    command: the kernel's first pass, layer_sums, runs once, on W; the
+    permuted layer is scored in one pass from W's sums, permuted."""
 
     @staticmethod
     def count(monkeypatch, *fns) -> dict:
@@ -450,8 +459,7 @@ class TestScoredOnce:
         path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
         calls.clear()
         assert run("sweep", "--in", str(path), "--b-range", "0..4", "--n", "2", "--m", "4") == 0
-        # ria on the original layout for the permutation, then the permuted layout
-        assert calls == {"layer_sums": 2, "order_rows": 1}
+        assert calls == {"layer_sums": 1, "order_rows": 1}
         assert len(capsys.readouterr().out.splitlines()) == 6
 
     @pytest.mark.parametrize("argv", [["prune", "--out", "x.t", "--method", "ria"],
@@ -480,8 +488,17 @@ class TestScoredOnce:
         path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
         calls.clear()
         assert run("eval", "--in", str(path), "--n", "2", "--m", "4") == 0
-        assert calls == {"layer_sums": 2, "order_rows": 1}
+        assert calls == {"layer_sums": 1, "order_rows": 1}
         assert len(json.loads(capsys.readouterr().out)) == 4
+
+    @pytest.mark.parametrize("method", ["ria", "eggs"])
+    def test_prune_scores_once(self, tmp_path, calls, method):
+        path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
+        calls.clear()
+        assert run("prune", "--in", str(path), "--out", str(tmp_path / "o.t"), "--method", method,
+                   "--b", "2", "--n", "2", "--m", "4") == 0
+        # eggs orders its rows once, through plan_groups
+        assert calls == {"layer_sums": 1, **({"order_rows": 1} if method == "eggs" else {})}
 
 
 class TestMemory:

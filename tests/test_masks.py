@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from nmprune import metrics
+from nmprune import harness, masks, metrics
 from nmprune import (
     ActivationNorms,
     ConfigError,
@@ -23,7 +23,8 @@ from nmprune import (
     verify_degree_laws,
 )
 from nmprune.masks import connectivity_select, diagonal_select, eggs_prune, importance_select
-from nmprune.metrics import ria
+from nmprune.metrics import channel_scores, ria
+from nmprune.permute import apply_to_columns, build_permutation
 
 
 class TestPruneConfig:
@@ -320,6 +321,79 @@ class TestEggsPrune:
         else:
             assert got.dtype == want.dtype == np.uint8
             np.testing.assert_array_equal(got, want)
+
+
+def fused_layer(seed, f_out, f_in, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":  # equal sums and scores exercise every tie-break
+        w = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(f_out, f_in)).astype(np.float32)
+        norms = rng.integers(1, 3, size=f_in).astype(float)
+    else:  # float64: a float32 row adds up exactly in any order, so its sums could not differ
+        w = rng.standard_normal((f_out, f_in))
+        norms = rng.uniform(0.1, 2.0, size=f_in)
+    if kind == "dead":  # all-zero rows and columns, each sum dividing as 1
+        w[rng.random(f_out) < 0.25] = 0.0
+        w[:, rng.random(f_in) < 0.25] = 0.0
+        w[:, rng.integers(f_in)] = 0.0
+    return w, ActivationNorms(norms, 0.5)
+
+
+class TestFusedPass:
+    """The permuted layer is scored in one row-block pass from W's column
+    sums, permuted: in prune_with_method (ria and eggs) and in the scored
+    layer of eval and sweep. W_perm, the rri group sums that order the rows
+    and the masks equal the whole-matrix oracles bit for bit. A small
+    _TOPK_CHUNK gives several row blocks and a partial tail block."""
+
+    @staticmethod
+    def check(w, act, cfg, chunk, max_b):
+        seen = {}
+
+        def spy(name, fn):
+            def record(sums, *args):
+                seen.setdefault(name, []).append(np.array(sums))
+                return fn(sums, *args)
+            return record
+
+        with warnings.catch_warnings(), mock.patch.object(metrics, "_TOPK_CHUNK", chunk), \
+                mock.patch.object(masks, "plan_groups", spy("prune", masks.plan_groups)), \
+                mock.patch.object(harness, "order_rows", spy("scored", harness.order_rows)):
+            warnings.simplefilter("ignore", UserWarning)  # a B above the full blocks clamps
+            pruned = {method: prune_with_method(w, act, cfg, method) for method in ("ria", "eggs")}
+            layer = harness._ScoredLayer(w, act, cfg.n, cfg.m, max_b=max_b)
+            scored = {method: layer.mask(method, cfg) for method in ("ria", "eggs")}
+            perm = build_permutation(channel_scores(helpers.ria_rri_oracle(w, act)[0]), cfg.m)
+            w_perm = apply_to_columns(w, perm)
+            act_perm = ActivationNorms(act.norms[perm.forward], act.alpha)
+            want_ria, want_rri = helpers.ria_rri_oracle(w_perm, act_perm)
+            want = {"ria": helpers.top_k_per_window_oracle(want_ria, cfg.n, cfg.m),
+                    "eggs": helpers.eggs_prune_oracle(w_perm, act_perm, cfg)}
+        for method, res in pruned.items():
+            assert res.permutation == perm and layer.perm == perm
+            assert res.weights.tobytes() == layer.w_perm.tobytes() == w_perm.tobytes()
+            assert res.mask.dtype == scored[method].dtype == np.uint8
+            assert res.mask.tobytes() == scored[method].tobytes() == want[method].tobytes()
+        group_sums = helpers.group_sums(want_rri, cfg.m).tobytes()
+        assert [s.tobytes() for s in seen.get("prune", [])] == [group_sums] * (cfg.b > 0)
+        assert [s.tobytes() for s in seen.get("scored", [])] == [group_sums] * (max_b > 0)
+
+    @pytest.mark.parametrize("kind", ["float", "integer", "dead"])
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 16])
+    def test_every_width(self, m, kind):
+        # 2m + 3 rows in blocks of three: a partial tail block, and a tail
+        # of rows outside any full connectivity block
+        f_out, f_in = 2 * m + 3, 3 * m
+        w, act = fused_layer(m, f_out, f_in, kind)
+        self.check(w, act, PruneConfig(m // 2, m, 2), 3 * f_in, 3)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8, 16]), st.integers(1, 15),
+           st.integers(1, 30), st.integers(1, 4), st.integers(0, 4),
+           st.sampled_from(["float", "integer", "dead"]), st.integers(1, 1 << 9))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_whole_matrix_oracles(self, seed, m, n, f_out, groups, b, kind, chunk):
+        n = 1 + (n - 1) % (m - 1)
+        w, act = fused_layer(seed, f_out, groups * m, kind)
+        self.check(w, act, PruneConfig(n, m, b), chunk, b)
 
 
 class TestApplyMask:

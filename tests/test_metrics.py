@@ -155,9 +155,13 @@ class TestScoreOnce:
         perm = build_permutation(channel_scores(ria(w, act)), m)
         w_perm = apply_to_columns(w, perm)
         act_perm = ActivationNorms(act.norms[perm.forward], alpha)
-        blocks = metrics.ria_blocks(w_perm, metrics.layer_sums(w_perm, act_perm))
+        sums = metrics.layer_sums(w_perm, act_perm)
+        # W's column terms, permuted, are W_perm's, bit for bit
+        carried = [terms[perm.forward] for terms in metrics.layer_sums(w, act)]
+        assert [t.tobytes() for t in carried] == [t.tobytes() for t in sums]
         got_ria, got_rri = (np.concatenate(b) for b in zip(*[(s.copy(), r.copy())
-                                                             for _, s, r in blocks]))
+                                                             for _, s, r, _ in
+                                                             metrics.ria_blocks(w_perm, sums)]))
         want_ria, want_rri = helpers.ria_rri_oracle(w_perm, act_perm)
         assert got_ria.tobytes() == ria(w_perm, act_perm).tobytes() == want_ria.tobytes()
         assert got_rri.tobytes() == rri(w_perm).tobytes() == want_rri.tobytes()
@@ -167,7 +171,7 @@ class TestScoreOnce:
         w = -np.abs(w.astype(np.float64))
         before = w.copy()
         for score in (ria(w, act), rri(w), wanda_score(w, act), magnitude_score(w),
-                      metrics.ria_channel_scores(w, act)):
+                      metrics.ria_channel_scores(w, metrics.layer_sums(w, act))):
             assert not np.shares_memory(score, w)
         np.testing.assert_array_equal(w, before)
 
@@ -226,8 +230,9 @@ class TestRowBlocks:
         # scores follow the C-ordered sums whatever the input's memory order
         w_in = np.asfortranarray(w) if fortran else w
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
-            row_sums, col_sums, scale = metrics.layer_sums(w_in, act)
-            channel = metrics.ria_channel_scores(w_in, act)
+            col_sums, scale = metrics.layer_sums(w_in, act)
+            row_sums = np.concatenate([r for *_, r in metrics.ria_blocks(w_in, (col_sums, scale))])
+            channel = metrics.ria_channel_scores(w_in, (col_sums, scale))
             got = [ria(w_in, act), rri(w_in), wanda_score(w_in, act), magnitude_score(w_in)]
             got += [np.concatenate([s.copy() for _, s in blocks])
                     for blocks in (metrics.wanda_blocks(w_in, act), metrics.abs_blocks(w_in))]
@@ -268,8 +273,12 @@ class TestRowBlocks:
         want, _ = helpers.outcome(helpers.ria_rri_oracle, w, act)
         assert isinstance(want, tuple) and issubclass(want[0], NMPruneError)
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
-            for fn in (metrics.layer_sums, ria, metrics.ria_channel_scores):
+            for fn in (metrics.layer_sums, ria, channel_ria):
                 assert helpers.outcome(fn, w, act)[0] == want
+
+
+def channel_ria(w, act):
+    return metrics.ria_channel_scores(w, metrics.layer_sums(w, act))
 
 
 def check_row_blocks(count, width, blocks):

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 import helpers
 from nmprune import ActivationNorms, NMPruneError, metrics
 from nmprune.masks import ria_select
-from nmprune.metrics import rri
+from nmprune.metrics import layer_sums, rri
 from nmprune.partition import assign_blocks, order_rows, plan_groups
 
 
 def group_sums(w, m):
     """The rri group sums the kernel hands to order_rows, shape (rows, groups)."""
-    return ria_select(w, ActivationNorms(np.ones(np.shape(w)[1])), 1, m, True)[2]
+    return ria_select(w, layer_sums(w, ActivationNorms(np.ones(np.shape(w)[1]))), 1, m, True)[2]
 
 
 class TestSplitGroups:
@@ -62,7 +62,7 @@ class TestKernelGroupSums:
             w = rng.choice([-2.0, -1.0, 1.0, 2.0], size=shape)
         act = ActivationNorms(rng.uniform(0.1, 2.0, size=shape[1]))
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
-            sums = ria_select(w, act, 1, m, True)[2]
+            sums = ria_select(w, layer_sums(w, act), 1, m, True)[2]
         want_rri = helpers.ria_rri_oracle(w, act)[1]
         assert sums.tobytes() == helpers.group_sums(want_rri, m).tobytes()
         np.testing.assert_array_equal(order_rows(sums), helpers.order_rows_oracle(want_rri, m))

@@ -8,7 +8,9 @@ flags or configuration.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -83,6 +85,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_prune(args) -> int:
     cfg = PruneConfig(args.n, args.m, args.b)
+    sidecar = args.out + ".perm.json"
+    if os.path.isdir(sidecar) and not os.path.islink(sidecar):  # no sidecar step can succeed
+        raise NMPruneError(f"cannot write {sidecar}: {os.strerror(errno.EISDIR)}")
     bundle, norms, _ = _read_layer(args)
     # the bundle gives up W, so W_perm can replace it in memory
     res = prune_with_method(bundle.pop("W"), norms, cfg, args.method)
@@ -96,9 +101,6 @@ def _cmd_prune(args) -> int:
         entries["W_perm"] = np.asarray(w, dtype=np.float32)
         entries["mask_unpermuted"] = BlockSource(np.uint8, mask.shape,
                                                  (unpermute_mask(mask[r], perm) for r in rows))
-    sidecar = args.out + ".perm.json"
-    if Path(sidecar).is_dir():  # no sidecar step could succeed: keep the old bundle
-        raise NMPruneError(f"cannot write {sidecar}: Is a directory")
     save_bundle(entries, args.out)
     if perm is not None:
         save_permutation(perm, sidecar)

@@ -63,20 +63,18 @@ def importance_select(scores, n: int, m: int) -> np.ndarray:
     # rank[k] counts the columns of its window that beat column k. It
     # starts at k, as if every earlier column won; a later column beats an
     # earlier one only when strictly larger, which moves that point from
-    # the later column's rank to the earlier one's. Chunks of windows compare
-    # strided column views in place, or one contiguous copy from M = 8 up.
+    # the later column's rank to the earlier one's, on strided views in place.
     rank_type = np.min_scalar_type(m - 1)
     start_rank = np.arange(m, dtype=rank_type)[:, None]
     for chunk in row_blocks(windows.shape[0], m):
-        planes = windows[chunk].T if m < 8 else np.ascontiguousarray(windows[chunk].T)
+        planes = windows[chunk].T
         rank = np.repeat(start_rank, planes.shape[1], axis=1)
         later_wins = np.empty((m - 1, planes.shape[1]), dtype=bool)
         for j in range(m - 1):
             wins = np.greater(planes[j + 1 :], planes[j], out=later_wins[: m - 1 - j])
             rank[j] += wins.sum(axis=0, dtype=rank_type)
             rank[j + 1 :] -= wins
-        for j in range(m):
-            keep[chunk, j] = rank[j] < m - n
+        np.less(rank, m - n, out=keep[chunk].T)
     return keep.reshape(rows, cols)
 
 

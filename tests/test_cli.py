@@ -129,6 +129,14 @@ class TestPrune:
         assert (tmp_path / "s.t").read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["layer.tensors", "s.t",
                                                               "s.t.perm.json"]
+        # a link to a directory is replaced or removed like any stale sidecar
+        (tmp_path / "s.t.perm.json").rename(tmp_path / "d")
+        (tmp_path / "s.t.perm.json").symlink_to(tmp_path / "d")
+        assert run("prune", "--in", str(src), "--out", "s.t", "--method", method,
+                   "--n", "2", "--m", "4") == 0
+        link = tmp_path / "s.t.perm.json"
+        assert not link.is_symlink() and link.exists() == (method in ("ria", "eggs"))
+        assert (tmp_path / "d").is_dir() and not any((tmp_path / "d").iterdir())
 
     def test_failed_write_reruns_with_identical_stderr(self, tmp_path, capsys):
         # the message names the path asked for, not the random temporary file

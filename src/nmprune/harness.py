@@ -11,10 +11,10 @@ import numpy as np
 
 from .errors import ConfigError, NMPruneError
 from .graphs import verify_degree_laws
-from .masks import PruneConfig, eggs_select, overlay_blocks, ria_select, select_blocks
+from .masks import PruneConfig, overlay_blocks, ria_select, select_blocks
 from .metrics import (DEFAULT_ALPHA, ActivationNorms, abs_blocks, layer_sums,
                       ria_channel_scores, row_blocks, wanda_blocks)
-from .partition import assign_blocks, order_rows
+from .partition import assign_blocks, plan_groups
 from .permute import ChannelPermutation, apply_to_columns, build_permutation
 
 METHODS = ("magnitude", "wanda", "ria", "eggs")
@@ -163,9 +163,9 @@ class _ScoredLayer:
     """The layer-only work of one command, each piece done at most once: W's
     column sums, the ria channel permutation, and one row-block pass over
     the permuted layer, from those sums permuted, for its ria top-k mask and
-    the rri row order for ``max_b`` blocks, of which every smaller B's order
-    is a prefix. The error reference is kept per layout, and no float64 copy
-    of W or of its scores is held.
+    one group plan of the ``max_b`` blocks that fit, of which every smaller
+    B's plan is a prefix. The error reference is kept per layout, and no
+    float64 copy of W or of its scores is held.
     """
 
     def __init__(self, w, norms, n: int, m: int, z=None, max_b: int = 0):
@@ -197,22 +197,26 @@ class _ScoredLayer:
     def _scored(self):
         base, sums, group_sums = ria_select(self.w_perm, self.sums_perm, self.n, self.m,
                                             bool(self.max_b))
-        order = order_rows(group_sums, self.max_b * self.m) if self.max_b else None
-        return sums, order, base
+        # as many blocks as fit, so the plan itself never clamps; each B takes a prefix
+        plan = (plan_groups(group_sums, self.m, min(self.max_b, len(group_sums) // self.m))
+                if self.max_b else None)
+        return sums, plan, base
 
     def mask(self, method: str, cfg: PruneConfig) -> np.ndarray:
         """The method's mask, in the permuted layout for ria and eggs."""
+        if method not in METHODS:
+            raise ConfigError(f"unknown method {method!r}")
         if method == "magnitude":
             return select_blocks(abs_blocks(self.w), self.w.shape, self.n, self.m)
         if self.norms is None:
             raise ConfigError(f"method {method!r} requires activation norms")
         if method == "wanda":
             return select_blocks(wanda_blocks(self.w, self.norms), self.w.shape, self.n, self.m)
-        sums, order, base = self._scored
+        sums, plan, base = self._scored
         if method == "ria" or cfg.b == 0:
             return base
         mask = base.copy()
-        rows = assign_blocks(order, self.m, cfg.b)
+        rows = assign_blocks(plan.reshape(len(plan), -1), self.m, cfg.b)
         overlay_blocks(mask, self.w_perm, sums, rows, self.n, self.m)
         return mask
 
@@ -247,16 +251,12 @@ def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,
     first permute channels round-robin by aggregated channel score and
     build the mask in the permuted layout.
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
-    layer = _ScoredLayer(w, acts, cfg.n, cfg.m)
+    layer = _ScoredLayer(w, acts, cfg.n, cfg.m, max_b=cfg.b if method == "eggs" else 0)
     del w  # the layer holds W's last reference here; ria and eggs drop it
-    if method not in _PERMUTED or acts is None:  # without norms, mask() refuses
+    if method not in _PERMUTED or acts is None:  # mask() refuses an unknown name or no norms
         return PruneResult(layer.mask(method, cfg), layer.w, None)
-    w_perm, sums = layer.w_perm, layer.sums_perm  # built from W, dead from here on
-    layer.w = None
-    mask = eggs_select(w_perm, sums, cfg) if method == "eggs" else layer.mask(method, cfg)
-    return PruneResult(mask, w_perm, layer.perm)
+    w_perm, layer.w = layer.w_perm, None  # W_perm is built from W, dead from here on
+    return PruneResult(layer.mask(method, cfg), w_perm, layer.perm)
 
 
 def compare_methods(w, norms: ActivationNorms | None, cfg: PruneConfig, methods=METHODS,
@@ -267,6 +267,7 @@ def compare_methods(w, norms: ActivationNorms | None, cfg: PruneConfig, methods=
     error is measured on the calibration batch ``z`` (channels x samples)
     when given, else on identity inputs, i.e. on the weights themselves.
     """
+    methods = list(methods)  # read once: an iterator is spent by the check
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown method {unknown[0]!r}")
@@ -276,7 +277,7 @@ def compare_methods(w, norms: ActivationNorms | None, cfg: PruneConfig, methods=
 
 def sweep_blocks(w, norms: ActivationNorms, n: int, m: int, bs, z=None) -> list[MethodReport]:
     """One eggs report per block count in ``bs``, equal to compare_methods'
-    for that B; every B shares one scored layer and one row order."""
+    for that B; every B shares one scored layer and one group plan."""
     cfgs = [PruneConfig(n, m, b) for b in bs]
     layer = _ScoredLayer(w, norms, n, m, z, max((cfg.b for cfg in cfgs), default=0))
     return [layer.report("eggs", cfg) for cfg in cfgs]

@@ -33,8 +33,8 @@ class PruneConfig:
         _check_nm(self.n, self.m)
         if self.m % 2:
             raise ConfigError(f"M must be even, got {self.m}")
-        if self.b < 0:
-            raise ConfigError(f"B must be non-negative, got {self.b}")
+        if not isinstance(self.b, (int, np.integer)) or self.b < 0:
+            raise ConfigError(f"B must be a non-negative integer, got {self.b!r}")
 
 
 def _check_nm(n, m) -> None:
@@ -175,15 +175,10 @@ def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarra
     per window. With b = 0 this degenerates to plain score-driven pruning.
     Every input column ends with degree >= min(b, rows // m).
     """
-    return eggs_select(w_perm, layer_sums(w_perm, act_perm), cfg)
-
-
-def eggs_select(w, sums, cfg: PruneConfig) -> np.ndarray:
-    """eggs_prune's mask of ``w`` from its layer_sums (or from the unpermuted
-    layer's, permuted): one ria_select pass, then plan_groups' overlay."""
-    mask, sums, group_sums = ria_select(w, sums, cfg.n, cfg.m, cfg.b > 0)
+    mask, sums, group_sums = ria_select(w_perm, layer_sums(w_perm, act_perm), cfg.n, cfg.m,
+                                        cfg.b > 0)
     if cfg.b:
-        overlay_blocks(mask, w, sums, plan_groups(group_sums, cfg.m, cfg.b), cfg.n, cfg.m)
+        overlay_blocks(mask, w_perm, sums, plan_groups(group_sums, cfg.m, cfg.b), cfg.n, cfg.m)
     return mask
 
 

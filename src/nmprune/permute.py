@@ -27,9 +27,12 @@ class ChannelPermutation:
     inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        fwd = np.asarray(self.forward, dtype=np.int64)
+        fwd = np.asarray(self.forward)
         if fwd.ndim != 1:
             raise NMPruneError("forward must be a 1-D vector")
+        if fwd.size and fwd.dtype.kind not in "iu":
+            raise NMPruneError(f"forward must hold integers, got {fwd.dtype}")
+        fwd = np.asarray(fwd, dtype=np.int64)
         if not np.array_equal(np.sort(fwd), np.arange(fwd.shape[0])):
             raise NMPruneError("forward is not a bijection on channel indices")
         inv = np.empty_like(fwd)

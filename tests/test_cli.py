@@ -440,9 +440,10 @@ class TestAlpha:
 
 
 class TestScoredOnce:
-    """prune, eval and sweep score, permute and order the layer once per
+    """prune, eval and sweep score, permute and plan the layer once per
     command: the kernel's first pass, layer_sums, runs once, on W; the
-    permuted layer is scored in one pass from W's sums, permuted."""
+    permuted layer is scored in one pass from W's sums, permuted; eggs
+    plans its groups in one plan_groups call, whatever the Bs."""
 
     @staticmethod
     def count(monkeypatch, *fns) -> dict:
@@ -461,13 +462,14 @@ class TestScoredOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        return self.count(monkeypatch, metrics.layer_sums, partition.order_rows)
+        return self.count(monkeypatch, metrics.layer_sums, partition.order_rows,
+                          partition.plan_groups)
 
     def test_sweep_scores_and_orders_once(self, tmp_path, capsys, calls):
         path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
         calls.clear()
         assert run("sweep", "--in", str(path), "--b-range", "0..4", "--n", "2", "--m", "4") == 0
-        assert calls == {"layer_sums": 1, "order_rows": 1}
+        assert calls == {"layer_sums": 1, "order_rows": 1, "plan_groups": 1}
         assert len(capsys.readouterr().out.splitlines()) == 6
 
     @pytest.mark.parametrize("argv", [["prune", "--out", "x.t", "--method", "ria"],
@@ -496,7 +498,7 @@ class TestScoredOnce:
         path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
         calls.clear()
         assert run("eval", "--in", str(path), "--n", "2", "--m", "4") == 0
-        assert calls == {"layer_sums": 1, "order_rows": 1}
+        assert calls == {"layer_sums": 1, "order_rows": 1, "plan_groups": 1}
         assert len(json.loads(capsys.readouterr().out)) == 4
 
     @pytest.mark.parametrize("method", ["ria", "eggs"])
@@ -505,8 +507,9 @@ class TestScoredOnce:
         calls.clear()
         assert run("prune", "--in", str(path), "--out", str(tmp_path / "o.t"), "--method", method,
                    "--b", "2", "--n", "2", "--m", "4") == 0
-        # eggs orders its rows once, through plan_groups
-        assert calls == {"layer_sums": 1, **({"order_rows": 1} if method == "eggs" else {})}
+        # eggs plans its groups once, and orders its rows once inside plan_groups
+        planned = {"order_rows": 1, "plan_groups": 1} if method == "eggs" else {}
+        assert calls == {"layer_sums": 1, **planned}
 
 
 class TestMemory:

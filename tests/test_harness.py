@@ -197,6 +197,15 @@ class TestCompareMethods:
         expected = np.linalg.norm(w * (1 - mask)) / np.linalg.norm(w)
         np.testing.assert_allclose(reports[0].error, expected, rtol=1e-6)
 
+    @pytest.mark.parametrize("make", [iter, lambda names: (name for name in names)],
+                             ids=["iterator", "generator"])
+    def test_methods_are_read_once(self, make):
+        w, z = gen_synthetic(12, 8, 8, "gaussian")
+        norms, cfg = norms_from_batch(z), PruneConfig(2, 4, 1)
+        reports = compare_methods(w, norms, cfg, make(["ria", "eggs"]), z)
+        assert reports == compare_methods(w, norms, cfg, ["ria", "eggs"], z)
+        assert [r.method for r in reports] == ["ria", "eggs"]
+
     def test_unknown_method_rejected(self):
         w, z = gen_synthetic(1, 8, 8, "gaussian")
         with pytest.raises(ConfigError):

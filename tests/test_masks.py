@@ -347,19 +347,17 @@ class TestFusedPass:
 
     @staticmethod
     def check(w, act, cfg, chunk, max_b):
-        seen = {}
+        planned, plan_groups = [], harness.plan_groups
 
-        def spy(name, fn):
-            def record(sums, *args):
-                seen.setdefault(name, []).append(np.array(sums))
-                return fn(sums, *args)
-            return record
+        def spy(sums, *args):
+            planned.append(np.array(sums))
+            return plan_groups(sums, *args)
 
         with warnings.catch_warnings(), mock.patch.object(metrics, "_TOPK_CHUNK", chunk), \
-                mock.patch.object(masks, "plan_groups", spy("prune", masks.plan_groups)), \
-                mock.patch.object(harness, "order_rows", spy("scored", harness.order_rows)):
+                mock.patch.object(harness, "plan_groups", spy):
             warnings.simplefilter("ignore", UserWarning)  # a B above the full blocks clamps
             pruned = {method: prune_with_method(w, act, cfg, method) for method in ("ria", "eggs")}
+            pruned_plans = len(planned)
             layer = harness._ScoredLayer(w, act, cfg.n, cfg.m, max_b=max_b)
             scored = {method: layer.mask(method, cfg) for method in ("ria", "eggs")}
             perm = build_permutation(channel_scores(helpers.ria_rri_oracle(w, act)[0]), cfg.m)
@@ -374,8 +372,8 @@ class TestFusedPass:
             assert res.mask.dtype == scored[method].dtype == np.uint8
             assert res.mask.tobytes() == scored[method].tobytes() == want[method].tobytes()
         group_sums = helpers.group_sums(want_rri, cfg.m).tobytes()
-        assert [s.tobytes() for s in seen.get("prune", [])] == [group_sums] * (cfg.b > 0)
-        assert [s.tobytes() for s in seen.get("scored", [])] == [group_sums] * (max_b > 0)
+        assert [s.tobytes() for s in planned[:pruned_plans]] == [group_sums] * (cfg.b > 0)
+        assert [s.tobytes() for s in planned[pruned_plans:]] == [group_sums] * (max_b > 0)
 
     @pytest.mark.parametrize("kind", ["float", "integer", "dead"])
     @pytest.mark.parametrize("m", [2, 4, 6, 8, 16])
@@ -530,6 +528,8 @@ def check_whole(mask, n, m):
 REFUSALS = [
     pytest.param(lambda: PruneConfig(2.0, 4), ConfigError, "N and M must be integers, got 2.0:4",
                  id="float-n"),
+    pytest.param(lambda: PruneConfig(2, 4, 1.5), ConfigError,
+                 "B must be a non-negative integer, got 1.5", id="float-b"),
     pytest.param(lambda: importance_select(np.ones(4), 2, "4"), ConfigError,
                  "N and M must be integers, got 2:'4'", id="string-m"),
     pytest.param(lambda: importance_select(np.ones(4), 2, 4), NMPruneError,

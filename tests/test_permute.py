@@ -186,6 +186,8 @@ def sidecar(tmp_path, text):
 REFUSALS = [
     pytest.param(lambda tmp: ChannelPermutation(np.zeros((2, 2), dtype=int)), NMPruneError,
                  "forward must be a 1-D vector", id="2-d-forward"),
+    pytest.param(lambda tmp: ChannelPermutation([0.9, 1.7, 2.2]), NMPruneError,
+                 "forward must hold integers, got float64", id="float-forward"),
     pytest.param(lambda tmp: build_permutation([1.0, np.nan], 2), NMPruneError,
                  "channel scores must be finite", id="nan-scores"),
     pytest.param(lambda tmp: build_permutation([np.inf, 1.0], 2), NMPruneError,

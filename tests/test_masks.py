@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from nmprune import harness, masks, metrics
+from nmprune import harness, metrics
 from nmprune import (
     ActivationNorms,
     ConfigError,

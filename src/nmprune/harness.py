@@ -12,8 +12,8 @@ import numpy as np
 from .errors import ConfigError, NMPruneError
 from .graphs import verify_degree_laws
 from .masks import PruneConfig, overlay_blocks, ria_select, select_blocks
-from .metrics import (DEFAULT_ALPHA, ActivationNorms, abs_blocks, layer_sums,
-                      ria_channel_scores, row_blocks, wanda_blocks)
+from .metrics import (DEFAULT_ALPHA, ActivationNorms, abs_blocks, layer_sums, row_blocks,
+                      wanda_blocks)
 from .partition import assign_blocks, plan_groups
 from .permute import ChannelPermutation, apply_to_columns, build_permutation
 
@@ -183,22 +183,19 @@ class _ScoredLayer:
 
     @cached_property
     def perm(self) -> ChannelPermutation:
-        return build_permutation(ria_channel_scores(self.w, self._sums), self.m)
+        return build_permutation(self._sums[2], self.m)
 
     @cached_property
     def w_perm(self) -> np.ndarray:
         return apply_to_columns(self.w, self.perm)
 
     @cached_property
-    def sums_perm(self):  # W_perm's layer_sums: W's, permuted, bit for bit
-        return tuple(terms[self.perm.forward] for terms in self._sums)
-
-    @cached_property
     def _scored(self):
-        base, sums, group_sums = ria_select(self.w_perm, self.sums_perm, self.n, self.m,
-                                            bool(self.max_b))
+        # W_perm's column sums and norms**alpha: W's, permuted, bit for bit
+        terms = tuple(t[self.perm.forward] for t in self._sums[:2])
+        base, sums, group_sums = ria_select(self.w_perm, terms, self.n, self.m, bool(self.max_b))
         # as many blocks as fit, so the plan itself never clamps; each B takes a prefix
-        plan = (plan_groups(group_sums, self.m, min(self.max_b, len(group_sums) // self.m))
+        plan = (plan_groups(group_sums, self.m, min(self.max_b, group_sums.shape[1] // self.m))
                 if self.max_b else None)
         return sums, plan, base
 

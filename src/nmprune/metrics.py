@@ -2,11 +2,11 @@
 
 Scores come from one row-block kernel that widens |W| to float64 a block
 of rows at a time, so the pipeline holds no full-size float64 scores; ria
-takes a first pass that keeps only the column sums of |W|, and each block
-of the second takes its own row sums. An all-zero row or column sum
-divides as 1, so a dead channel scores exactly 0. The public score
-functions join those blocks into float64 matrices of the input's shape, so
-their bits do not depend on its memory order.
+takes a first pass that keeps only the column sums of |W| and the channel
+scores, in closed form, and each block of the second takes its own row
+sums. An all-zero row or column sum divides as 1, so a dead channel scores
+exactly 0. The public score functions join those blocks into float64
+matrices of the input's shape, so their bits do not depend on its order.
 """
 
 from __future__ import annotations
@@ -102,21 +102,26 @@ def add_rows(total, block) -> np.ndarray:
 
 def layer_sums(w, act: ActivationNorms):
     """The kernel's first pass: validate ``w`` and ``act`` for ria and keep only
-    (column sums of |W| as divisors, norms**alpha); W's columns permute them bit for bit."""
-    col_sums = None
+    (column sums of |W| as divisors, s = norms**alpha, ria channel scores);
+    W's columns permute the first two bit for bit. Column j's ria summed over
+    the rows is s_j * (sum_i |w_ij| / r_i + [c_j != 0]), from row sums r and
+    column sums c, so it takes each block's own row sums and no ria cell."""
+    col_sums = rri_sums = None
     for _, a in abs_blocks(w):
         col_sums = add_rows(col_sums, a)
+        rri_sums = add_rows(rri_sums, np.divide(a, _divisors(a.sum(axis=1))[:, None], out=a))
     _check_norms_length(act, col_sums.shape[0])
     if act.alpha < 0 and np.any(act.norms == 0.0):
         raise NMPruneError("zero activation norm cannot be raised to a negative alpha")
-    return _divisors(col_sums), act.norms**act.alpha
+    scale = act.norms**act.alpha
+    return _divisors(col_sums), scale, scale * (rri_sums + (col_sums != 0.0))
 
 
-def ria_cells(a, sums, rows, cols):
-    """(ria, rri) of the |W| cells that ``a`` holds in float64 at (rows, cols),
-    from (row sums, column sums, norms**alpha); ria replaces |W| in a's buffer."""
+def ria_cells(a, sums, rows, cols, rri=None):
+    """(ria, rri) of the |W| cells that ``a`` holds in float64 at (rows, cols), from
+    (row sums, column sums, norms**alpha); ria replaces |W| in a, rri fills ``rri`` if given."""
     row_sums, col_sums, scale = sums
-    rri = a / row_sums[rows]
+    rri = np.divide(a, row_sums[rows], out=rri)
     # IEEE addition commutes, so adding in place equals row + column term
     np.divide(a, col_sums[cols], out=a)
     a += rri
@@ -125,20 +130,15 @@ def ria_cells(a, sums, rows, cols):
 
 
 def ria_blocks(w, sums):
-    """ria and rri of ``w`` row block by row block, from its layer_sums:
-    yields (rows, ria, rri, row sums), ria in the abs_blocks buffer. Each
-    block divides by its own row sums of |W|, as divisors."""
+    """ria and rri of ``w`` row block by row block, from its layer_sums' first two
+    terms: yields (rows, ria, rri, row sums), ria and rri in buffers reused from block
+    to block. Each block divides by its own row sums of |W|, as divisors."""
+    rri = None
     for rows, a in abs_blocks(w):
+        rri = np.empty_like(a) if rri is None else rri  # the first block is the largest
         row_sums = _divisors(a.sum(axis=1))
-        yield rows, *ria_cells(a, (row_sums, *sums), np.s_[:, None], np.s_[:]), row_sums
-
-
-def ria_channel_scores(w, sums) -> np.ndarray:
-    """channel_scores(ria(w, act)) from layer_sums(w, act), bit for bit, no ria held."""
-    total = None
-    for _, scores, *_ in ria_blocks(w, sums):
-        total = add_rows(total, scores)
-    return total
+        yield rows, *ria_cells(a, (row_sums, *sums), np.s_[:, None], np.s_[:],
+                               rri[: len(a)]), row_sums
 
 
 def wanda_blocks(w, act: ActivationNorms):
@@ -172,7 +172,7 @@ def ria(w, act: ActivationNorms) -> np.ndarray:
     score[i][j] = (|w_ij| / sum_k |w_ik| + |w_ij| / sum_k |w_kj|) * norms[j]**alpha,
     where a zero sum divides as 1.
     """
-    return _joined(w, ria_blocks(w, layer_sums(w, act)))
+    return _joined(w, ria_blocks(w, layer_sums(w, act)[:2]))
 
 
 def channel_scores(scores) -> np.ndarray:

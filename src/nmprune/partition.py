@@ -19,7 +19,8 @@ from .metrics import row_blocks
 def order_rows(sums, count: int | None = None) -> np.ndarray:
     """Per pruning group, row indices sorted ascending by the row's score sum
     over the group; ties keep the lower row index. ``sums`` holds those
-    sums, shape (rows, groups), such as masks.ria_select's rri group sums.
+    sums, shape (groups, rows), one contiguous line per group, such as
+    masks.ria_select's rri group sums.
 
     Only the first ``count`` rows of each order are sorted and returned
     (all rows by default). Returns shape (groups, min(count, rows)).
@@ -27,13 +28,13 @@ def order_rows(sums, count: int | None = None) -> np.ndarray:
     s = np.asarray(sums, dtype=np.float64)
     if s.ndim != 2:
         raise NMPruneError("group sums must be 2-D")
-    f_out, groups = s.shape
+    groups, f_out = s.shape
     count = f_out if count is None else min(max(count, 0), f_out)
     order = np.empty((groups, count), dtype=np.int64)
     if not count:
         return order
     for part in row_blocks(groups, f_out):  # groups are independent: a chunk at a time
-        chunk = np.ascontiguousarray(s[:, part].T)
+        chunk = s[part]
         # candidates: the rows at or below each group's count-th smallest sum.
         # A stable argsort of "above" lists them first, in row order; sorting
         # as many leading rows as the widest group has candidates is enough,
@@ -73,7 +74,7 @@ def assign_blocks(order, m: int, b: int) -> np.ndarray:
 
 def plan_groups(sums, m: int, b: int) -> np.ndarray:
     """Connectivity rows per pruning group, shape (groups, b_eff, m), from
-    the (rows, groups) group sums that order_rows takes.
+    the (groups, rows) group sums that order_rows takes.
 
     Ordering is computed independently per group, so a row may sit in a
     connectivity block in one group and an importance block in another.

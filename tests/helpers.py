@@ -140,17 +140,26 @@ def ria_rri_oracle(w, act):
     return (a / row_sums[:, None] + a / col_sums[None, :]) * scale[None, :], a / row_sums[:, None]
 
 
+def ria_channel_scores_oracle(w, act):
+    """Each column's ria summed over its rows, in closed form: norms**alpha
+    times (the column's rri sum, as one whole-matrix sum(axis=0), plus 1 for
+    a column that is not all zero). Refuses what ria_rri_oracle refuses."""
+    rri = ria_rri_oracle(w, act)[1]
+    col_sums = np.abs(np.asarray(w, dtype=np.float64)).sum(axis=0)
+    return act.norms**act.alpha * (rri.sum(axis=0) + (col_sums != 0))
+
+
 def group_sums(scores, m):
     """Each row's score sum over every group of m columns, as one
-    whole-matrix reduction: shape (rows, groups)."""
+    whole-matrix reduction: shape (groups, rows), one contiguous line per group."""
     s = np.asarray(scores, dtype=np.float64)
-    return s.reshape(s.shape[0], -1, m).sum(axis=2)
+    return np.ascontiguousarray(s.reshape(s.shape[0], -1, m).sum(axis=2).T)
 
 
 def order_rows_oracle(scores, m):
     """One full stable argsort per group of the rows' score sums over the
     group's m columns: shape (groups, rows), ties at the lower row."""
-    return np.argsort(group_sums(scores, m).T, axis=1, kind="stable")
+    return np.argsort(group_sums(scores, m), axis=1, kind="stable")
 
 
 def connectivity_select_oracle(block_w, block_scores, n, m):

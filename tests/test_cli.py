@@ -441,8 +441,9 @@ class TestAlpha:
 
 class TestScoredOnce:
     """prune, eval and sweep score, permute and plan the layer once per
-    command: the kernel's first pass, layer_sums, runs once, on W; the
-    permuted layer is scored in one pass from W's sums, permuted; eggs
+    command: the kernel's first pass, layer_sums, runs once, on W, and
+    takes the channel scores too; the permuted layer is scored in one pass
+    from W's sums, permuted, so |W| is widened in two passes in all; eggs
     plans its groups in one plan_groups call, whatever the Bs."""
 
     @staticmethod
@@ -510,6 +511,19 @@ class TestScoredOnce:
         # eggs plans its groups once, and orders its rows once inside plan_groups
         planned = {"order_rows": 1, "plan_groups": 1} if method == "eggs" else {}
         assert calls == {"layer_sums": 1, **planned}
+
+
+    @pytest.mark.parametrize("argv", [["prune", "--out", "o.t", "--method", "ria", "--b", "2"],
+                                      ["prune", "--out", "o.t", "--method", "eggs", "--b", "2"],
+                                      ["eval", "--methods", "ria,eggs", "--b", "2"],
+                                      ["sweep", "--b-range", "0..4"]])
+    def test_two_passes_over_the_layer(self, tmp_path, monkeypatch, argv):
+        # one pass over W for its column sums and channel scores, one over W_perm
+        monkeypatch.chdir(tmp_path)
+        path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
+        passes = self.count(monkeypatch, metrics.abs_blocks)
+        assert run(*argv, "--in", str(path), "--n", "2", "--m", "4") == 0
+        assert passes == {"abs_blocks": 2}
 
 
 class TestMemory:

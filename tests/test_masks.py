@@ -23,7 +23,7 @@ from nmprune import (
     verify_degree_laws,
 )
 from nmprune.masks import connectivity_select, diagonal_select, eggs_prune, importance_select
-from nmprune.metrics import channel_scores, ria
+from nmprune.metrics import ria
 from nmprune.permute import apply_to_columns, build_permutation
 
 
@@ -341,9 +341,10 @@ def fused_layer(seed, f_out, f_in, kind):
 class TestFusedPass:
     """The permuted layer is scored in one row-block pass from W's column
     sums, permuted: in prune_with_method (ria and eggs) and in the scored
-    layer of eval and sweep. W_perm, the rri group sums that order the rows
-    and the masks equal the whole-matrix oracles bit for bit. A small
-    _TOPK_CHUNK gives several row blocks and a partial tail block."""
+    layer of eval and sweep. The permutation, W_perm, the (G, F_out) rri
+    group sums that plan_groups takes and the masks equal the whole-matrix
+    oracles bit for bit. A small _TOPK_CHUNK gives several row blocks and a
+    partial tail block."""
 
     @staticmethod
     def check(w, act, cfg, chunk, max_b):
@@ -360,7 +361,7 @@ class TestFusedPass:
             pruned_plans = len(planned)
             layer = harness._ScoredLayer(w, act, cfg.n, cfg.m, max_b=max_b)
             scored = {method: layer.mask(method, cfg) for method in ("ria", "eggs")}
-            perm = build_permutation(channel_scores(helpers.ria_rri_oracle(w, act)[0]), cfg.m)
+            perm = build_permutation(helpers.ria_channel_scores_oracle(w, act), cfg.m)
             w_perm = apply_to_columns(w, perm)
             act_perm = ActivationNorms(act.norms[perm.forward], act.alpha)
             want_ria, want_rri = helpers.ria_rri_oracle(w_perm, act_perm)

@@ -1,5 +1,6 @@
 """Score metrics: hand-checked values, error cases, and ranking invariances."""
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -155,9 +156,9 @@ class TestScoreOnce:
         perm = build_permutation(channel_scores(ria(w, act)), m)
         w_perm = apply_to_columns(w, perm)
         act_perm = ActivationNorms(act.norms[perm.forward], alpha)
-        sums = metrics.layer_sums(w_perm, act_perm)
+        sums = metrics.layer_sums(w_perm, act_perm)[:2]
         # W's column terms, permuted, are W_perm's, bit for bit
-        carried = [terms[perm.forward] for terms in metrics.layer_sums(w, act)]
+        carried = [terms[perm.forward] for terms in metrics.layer_sums(w, act)[:2]]
         assert [t.tobytes() for t in carried] == [t.tobytes() for t in sums]
         got_ria, got_rri = (np.concatenate(b) for b in zip(*[(s.copy(), r.copy())
                                                              for _, s, r, _ in
@@ -171,9 +172,39 @@ class TestScoreOnce:
         w = -np.abs(w.astype(np.float64))
         before = w.copy()
         for score in (ria(w, act), rri(w), wanda_score(w, act), magnitude_score(w),
-                      metrics.ria_channel_scores(w, metrics.layer_sums(w, act))):
+                      *metrics.layer_sums(w, act)):
             assert not np.shares_memory(score, w)
         np.testing.assert_array_equal(w, before)
+
+
+class TestClosedFormChannelScores:
+    """layer_sums' channel scores, s_j * (sum_i |w_ij| / r_i + [c_j != 0]),
+    are each column's ria summed over its rows: on small integer layers with
+    alpha = 1 and integer norms they lie within 1e-12 of the exact sum of
+    ria cells, and a dead column scores exactly 0."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
+           st.integers(1, 1 << 7))
+    @settings(max_examples=150, deadline=None)
+    def test_within_rounding_of_the_exact_ria_sum(self, seed, f_out, f_in, chunk):
+        rng = np.random.default_rng(seed)
+        w = rng.integers(-2, 3, size=(f_out, f_in)).astype(np.float32)
+        w[:, rng.random(f_in) < 0.2] = 0.0
+        norms = rng.integers(0, 5, size=f_in)
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+            scores = metrics.layer_sums(w, ActivationNorms(norms, 1.0))[2]
+        cells = [[Fraction(abs(int(x))) for x in row] for row in w]
+        rows = [sum(row) or 1 for row in cells]  # a zero sum divides as 1
+        cols = [sum(col) or 1 for col in zip(*cells)]
+        for j in range(f_in):
+            exact = int(norms[j]) * sum(cells[i][j] / rows[i] + cells[i][j] / cols[j]
+                                        for i in range(f_out))
+            if exact == 0:
+                assert scores[j] == 0.0
+            else:
+                assert abs(Fraction(float(scores[j])) - exact) <= exact / 10**12
+        dead = ~w.any(axis=0)
+        assert scores[dead].tobytes() == np.zeros(int(dead.sum())).tobytes()
 
 
 class TestValidation:
@@ -230,9 +261,8 @@ class TestRowBlocks:
         # scores follow the C-ordered sums whatever the input's memory order
         w_in = np.asfortranarray(w) if fortran else w
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
-            col_sums, scale = metrics.layer_sums(w_in, act)
+            col_sums, scale, channel = metrics.layer_sums(w_in, act)
             row_sums = np.concatenate([r for *_, r in metrics.ria_blocks(w_in, (col_sums, scale))])
-            channel = metrics.ria_channel_scores(w_in, (col_sums, scale))
             got = [ria(w_in, act), rri(w_in), wanda_score(w_in, act), magnitude_score(w_in)]
             got += [np.concatenate([s.copy() for _, s in blocks])
                     for blocks in (metrics.wanda_blocks(w_in, act), metrics.abs_blocks(w_in))]
@@ -241,7 +271,7 @@ class TestRowBlocks:
         assert row_sums.tobytes() == helpers.divisors_oracle(a.sum(axis=1)).tobytes()
         assert col_sums.tobytes() == helpers.divisors_oracle(a.sum(axis=0)).tobytes()
         assert scale.tobytes() == (act.norms**act.alpha).tobytes()
-        assert channel.tobytes() == want_ria.sum(axis=0).tobytes()
+        assert channel.tobytes() == helpers.ria_channel_scores_oracle(w, act).tobytes()
         for score, want in zip(got, [want_ria, want_rri, a * act.norms, a, a * act.norms, a],
                                strict=True):
             assert score.tobytes() == want.tobytes()
@@ -273,12 +303,8 @@ class TestRowBlocks:
         want, _ = helpers.outcome(helpers.ria_rri_oracle, w, act)
         assert isinstance(want, tuple) and issubclass(want[0], NMPruneError)
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
-            for fn in (metrics.layer_sums, ria, channel_ria):
+            for fn in (metrics.layer_sums, ria):
                 assert helpers.outcome(fn, w, act)[0] == want
-
-
-def channel_ria(w, act):
-    return metrics.ria_channel_scores(w, metrics.layer_sums(w, act))
 
 
 def check_row_blocks(count, width, blocks):

@@ -16,15 +16,16 @@ from nmprune.partition import assign_blocks, order_rows, plan_groups
 
 
 def group_sums(w, m):
-    """The rri group sums the kernel hands to order_rows, shape (rows, groups)."""
-    return ria_select(w, layer_sums(w, ActivationNorms(np.ones(np.shape(w)[1]))), 1, m, True)[2]
+    """The rri group sums the kernel hands to order_rows, shape (groups, rows)."""
+    sums = layer_sums(w, ActivationNorms(np.ones(np.shape(w)[1])))[:2]
+    return ria_select(w, sums, 1, m, True)[2]
 
 
 class TestSplitGroups:
     """The kernel sums rri over contiguous groups of m columns for order_rows."""
 
     def test_two_groups(self):
-        assert group_sums(np.ones((3, 8)), 4).shape == (3, 2)
+        assert group_sums(np.ones((3, 8)), 4).shape == (2, 3)
         assert order_rows(group_sums(np.ones((3, 8)), 4)).shape == (2, 3)
 
     def test_single_group(self):
@@ -62,27 +63,27 @@ class TestKernelGroupSums:
             w = rng.choice([-2.0, -1.0, 1.0, 2.0], size=shape)
         act = ActivationNorms(rng.uniform(0.1, 2.0, size=shape[1]))
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
-            sums = ria_select(w, layer_sums(w, act), 1, m, True)[2]
+            sums = ria_select(w, layer_sums(w, act)[:2], 1, m, True)[2]
         want_rri = helpers.ria_rri_oracle(w, act)[1]
         assert sums.tobytes() == helpers.group_sums(want_rri, m).tobytes()
         np.testing.assert_array_equal(order_rows(sums), helpers.order_rows_oracle(want_rri, m))
 
 
 class TestOrderRows:
-    """order_rows takes the (rows, groups) sums; one column is one group."""
+    """order_rows takes the (groups, rows) sums; one line is one group."""
 
     def test_ascending_by_sum(self):
-        sums = np.array([[0.9], [0.1], [0.5]])
+        sums = np.array([[0.9, 0.1, 0.5]])
         np.testing.assert_array_equal(order_rows(sums), [[1, 2, 0]])
 
     def test_ties_keep_row_index(self):
-        np.testing.assert_array_equal(order_rows(np.full((4, 1), 1.0)), [[0, 1, 2, 3]])
+        np.testing.assert_array_equal(order_rows(np.full((1, 4), 1.0)), [[0, 1, 2, 3]])
 
     def test_single_row(self):
         np.testing.assert_array_equal(order_rows(np.array([[3.0]])), [[0]])
 
     def test_count_truncates(self):
-        sums = np.array([[0.9], [0.1], [0.5]])
+        sums = np.array([[0.9, 0.1, 0.5]])
         np.testing.assert_array_equal(order_rows(sums, 2), [[1, 2]])
         np.testing.assert_array_equal(order_rows(sums, 5), [[1, 2, 0]])
         assert order_rows(sums, 0).shape == (1, 0)
@@ -93,7 +94,7 @@ class TestOrderRows:
                 order_rows(sums)
         for m in (0, -1):
             with pytest.raises(NMPruneError, match="groups of width"):
-                plan_groups(np.ones((8, 2)), m, 1)
+                plan_groups(np.ones((2, 8)), m, 1)
             with pytest.raises(NMPruneError, match="groups of width"):
                 assign_blocks(np.arange(8)[None], m, 1)
 

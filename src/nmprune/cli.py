@@ -19,12 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NMPruneError, VerificationError
-from .graphs import (
-    ENUM_VERTEX_LIMIT,
-    brute_force_expansion,
-    mask_to_graph,
-    verify_degree_laws,
-)
+from .graphs import ENUM_VERTEX_LIMIT, brute_force_expansion, degree_laws, mask_to_graph
 from .harness import (
     METHODS,
     PROFILES,
@@ -34,7 +29,7 @@ from .harness import (
     prune_with_method,
     sweep_blocks,
 )
-from .masks import PruneConfig, apply_mask, check_nm_pattern
+from .masks import PruneConfig, apply_mask, count_mask
 from .metrics import DEFAULT_ALPHA, ActivationNorms, row_blocks
 from .permute import save_permutation, unpermute_mask
 from .tensor_store import BlockSource, load_bundle, save_bundle, write_atomic
@@ -53,10 +48,9 @@ def _pair(sep: str, form: str, build):
     return parse
 
 
-def _fetch(bundle: dict, name: str):
+def _require(bundle, name: str) -> None:
     if name not in bundle:
         raise NMPruneError(f"input bundle has no tensor named {name!r}")
-    return bundle[name]
 
 
 def _read_layer(args):
@@ -66,7 +60,7 @@ def _read_layer(args):
     if not np.isfinite(args.alpha):
         raise ConfigError("alpha must be finite")
     bundle = load_bundle(args.infile)
-    _fetch(bundle, "W")
+    _require(bundle, "W")
     z = bundle.get("Z")
     if z is not None and z.ndim == 1:
         return bundle, ActivationNorms(z, args.alpha), None
@@ -119,17 +113,15 @@ def _fraction_pair(value):
 
 def _cmd_verify(args) -> int:
     cfg = PruneConfig(args.n, args.m, args.b)
-    # only the mask is kept: the bundle's other entries are freed at once
-    arr = np.asarray(_fetch(load_bundle(args.infile), "mask"))
-    if arr.ndim != 2:
+    bundle = load_bundle(args.infile)
+    _require(bundle, "mask")
+    # the mask is checked one row block at a time, and no other entry is read
+    source = bundle.rows("mask")
+    if len(source.shape) != 2:
         raise NMPruneError("mask tensor must be 2-D")
-    try:
-        check_nm_pattern(arr, cfg.n, cfg.m)
-        violation = None
-    except VerificationError as exc:
-        violation = str(exc)
-    laws = verify_degree_laws(arr, cfg)
-    violation = violation or laws.violation
+    counts = count_mask(source.shape, source.blocks, cfg.n, cfg.m)
+    laws = degree_laws(counts, cfg)
+    violation = counts.nm_violation or laws.violation
     if violation:
         print(f"error: {violation}", file=sys.stderr)
 
@@ -137,13 +129,13 @@ def _cmd_verify(args) -> int:
     a_in = a_out = skipped = None
     if not 0 < c < 1:
         c, skipped = None, "no admissible subset fraction"
-    elif max(arr.shape) > ENUM_VERTEX_LIMIT:
+    elif max(source.shape) > ENUM_VERTEX_LIMIT:
         skipped = f"a side exceeds {ENUM_VERTEX_LIMIT} vertices"
     else:
         try:
-            report = brute_force_expansion(mask_to_graph(arr), c)
+            report = brute_force_expansion(mask_to_graph(bundle["mask"]), c)
             a_in, a_out = report.a_in, report.a_out
-        except VerificationError:  # check_nm_pattern has already named the entries
+        except VerificationError:  # count_mask has already named the entries
             skipped = "the mask is not binary"
     if skipped:
         print(f"expansion enumeration skipped: {skipped}", file=sys.stderr)

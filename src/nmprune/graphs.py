@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NMPruneError, VerificationError
-from .masks import PruneConfig
+from .masks import MaskCounts, PruneConfig, count_mask
+from .metrics import row_blocks
 
 # 2**22 subsets is the enumeration ceiling: a 16 MiB uint32 table per side
 ENUM_VERTEX_LIMIT = 22
@@ -78,13 +79,18 @@ def verify_degree_laws(mask, cfg: PruneConfig) -> DegreeLawReport:
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise NMPruneError("mask must be 2-D")
-    f_out, f_in = arr.shape
+    return degree_laws(count_mask(arr.shape, (arr[r] for r in row_blocks(*arr.shape)),
+                                  cfg.n, cfg.m), cfg)
+
+
+def degree_laws(counts: MaskCounts, cfg: PruneConfig) -> DegreeLawReport:
+    """verify_degree_laws' report from a mask's count_mask."""
+    out_deg, in_deg = counts.out_degrees, counts.in_degrees
+    f_out, f_in = len(out_deg), len(in_deg)
     if not f_out or not f_in:
         raise NMPruneError(f"mask has no {'columns' if f_out else 'rows'} (shape {f_out}x{f_in})")
     expected_out = (f_in // cfg.m) * (cfg.m - cfg.n)
     floor = min(cfg.b, f_out // cfg.m)
-    out_deg = arr.sum(axis=1, dtype=np.int64)
-    in_deg = arr.sum(axis=0, dtype=np.int64)
     bad_out = np.flatnonzero(out_deg != expected_out)
     bad_in = np.flatnonzero(in_deg < floor)
     violation = None

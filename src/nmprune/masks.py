@@ -10,6 +10,7 @@ bit-identical across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,28 +206,70 @@ def apply_mask(w, mask) -> np.ndarray:
     return np.multiply(w_arr, m_arr, dtype=w_arr.dtype, casting="unsafe")
 
 
+class MaskCounts(NamedTuple):
+    """What count_mask finds in a 2-D mask: check_nm_pattern's verdict (None
+    when it passes) and each output's and input's degree, as int64 sums."""
+    nm_violation: str | None
+    out_degrees: np.ndarray
+    in_degrees: np.ndarray
+
+
+def _bad_window(ones, start: int, n: int, m: int) -> str | None:
+    """The first window of a block of 0/1 bytes without m-n ones, named by row."""
+    # integer counts are exact in any order; adding one window position
+    # at a time is faster than a sum over every m-wide window
+    windows = ones.reshape(len(ones), ones.shape[1] // m, m)
+    counts = np.zeros(windows.shape[:2], dtype=np.min_scalar_type(m))
+    for j in range(m):
+        counts += windows[..., j]
+    bad = counts != m - n
+    if not bad.any():
+        return None
+    i, k = (int(x) for x in np.argwhere(bad)[0])
+    return f"row {start + i} window {k}: {int(counts[i, k])} ones, expected {m - n}"
+
+
+def count_mask(shape, blocks, n: int, m: int) -> MaskCounts:
+    """Check and count a 2-D mask of ``shape`` in one pass over its row blocks, in order.
+
+    The verdict is the first of: an entry other than 0 or 1 anywhere, a column
+    count that m does not divide, the first window without exactly m-n ones.
+    A degree sums the entries, each cast to int64, so the blocks' sums add up
+    to the whole mask's.
+    """
+    rows, cols = shape
+    binary, violation = True, None
+    out_deg = np.zeros(rows, dtype=np.int64)
+    in_deg = np.zeros(cols, dtype=np.int64)
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        ones = (block == 1).view(np.uint8)
+        if np.count_nonzero(block) == np.count_nonzero(ones):
+            # every nonzero entry is 1: count ones in the smallest integers that hold the counts
+            out_deg[start:stop] = ones.sum(axis=1, dtype=np.min_scalar_type(cols))
+            in_deg += ones.sum(axis=0, dtype=np.min_scalar_type(len(block)))
+        else:
+            binary = False
+            out_deg[start:stop] = block.sum(axis=1, dtype=np.int64)
+            in_deg += block.sum(axis=0, dtype=np.int64)
+        if violation is None and not cols % m:
+            violation = _bad_window(ones, start, n, m)
+        start = stop
+    if not binary:
+        violation = "mask entries must be 0 or 1"
+    elif cols % m:
+        violation = f"{cols} columns not divisible by window width {m}"
+    return MaskCounts(violation, out_deg, in_deg)
+
+
 def check_nm_pattern(mask, n: int, m: int) -> None:
     """Raise VerificationError unless every row window has exactly m-n ones."""
     _check_nm(n, m)
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise VerificationError("mask must be 2-D")
-    rows, cols = arr.shape
-    blocks = [(r.start, arr[r]) for r in row_blocks(rows, cols)]  # no full-size temporary
-    if not all(((block == 1) | (block == 0)).all() for _, block in blocks):
-        raise VerificationError("mask entries must be 0 or 1")
-    if cols % m:
-        raise VerificationError(f"{cols} columns not divisible by window width {m}")
-    for start, block in blocks:
-        # integer counts are exact in any order; adding one window position
-        # at a time is faster than a sum over every m-wide window
-        windows = (block == 1).reshape(len(block), cols // m, m)
-        counts = np.zeros(windows.shape[:2], dtype=np.min_scalar_type(m))
-        for j in range(m):
-            counts += windows[..., j]
-        bad = np.argwhere(counts != m - n)
-        if bad.size:
-            i, k = (int(x) for x in bad[0])
-            raise VerificationError(
-                f"row {start + i} window {k}: {int(counts[i, k])} ones, expected {m - n}"
-            )
+    with np.errstate(invalid="ignore"):  # a NaN spoils only the degrees, which go unused here
+        counts = count_mask(arr.shape, (arr[r] for r in row_blocks(*arr.shape)), n, m)
+    if counts.nm_violation:
+        raise VerificationError(counts.nm_violation)

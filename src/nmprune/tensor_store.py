@@ -5,8 +5,10 @@ JSON header mapping entry names to ``{"dtype", "shape", "offset", "nbytes"}``,
 then a raw row-major payload region. Offsets are relative to the start of
 the payload region. Only float32 ("f32") and uint8 ("u8") entries exist.
 
-A bundle is a plain dict of named arrays; ``save_bundle`` checks each name
-and dtype as it writes, and also takes a BlockSource for an array it streams.
+``load_bundle`` returns a Bundle, a mapping of names to arrays that reads
+each entry only when it is asked for; ``save_bundle`` takes any mapping of
+names to arrays, checks each name and dtype as it writes, and also takes a
+BlockSource for an array it streams.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ import json
 import math
 import os
 import uuid
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError, NMPruneError
+from .metrics import row_blocks
 
 _TAG_TO_DTYPE = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 _DTYPE_TO_TAG = {np.dtype(np.float32): "f32", np.dtype(np.uint8): "u8"}
@@ -72,13 +75,87 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def load_bundle(path) -> dict[str, np.ndarray]:
-    """Read a container file back into a dict of arrays, bit-exactly.
+def _identity(st: os.stat_result) -> tuple:
+    """What tells one version of a file from another: device, inode, size and mtime."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
-    Each entry is read from the file straight into its own array.
+
+class Bundle(Mapping):
+    """The entries of a container file whose header load_bundle has checked.
+
+    Indexing an entry reads its payload and keeps it, as a dict would; ``pop``
+    reads it and hands it over without keeping it, and ``rows`` streams it.
+    Every read first checks that the file is still the one whose header was
+    checked (same device, inode, size and mtime) and refuses it otherwise.
     """
+
+    def __init__(self, path, stamp: tuple, records: dict):
+        self._path, self._stamp = path, stamp
+        self._records = records  # name -> (file dtype, shape, file offset, nbytes)
+        self._kept: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name) -> np.ndarray:
+        if name not in self._kept:
+            self._kept[name] = self._read(name)
+        return self._kept[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._records
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def pop(self, name) -> np.ndarray:
+        """Entry ``name``, which leaves the bundle."""
+        arr = self._kept.pop(name) if name in self._kept else self._read(name)
+        del self._records[name]
+        return arr
+
+    def rows(self, name) -> BlockSource:
+        """Entry ``name`` as the BlockSource of its row blocks (metrics.row_blocks),
+        read from the file only as they are iterated, each into one reused buffer."""
+        dtype, shape, _, _ = self._records[name]
+        return BlockSource(dtype.newbyteorder("="), shape, self._stream(name))
+
+    def _open(self, name):
+        """The file, at entry ``name``'s payload, unless it changed since the header was checked."""
+        _, _, offset, _ = self._records[name]
+        fh = open(self._path, "rb")
+        if _identity(os.fstat(fh.fileno())) != self._stamp:
+            fh.close()
+            raise FormatError(f"entry {name!r}: the file changed after its header was checked")
+        fh.seek(offset)
+        return fh
+
+    def _read(self, name) -> np.ndarray:
+        dtype, shape, _, nbytes = self._records[name]
+        arr = np.empty(shape, dtype=dtype)
+        with self._open(name) as fh:
+            if fh.readinto(arr.data) != nbytes:
+                raise FormatError(f"entry {name!r}: truncated payload")
+        return arr.astype(dtype.newbyteorder("="), copy=False)
+
+    def _stream(self, name):
+        dtype, shape, _, _ = self._records[name]
+        blocks = row_blocks(shape[0], math.prod(shape[1:]))
+        buf = np.empty((blocks[0].stop if blocks else 0, *shape[1:]), dtype=dtype)
+        with self._open(name) as fh:
+            for rows in blocks:
+                block = buf[: rows.stop - rows.start]
+                if fh.readinto(block.data) != block.nbytes:
+                    raise FormatError(f"entry {name!r}: truncated payload")
+                yield block.astype(dtype.newbyteorder("="), copy=False)
+
+
+def load_bundle(path) -> Bundle:
+    """Check a container file's header and the extent of every entry, then
+    return its entries as a Bundle, which reads each one bit-exactly on demand."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        st = os.fstat(fh.fileno())
+        size = st.st_size
         head = fh.read(8)
         if len(head) < 8:
             raise FormatError("file too short to hold the header length")
@@ -96,7 +173,7 @@ def load_bundle(path) -> dict[str, np.ndarray]:
             raise FormatError("container header must be a JSON object")
 
         payload_start = 8 + header_len
-        entries = {}
+        records = {}
         for name, meta in header.items():
             if not name:
                 raise FormatError("container header has an empty entry name")
@@ -122,12 +199,8 @@ def load_bundle(path) -> dict[str, np.ndarray]:
                 )
             if payload_start + offset + nbytes > size:
                 raise FormatError(f"entry {name!r}: truncated payload")
-            arr = np.empty(shape, dtype=dtype)
-            fh.seek(payload_start + offset)
-            if fh.readinto(arr.data) != nbytes:
-                raise FormatError(f"entry {name!r}: truncated payload")
-            entries[name] = arr.astype(dtype.newbyteorder("="), copy=False)
-    return entries
+            records[name] = (dtype, tuple(shape), payload_start + offset, nbytes)
+    return Bundle(path, _identity(st), records)
 
 
 def write_atomic(path, chunks) -> None:

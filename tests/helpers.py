@@ -101,6 +101,26 @@ def expansion_oracle(mask, c):
     return side_min(in_neigh, f_in, None), side_min(out_neigh, f_out, None)
 
 
+def count_mask_oracle(mask, n, m):
+    """masks.count_mask from whole-matrix expressions: (check_nm_pattern's
+    message or None, output degrees, input degrees), each degree the int64 sum
+    of a row's or column's entries, as verify summed the whole mask."""
+    mask = np.asarray(mask)
+    rows, cols = mask.shape
+    degrees = mask.sum(axis=1, dtype=np.int64), mask.sum(axis=0, dtype=np.int64)
+    ones = mask == 1
+    if not (ones | (mask == 0)).all():
+        return "mask entries must be 0 or 1", *degrees
+    if cols % m:
+        return f"{cols} columns not divisible by window width {m}", *degrees
+    counts = ones.reshape(rows, cols // m, m).sum(axis=2)
+    bad = np.argwhere(counts != m - n)
+    if not bad.size:
+        return None, *degrees
+    i, k = bad[0]
+    return f"row {i} window {k}: {counts[i, k]} ones, expected {m - n}", *degrees
+
+
 def top_k_per_window_oracle(scores, n, m):
     """Plain-Python per-window top-(m-n) selection with lower-column ties."""
     s = np.asarray(scores, dtype=np.float64)

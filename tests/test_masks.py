@@ -22,7 +22,8 @@ from nmprune import (
     prune_with_method,
     verify_degree_laws,
 )
-from nmprune.masks import connectivity_select, diagonal_select, eggs_prune, importance_select
+from nmprune.masks import (connectivity_select, count_mask, diagonal_select, eggs_prune,
+                          importance_select)
 from nmprune.metrics import ria
 from nmprune.permute import apply_to_columns, build_permutation
 
@@ -505,26 +506,51 @@ class TestCheckNmPattern:
             mask[i, j] = 1 - mask[i, j]
         for _ in range(odd if cols else 0):
             mask[rng.integers(rows), rng.integers(cols)] = 2 if dtype is np.uint8 else 0.5
-        want = check_whole(mask, n, m)
+        want, out_deg, in_deg = helpers.count_mask_oracle(mask, n, m)
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
             got = helpers.outcome(check_nm_pattern, mask, n, m)[0]
+            counts = count_mask(mask.shape, (mask[r] for r in metrics.row_blocks(*mask.shape)),
+                                n, m)
         assert got == (None if want is None else (VerificationError, want))
+        assert counts.nm_violation == want
+        assert counts.out_degrees.dtype == counts.in_degrees.dtype == np.int64
+        np.testing.assert_array_equal(counts.out_degrees, out_deg)
+        np.testing.assert_array_equal(counts.in_degrees, in_deg)
 
 
-def check_whole(mask, n, m):
-    """check_nm_pattern's message, or None, from whole-matrix expressions."""
-    ones = mask == 1
-    if not (ones | (mask == 0)).all():
-        return "mask entries must be 0 or 1"
-    rows, cols = mask.shape
-    if cols % m:
-        return f"{cols} columns not divisible by window width {m}"
-    counts = ones.reshape(rows, cols // m, m).sum(axis=2)
-    bad = np.argwhere(counts != m - n)
-    if not bad.size:
-        return None
-    i, k = bad[0]
-    return f"row {i} window {k}: {counts[i, k]} ones, expected {m - n}"
+class TestCountMask:
+    """One row-block pass gives check_nm_pattern's verdict and the degrees, as
+    whole-matrix expressions do, on masks that span several row blocks."""
+
+    @staticmethod
+    def blocks(mask):
+        with mock.patch.object(metrics, "_TOPK_CHUNK", 2 * max(mask.shape[1], 1)):
+            rows = metrics.row_blocks(*mask.shape)  # two rows per block
+        assert len(rows) == (len(mask) + 1) // 2
+        return [mask[r] for r in rows]
+
+    def check(self, mask, n=2, m=4):
+        want = helpers.count_mask_oracle(mask, n, m)
+        got = count_mask(mask.shape, self.blocks(mask), n, m)
+        assert got.nm_violation == want[0]
+        np.testing.assert_array_equal(got.out_degrees, want[1])
+        np.testing.assert_array_equal(got.in_degrees, want[2])
+        return got
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_a_late_entry_that_is_not_0_or_1_beats_an_early_bad_window(self, dtype):
+        mask = np.tile(np.array([1, 1, 0, 0], dtype=dtype), (9, 3))
+        mask[0, :4] = 1  # a bad window in the first block
+        assert self.check(mask).nm_violation == "row 0 window 0: 4 ones, expected 2"
+        mask[8, 5] = 2  # an entry that is not 0 or 1 in the last block
+        assert self.check(mask).nm_violation == "mask entries must be 0 or 1"
+        assert self.check(mask).out_degrees[8] == 7  # a degree sums the entries
+
+    @pytest.mark.parametrize("shape", [(0, 8), (0, 0), (5, 0)])
+    def test_no_rows_or_no_columns(self, shape):
+        got = self.check(np.zeros(shape, dtype=np.uint8))
+        assert got.nm_violation is None and got.out_degrees.shape == (shape[0],)
+
 
 REFUSALS = [
     pytest.param(lambda: PruneConfig(2.0, 4), ConfigError, "N and M must be integers, got 2.0:4",

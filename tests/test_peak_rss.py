@@ -1,5 +1,5 @@
 """Smoke test of tools/peak_rss.py: every command runs in its own process and
-reports a positive peak."""
+reports a positive peak, and so does the in-process prune and verify sequence."""
 
 import json
 import subprocess
@@ -8,7 +8,8 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "peak_rss.py"
 COMMANDS = ["gen", "gen --profile dead-columns --k 16", "prune --method magnitude", "prune --method wanda", "prune --method ria",
-            "prune --method eggs", "verify", "eval", "sweep"]
+            "prune --method eggs", "verify", "eval", "sweep",
+            "prune --method eggs, verify, prune --method eggs, verify (one process)"]
 
 
 def test_every_command_reports_a_positive_peak(tmp_path):

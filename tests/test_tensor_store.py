@@ -1,11 +1,14 @@
 """Container round-trips and format rejection."""
 
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import helpers
+from nmprune import metrics
 from nmprune import (
     FormatError,
     NMPruneError,
@@ -209,6 +212,67 @@ class TestBlockSource:
         assert helpers.outcome(save_bundle, {"w": np.zeros(1)}, tmp_path / "x.tensors")[0] == (
             NMPruneError, str(info.value))
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOnDemand:
+    """load_bundle checks the header; each entry is read when it is asked for."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "two.tensors"
+        save_bundle({"mask": rng.integers(0, 2, size=(9, 5)).astype(np.uint8),
+                     "w": rng.standard_normal((9, 5)).astype(np.float32)}, path)
+        return path
+
+    def test_indexing_keeps_and_pop_hands_over(self, path):
+        bundle = load_bundle(path)
+        assert bundle["w"] is bundle["w"] and "w" in bundle
+        mask = bundle.pop("mask")
+        assert sorted(bundle) == ["w"] and "mask" not in bundle and len(bundle) == 1
+        np.testing.assert_array_equal(mask, load_bundle(path)["mask"])
+        with pytest.raises(KeyError):
+            bundle.pop("mask")
+
+    @pytest.mark.parametrize("name", ["mask", "w"])
+    def test_rows_over_several_blocks_equal_the_whole_read(self, path, tmp_path, name):
+        whole = load_bundle(path)[name]
+        with mock.patch.object(metrics, "_TOPK_CHUNK", 10):  # two rows per block
+            source = load_bundle(path).rows(name)
+            blocks = [block.copy() for block in source.blocks]
+        assert len(blocks) == 5 and (source.dtype, source.shape) == (whole.dtype, whole.shape)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        with mock.patch.object(metrics, "_TOPK_CHUNK", 10):
+            save_bundle({name: load_bundle(path).rows(name)}, tmp_path / "streamed.tensors")
+        assert load_bundle(tmp_path / "streamed.tensors")[name].tobytes() == whole.tobytes()
+
+    def test_truncated_after_the_load_is_refused_by_name(self, path):
+        bundle = load_bundle(path)
+        os.truncate(path, path.stat().st_size - 1)
+        message = "entry 'w': the file changed after its header was checked"
+        with pytest.raises(FormatError) as info:
+            bundle["w"]
+        assert str(info.value) == message
+        with pytest.raises(FormatError) as info:
+            list(bundle.rows("w").blocks)
+        assert str(info.value) == message
+
+    def test_truncated_while_rows_stream_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "big.tensors"  # 40 KiB: more than the reader buffers ahead
+        save_bundle({"w": np.ones((40, 256), np.float32)}, path)
+        with mock.patch.object(metrics, "_TOPK_CHUNK", 512):
+            blocks = load_bundle(path).rows("w").blocks
+            next(blocks)
+            os.truncate(path, path.stat().st_size // 2)
+            with pytest.raises(FormatError, match="^entry 'w': truncated payload$"):
+                list(blocks)
+
+    def test_replaced_after_the_load_is_refused(self, path, tmp_path):
+        bundle = load_bundle(path)
+        save_bundle({"mask": np.zeros((9, 5), np.uint8), "w": np.zeros((9, 5), np.float32)},
+                    path)
+        with pytest.raises(FormatError, match="^entry 'mask': the file changed"):
+            bundle["mask"]
 
 
 def container(tmp_path, header):

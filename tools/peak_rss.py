@@ -12,8 +12,12 @@ with every method at 2:4 and B=2, ``verify`` of the eggs bundle, ``eval``
 of all four methods and ``sweep`` over B 0..4. Every child imports nmprune
 from this checkout's ``src/``, runs one ``nmprune.cli.main`` call and
 reports its own ``ru_maxrss``, so each peak includes the interpreter and
-numpy but no other command. The output JSON maps each command to its peak
-in MiB. Standard library only.
+numpy but no other command. One more child runs ``prune --method eggs``,
+``verify``, ``prune --method eggs`` and ``verify`` in turn, the shape of a
+benchmark job process: its peak also shows what the allocator keeps of one
+command's heap for the next, which a fresh process never shows. The output
+JSON maps each command, or that sequence, to its peak in MiB. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -30,21 +34,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("magnitude", "wanda", "ria", "eggs")
 NM = ["--n", "2", "--m", "4", "--b", "2"]
-# runs one CLI call, then prints the process's peak RSS (KiB on Linux) last
-CHILD = ("import resource, sys\n"
+JOB = "prune --method eggs, verify, prune --method eggs, verify (one process)"
+# runs the CLI calls given as one JSON list of argv lists, in turn, stopping at
+# the first that fails, then prints the process's peak RSS (KiB on Linux) last
+CHILD = ("import json, resource, sys\n"
          "from nmprune.cli import main\n"
-         "code = main(sys.argv[1:])\n"
+         "code = 0\n"
+         "for argv in json.loads(sys.argv[1]):\n"
+         "    code = code or main(argv)\n"
          "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
          "sys.exit(code)\n")
 
 
-def peak_mib(argv: list[str]) -> float:
-    """Peak RSS of one fresh process that runs ``nmprune argv``."""
+def peak_mib(*commands: list[str]) -> float:
+    """Peak RSS of one fresh process that runs ``nmprune argv`` for each argv given."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env, capture_output=True,
-                          text=True)
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)], env=env,
+                          capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"nmprune {' '.join(argv)} exited {proc.returncode}: {proc.stderr}")
+        shown = "; ".join(" ".join(argv) for argv in commands)
+        raise SystemExit(f"nmprune {shown} exited {proc.returncode}: {proc.stderr}")
     return round(int(proc.stdout.split()[-1]) / 1024, 1)
 
 
@@ -65,6 +74,9 @@ def main(argv=None) -> int:
             peaks[f"prune --method {method}"] = peak_mib(
                 ["prune", "--in", layer, "--out", out, "--method", method, *NM])
         peaks["verify"] = peak_mib(["verify", "--in", str(Path(tmp) / "eggs.t"), *NM])
+        job = [["prune", "--in", layer, "--out", str(Path(tmp) / "job.t"), "--method", "eggs",
+                *NM], ["verify", "--in", str(Path(tmp) / "job.t"), *NM]]
+        peaks[JOB] = peak_mib(*job, *job)
         peaks["eval"] = peak_mib(["eval", "--in", layer, *NM])
         peaks["sweep"] = peak_mib(["sweep", "--in", layer, "--b-range", "0..4",
                                    "--n", "2", "--m", "4"])

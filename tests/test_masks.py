@@ -543,8 +543,9 @@ class TestCountMask:
         mask[0, :4] = 1  # a bad window in the first block
         assert self.check(mask).nm_violation == "row 0 window 0: 4 ones, expected 2"
         mask[8, 5] = 2  # an entry that is not 0 or 1 in the last block
-        assert self.check(mask).nm_violation == "mask entries must be 0 or 1"
-        assert self.check(mask).out_degrees[8] == 7  # a degree sums the entries
+        got = self.check(mask)
+        assert got.nm_violation == "mask entries must be 0 or 1"
+        assert got.out_degrees[8] == 7  # a degree sums the entries
 
     @pytest.mark.parametrize("shape", [(0, 8), (0, 0), (5, 0)])
     def test_no_rows_or_no_columns(self, shape):

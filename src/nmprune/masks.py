@@ -245,14 +245,9 @@ def count_mask(shape, blocks, n: int, m: int) -> MaskCounts:
     for block in blocks:
         stop = start + len(block)
         ones = (block == 1).view(np.uint8)
-        if np.count_nonzero(block) == np.count_nonzero(ones):
-            # every nonzero entry is 1: count ones in the smallest integers that hold the counts
-            out_deg[start:stop] = ones.sum(axis=1, dtype=np.min_scalar_type(cols))
-            in_deg += ones.sum(axis=0, dtype=np.min_scalar_type(len(block)))
-        else:
-            binary = False
-            out_deg[start:stop] = block.sum(axis=1, dtype=np.int64)
-            in_deg += block.sum(axis=0, dtype=np.int64)
+        binary = binary and np.count_nonzero(block) == np.count_nonzero(ones)
+        out_deg[start:stop] = block.sum(axis=1, dtype=np.int64)
+        in_deg += block.sum(axis=0, dtype=np.int64)
         if violation is None and not cols % m:
             violation = _bad_window(ones, start, n, m)
         start = stop

@@ -30,9 +30,9 @@ from .harness import (
     sweep_blocks,
 )
 from .masks import PruneConfig, apply_mask, count_mask
-from .metrics import DEFAULT_ALPHA, ActivationNorms, row_blocks
+from .metrics import DEFAULT_ALPHA, ActivationNorms, BlockSource, row_blocks, weight_blocks
 from .permute import save_permutation, unpermute_mask
-from .tensor_store import BlockSource, load_bundle, save_bundle, write_atomic
+from .tensor_store import load_bundle, save_bundle, write_atomic
 
 
 def _pair(sep: str, form: str, build):
@@ -83,18 +83,15 @@ def _cmd_prune(args) -> int:
     if os.path.isdir(sidecar) and not os.path.islink(sidecar):  # no sidecar step can succeed
         raise NMPruneError(f"cannot write {sidecar}: {os.strerror(errno.EISDIR)}")
     bundle, norms, _ = _read_layer(args)
-    # the bundle gives up W, so W_perm can replace it in memory
-    res = prune_with_method(bundle.pop("W"), norms, cfg, args.method)
+    # W is read in row blocks, never whole: once to score, once to permute or prune
+    res = prune_with_method(bundle.rows("W"), norms, cfg, args.method)
     w, mask, perm = res.weights, np.asarray(res.mask, dtype=np.uint8), res.permutation
-    rows = row_blocks(*w.shape)
-    entries = {
-        "mask": mask,
-        "W_pruned": BlockSource(np.float32, w.shape, (apply_mask(w[r], mask[r]) for r in rows)),
-    }
+    pruned = (apply_mask(block, mask[rows]) for rows, block in weight_blocks(w))
+    entries = {"mask": mask, "W_pruned": BlockSource(np.float32, mask.shape, pruned)}
     if perm is not None:
         entries["W_perm"] = np.asarray(w, dtype=np.float32)
-        entries["mask_unpermuted"] = BlockSource(np.uint8, mask.shape,
-                                                 (unpermute_mask(mask[r], perm) for r in rows))
+        unpermuted = (unpermute_mask(mask[rows], perm) for rows in row_blocks(*mask.shape))
+        entries["mask_unpermuted"] = BlockSource(np.uint8, mask.shape, unpermuted)
     save_bundle(entries, args.out)
     if perm is not None:
         save_permutation(perm, sidecar)

@@ -12,10 +12,10 @@ import numpy as np
 from .errors import ConfigError, NMPruneError
 from .graphs import verify_degree_laws
 from .masks import PruneConfig, overlay_blocks, ria_select, select_blocks
-from .metrics import (DEFAULT_ALPHA, ActivationNorms, abs_blocks, layer_sums, row_blocks,
-                      wanda_blocks)
+from .metrics import (DEFAULT_ALPHA, ActivationNorms, BlockSource, abs_blocks, layer_sums,
+                      row_blocks, wanda_blocks, weight_blocks, weight_shape)
 from .partition import assign_blocks, plan_groups
-from .permute import ChannelPermutation, apply_to_columns, build_permutation
+from .permute import ChannelPermutation, build_permutation
 
 METHODS = ("magnitude", "wanda", "ria", "eggs")
 _PERMUTED = ("ria", "eggs")  # the methods whose mask is in the permuted layout
@@ -139,11 +139,11 @@ class PruneResult:
 
     For methods that permute channels, ``weights`` and ``mask`` are both in
     the permuted layout and ``permutation`` records the mapping; otherwise
-    ``permutation`` is None.
+    ``permutation`` is None and ``weights`` is W as given, even a BlockSource.
     """
 
     mask: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | BlockSource
     permutation: ChannelPermutation | None
 
 
@@ -165,18 +165,20 @@ class _ScoredLayer:
     the permuted layer, from those sums permuted, for its ria top-k mask and
     one group plan of the ``max_b`` blocks that fit, of which every smaller
     B's plan is a prefix. The error reference is kept per layout, and no
-    float64 copy of W or of its scores is held.
+    float64 copy of W or of its scores is held. W may be a BlockSource, which
+    the mask passes read a row block at a time and never hold whole.
     """
 
     def __init__(self, w, norms, n: int, m: int, z=None, max_b: int = 0):
         if norms is not None and not isinstance(norms, ActivationNorms):
             raise NMPruneError("norms must be ActivationNorms or None; pass a batch as z")
-        self.w, self.norms, self.z = np.asarray(w), norms, z
+        self.w = w if isinstance(w, BlockSource) else np.asarray(w)
+        self.shape, self.norms, self.z = weight_shape(self.w), norms, z  # the first refusal
         self.n, self.m, self.max_b, self._refs = n, m, max_b, {}
 
     @cached_property
     def _sums(self):
-        cols = self.w.shape[1]
+        cols = self.shape[1]
         if cols % self.m:  # the refusal of every method, not build_permutation's own
             raise NMPruneError(f"{cols} columns not divisible by window width {self.m}")
         return layer_sums(self.w, self.norms)
@@ -187,7 +189,7 @@ class _ScoredLayer:
 
     @cached_property
     def w_perm(self) -> np.ndarray:
-        return apply_to_columns(self.w, self.perm)
+        return _permuted(self.w, self.perm)
 
     @cached_property
     def _scored(self):
@@ -204,11 +206,11 @@ class _ScoredLayer:
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
         if method == "magnitude":
-            return select_blocks(abs_blocks(self.w), self.w.shape, self.n, self.m)
+            return select_blocks(abs_blocks(self.w), self.shape, self.n, self.m)
         if self.norms is None:
             raise ConfigError(f"method {method!r} requires activation norms")
         if method == "wanda":
-            return select_blocks(wanda_blocks(self.w, self.norms), self.w.shape, self.n, self.m)
+            return select_blocks(wanda_blocks(self.w, self.norms), self.shape, self.n, self.m)
         sums, plan, base = self._scored
         if method == "ria" or cfg.b == 0:
             return base
@@ -240,20 +242,30 @@ class _ScoredLayer:
                             int(in_deg.min()), kept / self._abs_total, lemma)
 
 
+def _permuted(w, perm: ChannelPermutation) -> np.ndarray:
+    """apply_to_columns(w, perm), gathered one row block of W at a time."""
+    out = np.empty(weight_shape(w), w.dtype)
+    for rows, block in weight_blocks(w):
+        # every index is in range; "clip" spares the buffered copy "raise" makes of out
+        np.take(block, perm.forward, axis=1, out=out[rows], mode="clip")
+    return out
+
+
 def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,
                       method: str) -> PruneResult:
     """Run one pruning method end to end, channel permutation included.
 
     magnitude and wanda score the original layout directly; ria and eggs
     first permute channels round-robin by aggregated channel score and
-    build the mask in the permuted layout.
+    build the mask in the permuted layout. ``w``, a 2-D array or a
+    BlockSource whose blocks can be read again, is read a row block at a
+    time, twice, and never permuted in place.
     """
     layer = _ScoredLayer(w, acts, cfg.n, cfg.m, max_b=cfg.b if method == "eggs" else 0)
-    del w  # the layer holds W's last reference here; ria and eggs drop it
-    if method not in _PERMUTED or acts is None:  # mask() refuses an unknown name or no norms
-        return PruneResult(layer.mask(method, cfg), layer.w, None)
-    w_perm, layer.w = layer.w_perm, None  # W_perm is built from W, dead from here on
-    return PruneResult(layer.mask(method, cfg), w_perm, layer.perm)
+    mask = layer.mask(method, cfg)  # refuses an unknown name, or no norms for ria and eggs
+    if method in _PERMUTED:
+        return PruneResult(mask, layer.w_perm, layer.perm)
+    return PruneResult(mask, layer.w, None)
 
 
 def compare_methods(w, norms: ActivationNorms | None, cfg: PruneConfig, methods=METHODS,

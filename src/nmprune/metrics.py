@@ -11,7 +11,9 @@ matrices of the input's shape, so their bits do not depend on its order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,11 +49,28 @@ class ActivationNorms:
         return self.norms.shape[0]
 
 
+class BlockSource(NamedTuple):
+    """A matrix given as its dtype, shape and contiguous row blocks, in order."""
+    dtype: np.dtype
+    shape: tuple
+    blocks: Iterable
+
+
+def weight_shape(w) -> tuple:
+    """The shape of a weight matrix, or of a BlockSource of one, refused unless
+    it is 2-D with at least one row and column; a source must be readable again."""
+    shape = tuple(w.shape) if isinstance(w, BlockSource) else np.shape(w)
+    if len(shape) != 2 or 0 in shape:
+        raise NMPruneError("weights must be a 2-D matrix with at least one row and column")
+    if isinstance(w, BlockSource) and iter(w.blocks) is w.blocks:
+        raise NMPruneError("weight row blocks must be readable more than once, not an iterator")
+    return shape
+
+
 def check_weights(w) -> np.ndarray:
     """Validate a dense weight matrix, without widening it."""
     arr = np.asarray(w)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise NMPruneError("weights must be a 2-D matrix with at least one row and column")
+    weight_shape(arr)
     # max and min propagate NaN; neither makes a full-size temporary
     if not (np.isfinite(arr.max()) and np.isfinite(arr.min())):
         raise NMPruneError("weights must be finite")
@@ -77,17 +96,32 @@ def row_blocks(count: int, width: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
+def weight_blocks(w):
+    """W's row blocks, each checked by check_weights as it comes: yields (rows,
+    block). A 2-D array is sliced along row_blocks; a BlockSource is read anew
+    on every call. Every pass that prune makes over W goes through here."""
+    f_out, f_in = weight_shape(w)
+    blocks = w.blocks if isinstance(w, BlockSource) else map(
+        # numpy sums a single column pairwise, as one run, so it stays one block
+        np.asarray(w).__getitem__, [slice(0, f_out)] if f_in == 1 else row_blocks(f_out, f_in))
+    start = 0
+    for block in blocks:
+        if np.shape(block)[1:] != (f_in,) or start + len(block) > f_out:
+            break
+        yield slice(start, start + len(block)), check_weights(block)
+        start += len(block)
+    if start != f_out:
+        raise NMPruneError("weight row blocks do not tile the matrix's shape")
+
+
 def abs_blocks(w):
-    """|W| in float64, row block by row block: yields (rows, block), views of
-    one buffer of at most _TOPK_CHUNK values, with a spare row for add_rows."""
-    arr = check_weights(w)
-    f_out, f_in = arr.shape
-    # numpy sums a single column pairwise, as one run, so it stays one block
-    blocks = [slice(0, f_out)] if f_in == 1 else row_blocks(f_out, f_in)
-    buf = np.empty((blocks[0].stop + 1, f_in))
-    for rows in blocks:
-        a = buf[1 : 1 + rows.stop - rows.start]
-        yield rows, np.abs(arr[rows], out=a, dtype=np.float64)
+    """|W| in float64, row block by row block from weight_blocks: yields (rows,
+    block), views of one buffer, with a spare row for add_rows."""
+    buf = np.empty((0, 0))
+    for rows, block in weight_blocks(w):
+        if len(buf) <= len(block):  # row_blocks' first is the largest, a BlockSource's need not be
+            buf = np.empty((len(block) + 1, block.shape[1]))
+        yield rows, np.abs(block, out=buf[1 : 1 + len(block)], dtype=np.float64)
 
 
 def add_rows(total, block) -> np.ndarray:
@@ -143,8 +177,8 @@ def ria_blocks(w, sums):
 
 def wanda_blocks(w, act: ActivationNorms):
     """|W| times the activation norms, as abs_blocks yields |W|."""
+    _check_norms_length(act, weight_shape(w)[1])
     for rows, a in abs_blocks(w):
-        _check_norms_length(act, a.shape[1])
         a *= act.norms
         yield rows, a
 

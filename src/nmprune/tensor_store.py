@@ -17,24 +17,17 @@ import json
 import math
 import os
 import uuid
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
+from functools import partial
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError, NMPruneError
-from .metrics import row_blocks
+from .metrics import BlockSource, row_blocks
 
 _TAG_TO_DTYPE = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 _DTYPE_TO_TAG = {np.dtype(np.float32): "f32", np.dtype(np.uint8): "u8"}
-
-
-class BlockSource(NamedTuple):
-    """An entry save_bundle writes as it comes: dtype, shape, contiguous row blocks."""
-    dtype: np.dtype
-    shape: tuple
-    blocks: Iterable
 
 
 def _check_entry(name, entry) -> BlockSource:
@@ -83,8 +76,8 @@ def _identity(st: os.stat_result) -> tuple:
 class Bundle(Mapping):
     """The entries of a container file whose header load_bundle has checked.
 
-    Indexing an entry reads its payload and keeps it, as a dict would; ``pop``
-    reads it and hands it over without keeping it, and ``rows`` streams it.
+    Indexing an entry reads its payload and keeps it, as a dict would, and
+    ``rows`` streams it without keeping it.
     Every read first checks that the file is still the one whose header was
     checked (same device, inode, size and mtime) and refuses it otherwise.
     """
@@ -108,17 +101,12 @@ class Bundle(Mapping):
     def __len__(self) -> int:
         return len(self._records)
 
-    def pop(self, name) -> np.ndarray:
-        """Entry ``name``, which leaves the bundle."""
-        arr = self._kept.pop(name) if name in self._kept else self._read(name)
-        del self._records[name]
-        return arr
-
     def rows(self, name) -> BlockSource:
         """Entry ``name`` as the BlockSource of its row blocks (metrics.row_blocks),
-        read from the file only as they are iterated, each into one reused buffer."""
+        read from the file only as they are iterated, each into one reused buffer.
+        The blocks can be iterated again: every pass reopens the file and checks it."""
         dtype, shape, _, _ = self._records[name]
-        return BlockSource(dtype.newbyteorder("="), shape, self._stream(name))
+        return BlockSource(dtype.newbyteorder("="), shape, _Passes(self._stream, name))
 
     def _open(self, name):
         """The file, at entry ``name``'s payload, unless it changed since the header was checked."""
@@ -148,6 +136,12 @@ class Bundle(Mapping):
                 if fh.readinto(block.data) != block.nbytes:
                     raise FormatError(f"entry {name!r}: truncated payload")
                 yield block.astype(dtype.newbyteorder("="), copy=False)
+
+
+class _Passes(partial):
+    """A partial of an iterator's maker, iterated as a fresh iterator each time."""
+    def __iter__(self):
+        return self()
 
 
 def load_bundle(path) -> Bundle:

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import nmprune
 from nmprune import load_bundle, load_permutation, save_bundle
 from nmprune import harness, metrics, partition
 from nmprune.cli import main
+from nmprune.permute import apply_to_columns, unpermute_mask
 
 
 def run(*argv):
@@ -149,6 +151,103 @@ class TestPrune:
                        "--n", "2", "--m", "4") == 1
             errs.append(capsys.readouterr().err)
         assert errs == [f"error: cannot write {out}: No such file or directory\n"] * 2
+
+
+class TestPruneReadsWTwice:
+    """prune reads W from the input bundle a row block at a time, twice: once to
+    score it, once to permute it or to write W_pruned. A small _TOPK_CHUNK gives
+    several row blocks and a partial tail."""
+
+    @staticmethod
+    def library_prune(src, out, method, cfg):
+        """What prune writes, made by prune_with_method on the loaded W, whole."""
+        bundle = load_bundle(src)
+        res = harness.prune_with_method(bundle["W"], nmprune.norms_from_batch(bundle["Z"]), cfg,
+                                        method)
+        entries = {"mask": res.mask, "W_pruned": nmprune.apply_mask(res.weights, res.mask)}
+        if res.permutation is not None:
+            entries["W_perm"] = res.weights
+            entries["mask_unpermuted"] = unpermute_mask(res.mask, res.permutation)
+            nmprune.save_permutation(res.permutation, f"{out}.perm.json")
+        save_bundle(entries, out)
+
+    @pytest.mark.parametrize("method", ["magnitude", "wanda", "ria", "eggs"])
+    @pytest.mark.parametrize("dims, profile, chunk", [("13x16", "gaussian", 40),
+                                                      ("3x8", "gaussian", 16),  # F_out < M
+                                                      ("14x16", "dead-columns", 48)])
+    def test_same_bytes_as_the_library_on_the_loaded_array(self, tmp_path, monkeypatch, capsys,
+                                                           method, dims, profile, chunk):
+        src = gen_layer(tmp_path, dims=dims, profile=profile, seed=11, k=3)
+        cfg = nmprune.PruneConfig(2, 4, 2)
+        want, got = tmp_path / "want.t", tmp_path / "got.t"
+
+        def clamps():  # eggs clamps a B above the full blocks, with a warning, both times
+            clamped = method == "eggs" and dims == "3x8"
+            return pytest.warns(UserWarning, match="clamping") if clamped else nullcontext()
+
+        with clamps():
+            self.library_prune(src, want, method, cfg)
+        monkeypatch.setattr(metrics, "_TOPK_CHUNK", chunk)
+        assert len(metrics.row_blocks(*load_bundle(src)["W"].shape)) > 1
+        with clamps():
+            assert run("prune", "--in", str(src), "--out", str(got), "--method", method,
+                       "--n", "2", "--m", "4", "--b", "2") == 0
+        assert got.read_bytes() == want.read_bytes()
+        sidecars = [Path(f"{path}.perm.json") for path in (got, want)]
+        assert [p.exists() for p in sidecars] == [method in ("ria", "eggs")] * 2
+        if method in ("ria", "eggs"):
+            assert sidecars[0].read_bytes() == sidecars[1].read_bytes()
+
+    @staticmethod
+    def refused(tmp_path, capsys, src, method, message):
+        """prune into an existing output is refused with ``message``, leaving the
+        old bundle and sidecar as they were and no temporary file."""
+        out, sidecar = tmp_path / "out.t", tmp_path / "out.t.perm.json"
+        out.write_bytes(b"old bundle")
+        sidecar.write_bytes(b"old sidecar")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert run("prune", "--in", str(src), "--out", str(out), "--method", method,
+                   "--n", "2", "--m", "4", "--b", "2") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert (out.read_bytes(), sidecar.read_bytes()) == (b"old bundle", b"old sidecar")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before  # no .nmprune-* left
+
+    @pytest.mark.parametrize("method, first_pass", [("ria", "layer_sums"), ("eggs", "layer_sums"),
+                                                    ("magnitude", "select_blocks"),
+                                                    ("wanda", "select_blocks")])
+    def test_input_rewritten_between_the_passes(self, tmp_path, capsys, monkeypatch, method,
+                                                first_pass):
+        src = gen_layer(tmp_path, dims="12x16")
+        layer = {name: array.copy() for name, array in load_bundle(src).items()}
+        scored = getattr(harness, first_pass)
+
+        def then_rewrite(*args):
+            result = scored(*args)
+            save_bundle(layer, src)  # the same bytes, in a new file
+            return result
+
+        monkeypatch.setattr(harness, first_pass, then_rewrite)
+        monkeypatch.setattr(metrics, "_TOPK_CHUNK", 48)
+        self.refused(tmp_path, capsys, src, method,
+                     "entry 'W': the file changed after its header was checked")
+
+    @pytest.mark.parametrize("method", ["magnitude", "wanda", "ria", "eggs"])
+    def test_nan_in_the_last_row_block(self, tmp_path, capsys, monkeypatch, method):
+        src = gen_layer(tmp_path, dims="12x16")
+        layer = {name: array.copy() for name, array in load_bundle(src).items()}
+        layer["W"][-1, 5] = np.nan
+        save_bundle(layer, src)
+        monkeypatch.setattr(metrics, "_TOPK_CHUNK", 48)  # three rows per block
+        self.refused(tmp_path, capsys, src, method, "weights must be finite")
+
+    def test_caller_array_is_not_permuted(self):
+        w, z = nmprune.gen_synthetic(4, 8, 8)
+        before = w.copy()
+        res = harness.prune_with_method(w, nmprune.norms_from_batch(z),
+                                        nmprune.PruneConfig(2, 4, 1), "eggs")
+        assert w.tobytes() == before.tobytes()
+        assert res.weights.tobytes() == apply_to_columns(w, res.permutation).tobytes()
 
 
 class TestVerify:
@@ -549,12 +648,14 @@ class TestScoredOnce:
 
 
 class TestMemory:
-    """tracemalloc peaks of whole commands, the bundle load included. Once
-    W_perm exists, prune holds no other full-size weight matrix and streams
-    W_pruned and mask_unpermuted; verify reads only the mask, a row block at
+    """tracemalloc peaks of whole commands, the bundle load included. prune
+    reads W a row block at a time and never holds it whole: ria and eggs hold
+    W_perm, magnitude and wanda only the mask, and W_pruned and
+    mask_unpermuted are streamed; verify reads only the mask, a row block at
     a time; eval sums its errors a row block at a time. Each bound lies
-    between the peaks measured before and after those changes, except
-    magnitude at 1024x1024, which peaks while scoring both before and after."""
+    between the peaks measured before and after those changes, except ria
+    and eggs at 1024x1024, which peak while scoring W_perm both before and
+    after: their bounds sit just above that peak."""
 
     @pytest.fixture(scope="class")
     def layers(self, tmp_path_factory):
@@ -564,10 +665,12 @@ class TestMemory:
         return root
 
     @pytest.mark.parametrize("method, dims, mib", [
-        ("eggs", "1024x1024", 16),  # 18.1 MiB before, 14.1 after
-        ("ria", "1024x1024", 14),  # 16.0 before, 12.0 after
-        ("magnitude", "1024x1024", 11),  # 10.0 before and after
-        ("magnitude", "2048x2048", 30),  # 36.3 before, 25.1 after
+        ("eggs", "1024x1024", 13),  # 12.0 MiB with W read whole and with W read in blocks
+        ("ria", "1024x1024", 11),  # 10.0 with W read whole and in blocks
+        ("ria", "2048x2048", 29),  # 32.4 with W and W_perm both held, 25.2 with W_perm alone
+        ("magnitude", "1024x1024", 6),  # 7.9 with W held, 4.9 with only the mask
+        ("wanda", "1024x1024", 6),  # 7.9 with W held, 4.9 with only the mask
+        ("magnitude", "2048x2048", 16),  # 23.1 with W held, 8.1 with only the mask
     ])
     def test_prune(self, layers, tmp_path, capsys, method, dims, mib):
         argv = ["prune", "--in", str(layers / dims), "--out", str(tmp_path / "out.t"),
@@ -648,14 +751,32 @@ REFUSALS = [
                  "method 'ria' requires activation norms", id="eval-ria-no-acts"),
     pytest.param(["sweep", "--in", "{w_only}", "--b-range", "0..1", "--n", "2", "--m", "4"], 2,
                  "method 'eggs' requires activation norms", id="sweep-no-acts"),
+    # a W that is not a matrix is refused before any method reads its columns
+    pytest.param(["prune", "--in", "{flat}", "--out", "{tmp}/x.t", "--method", "ria", "--n", "2",
+                  "--m", "4"], 1, "weights must be a 2-D matrix with at least one row and column",
+                 id="prune-ria-1-d-w"),
+    pytest.param(["prune", "--in", "{scalar}", "--out", "{tmp}/x.t", "--method", "eggs", "--n",
+                  "2", "--m", "4"], 1,
+                 "weights must be a 2-D matrix with at least one row and column",
+                 id="prune-eggs-0-d-w"),
+    pytest.param(["eval", "--in", "{flat}", "--methods", "ria", "--n", "2", "--m", "4"], 1,
+                 "weights must be a 2-D matrix with at least one row and column",
+                 id="eval-ria-1-d-w"),
+    pytest.param(["sweep", "--in", "{flat}", "--b-range", "0..1", "--n", "2", "--m", "4"], 1,
+                 "weights must be a 2-D matrix with at least one row and column",
+                 id="sweep-1-d-w"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, message", REFUSALS)
 def test_refusals(tmp_path, capsys, argv, code, message):
     names = {"src": str(gen_layer(tmp_path)), "tmp": str(tmp_path),
-             "w_only": str(tmp_path / "w_only.t")}
-    save_bundle({"W": load_bundle(names["src"])["W"]}, names["w_only"])
+             "w_only": str(tmp_path / "w_only.t"), "flat": str(tmp_path / "flat.t"),
+             "scalar": str(tmp_path / "scalar.t")}
+    layer = load_bundle(names["src"])
+    save_bundle({"W": layer["W"]}, names["w_only"])
+    save_bundle({"W": layer["W"][0], "Z": layer["Z"]}, names["flat"])
+    save_bundle({"W": layer["W"][0, 0], "Z": layer["Z"]}, names["scalar"])
     try:
         got = run(*(a.format(**names) for a in argv))
     except SystemExit as exc:  # argparse refuses a malformed value itself

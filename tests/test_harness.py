@@ -23,6 +23,7 @@ from nmprune import (
 )
 from nmprune import metrics
 from nmprune.harness import sweep_blocks
+from nmprune.metrics import BlockSource
 from nmprune.masks import importance_select
 
 
@@ -169,6 +170,25 @@ class TestMultiBlock:
                                            rtol=1e-12, atol=0)
 
 
+class TestBlockSource:
+    """prune_with_method takes W as a BlockSource whose blocks can be read
+    again, in blocks of any height, and returns what it returns for the array."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_source_prunes_as_the_array(self, method):
+        w, z = gen_synthetic(6, 11, 16, "dead-columns", k=2)
+        norms, cfg = norms_from_batch(z), PruneConfig(2, 4, 2)
+        source = BlockSource(w.dtype, w.shape, [w[:4], w[4:5], w[5:]])
+        want = prune_with_method(w, norms, cfg, method)
+        got = prune_with_method(source, norms, cfg, method)
+        assert got.mask.tobytes() == want.mask.tobytes()
+        assert got.permutation == want.permutation
+        if want.permutation is None:  # the layer as given, to be read again
+            assert got.weights is source
+        else:
+            assert got.weights.tobytes() == want.weights.tobytes()
+
+
 class TestCompareMethods:
     def test_order_and_fields(self):
         w, z = gen_synthetic(10, 16, 16, "gaussian")
@@ -293,6 +313,7 @@ class TestMemory:
         assert peak < 8 * 2**20
 
 
+NOT_A_MATRIX = "weights must be a 2-D matrix with at least one row and column"
 REFUSALS = [
     pytest.param(lambda: gen_synthetic(0, 0, 4), ConfigError, "dimensions must be at least 1",
                  id="no-rows"),
@@ -310,6 +331,26 @@ REFUSALS = [
     pytest.param(lambda: prune_with_method(np.ones((4, 6)), ActivationNorms(np.ones(6)),
                                            PruneConfig(2, 4), "ria"),
                  NMPruneError, "6 columns not divisible by window width 4", id="indivisible-ria"),
+    # a W that is not a matrix is refused before any method reads its columns
+    pytest.param(lambda: prune_with_method(np.ones(4), ActivationNorms(np.ones(4)),
+                                           PruneConfig(2, 4), "ria"),
+                 NMPruneError, NOT_A_MATRIX, id="1-d-w-ria"),
+    pytest.param(lambda: prune_with_method(np.float32(1), ActivationNorms(np.ones(4)),
+                                           PruneConfig(2, 4), "eggs"),
+                 NMPruneError, NOT_A_MATRIX, id="0-d-w-eggs"),
+    pytest.param(lambda: compare_methods(np.ones(4), ActivationNorms(np.ones(4)),
+                                         PruneConfig(2, 4), ["ria"]),
+                 NMPruneError, NOT_A_MATRIX, id="1-d-w-compare"),
+    pytest.param(lambda: sweep_blocks(np.ones(4), ActivationNorms(np.ones(4)), 2, 4, range(2)),
+                 NMPruneError, NOT_A_MATRIX, id="1-d-w-sweep"),
+    pytest.param(lambda: prune_with_method(BlockSource(np.float32, (4, 4), iter([np.ones((4, 4))])),
+                                           ActivationNorms(np.ones(4)), PruneConfig(2, 4), "ria"),
+                 NMPruneError, "weight row blocks must be readable more than once, not an iterator",
+                 id="one-shot-source"),
+    pytest.param(lambda: prune_with_method(BlockSource(np.float32, (4, 4), [np.ones((3, 4))]),
+                                           None, PruneConfig(2, 4), "magnitude"),
+                 NMPruneError, "weight row blocks do not tile the matrix's shape",
+                 id="short-source"),
 ]
 
 

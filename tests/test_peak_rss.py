@@ -1,5 +1,5 @@
 """Smoke test of tools/peak_rss.py: every command runs in its own process and
-reports a positive peak, and so does the in-process prune and verify sequence."""
+reports a positive peak, and so do the in-process prune and verify sequences."""
 
 import json
 import subprocess
@@ -9,7 +9,9 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "peak_rss.py"
 COMMANDS = ["gen", "gen --profile dead-columns --k 16", "prune --method magnitude", "prune --method wanda", "prune --method ria",
             "prune --method eggs", "verify", "eval", "sweep",
-            "prune --method eggs, verify, prune --method eggs, verify (one process)"]
+            "prune --method eggs, verify, prune --method eggs, verify (one process)",
+            "prune --method ria, verify, prune --method wanda, verify, "
+            "prune --method magnitude, verify (one process)"]
 
 
 def test_every_command_reports_a_positive_peak(tmp_path):

@@ -12,12 +12,13 @@ with every method at 2:4 and B=2, ``verify`` of the eggs bundle, ``eval``
 of all four methods and ``sweep`` over B 0..4. Every child imports nmprune
 from this checkout's ``src/``, runs one ``nmprune.cli.main`` call and
 reports its own ``ru_maxrss``, so each peak includes the interpreter and
-numpy but no other command. One more child runs ``prune --method eggs``,
-``verify``, ``prune --method eggs`` and ``verify`` in turn, the shape of a
-benchmark job process: its peak also shows what the allocator keeps of one
-command's heap for the next, which a fresh process never shows. The output
-JSON maps each command, or that sequence, to its peak in MiB. Standard
-library only.
+numpy but no other command. Two more children each run a sequence in
+turn, the shape of a benchmark job process: ``prune --method eggs``,
+``verify``, ``prune --method eggs`` and ``verify``; and ``prune`` with ria,
+wanda and magnitude, each followed by ``verify`` at B=0. Their peaks also
+show what the allocator keeps of one command's heap for the next, which a
+fresh process never shows. The output JSON maps each command, or sequence,
+to its peak in MiB. Standard library only.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("magnitude", "wanda", "ria", "eggs")
 NM = ["--n", "2", "--m", "4", "--b", "2"]
 JOB = "prune --method eggs, verify, prune --method eggs, verify (one process)"
+SCORED_JOB = ("prune --method ria, verify, prune --method wanda, verify, "
+              "prune --method magnitude, verify (one process)")
 # runs the CLI calls given as one JSON list of argv lists, in turn, stopping at
 # the first that fails, then prints the process's peak RSS (KiB on Linux) last
 CHILD = ("import json, resource, sys\n"
@@ -77,6 +80,10 @@ def main(argv=None) -> int:
         job = [["prune", "--in", layer, "--out", str(Path(tmp) / "job.t"), "--method", "eggs",
                 *NM], ["verify", "--in", str(Path(tmp) / "job.t"), *NM]]
         peaks[JOB] = peak_mib(*job, *job)
+        scored = str(Path(tmp) / "scored.t")
+        peaks[SCORED_JOB] = peak_mib(*(argv for method in ("ria", "wanda", "magnitude") for argv in (
+            ["prune", "--in", layer, "--out", scored, "--method", method, *NM],
+            ["verify", "--in", scored, "--n", "2", "--m", "4", "--b", "0"])))
         peaks["eval"] = peak_mib(["eval", "--in", layer, *NM])
         peaks["sweep"] = peak_mib(["sweep", "--in", layer, "--b-range", "0..4",
                                    "--n", "2", "--m", "4"])

@@ -13,9 +13,9 @@ from .errors import ConfigError, NMPruneError
 from .graphs import verify_degree_laws
 from .masks import PruneConfig, overlay_blocks, ria_select, select_blocks
 from .metrics import (DEFAULT_ALPHA, ActivationNorms, BlockSource, abs_blocks, layer_sums,
-                      row_blocks, wanda_blocks, weight_blocks, weight_shape)
+                      row_blocks, wanda_blocks, weight_shape)
 from .partition import assign_blocks, plan_groups
-from .permute import ChannelPermutation, build_permutation
+from .permute import ChannelPermutation, apply_to_columns, build_permutation
 
 METHODS = ("magnitude", "wanda", "ria", "eggs")
 _PERMUTED = ("ria", "eggs")  # the methods whose mask is in the permuted layout
@@ -178,9 +178,6 @@ class _ScoredLayer:
 
     @cached_property
     def _sums(self):
-        cols = self.shape[1]
-        if cols % self.m:  # the refusal of every method, not build_permutation's own
-            raise NMPruneError(f"{cols} columns not divisible by window width {self.m}")
         return layer_sums(self.w, self.norms)
 
     @cached_property
@@ -189,7 +186,7 @@ class _ScoredLayer:
 
     @cached_property
     def w_perm(self) -> np.ndarray:
-        return _permuted(self.w, self.perm)
+        return apply_to_columns(self.w, self.perm)
 
     @cached_property
     def _scored(self):
@@ -205,10 +202,13 @@ class _ScoredLayer:
         """The method's mask, in the permuted layout for ria and eggs."""
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
+        if method != "magnitude" and self.norms is None:
+            raise ConfigError(f"method {method!r} requires activation norms")
+        cols = self.shape[1]
+        if cols % self.m:  # every method's refusal, before any pass over W
+            raise NMPruneError(f"{cols} columns not divisible by window width {self.m}")
         if method == "magnitude":
             return select_blocks(abs_blocks(self.w), self.shape, self.n, self.m)
-        if self.norms is None:
-            raise ConfigError(f"method {method!r} requires activation norms")
         if method == "wanda":
             return select_blocks(wanda_blocks(self.w, self.norms), self.shape, self.n, self.m)
         sums, plan, base = self._scored
@@ -240,15 +240,6 @@ class _ScoredLayer:
         lemma = verify_degree_laws(mask, cfg).violation is None if method == "eggs" else None
         return MethodReport(method, math.sqrt(squares) / denom, int((in_deg == 0).sum()),
                             int(in_deg.min()), kept / self._abs_total, lemma)
-
-
-def _permuted(w, perm: ChannelPermutation) -> np.ndarray:
-    """apply_to_columns(w, perm), gathered one row block of W at a time."""
-    out = np.empty(weight_shape(w), w.dtype)
-    for rows, block in weight_blocks(w):
-        # every index is in range; "clip" spares the buffered copy "raise" makes of out
-        np.take(block, perm.forward, axis=1, out=out[rows], mode="clip")
-    return out
 
 
 def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,

@@ -107,7 +107,7 @@ def weight_blocks(w):
     start = 0
     for block in blocks:
         if np.shape(block)[1:] != (f_in,) or start + len(block) > f_out:
-            break
+            raise NMPruneError("weight row blocks do not tile the matrix's shape")
         yield slice(start, start + len(block)), check_weights(block)
         start += len(block)
     if start != f_out:

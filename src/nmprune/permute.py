@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, NMPruneError
+from .metrics import BlockSource, weight_blocks
 from .tensor_store import write_atomic
 
 
@@ -74,14 +75,19 @@ def build_permutation(scores, m: int) -> ChannelPermutation:
 
 
 def apply_to_columns(w, perm: ChannelPermutation) -> np.ndarray:
-    """Reorder the columns of a matrix into the permuted layout."""
-    arr = np.asarray(w)
-    if arr.ndim != 2 or arr.shape[1] != len(perm):
+    """Reorder the columns of a weight matrix, a 2-D array or a BlockSource
+    of one, into the permuted layout, gathered a row block at a time."""
+    arr = w if isinstance(w, BlockSource) else np.asarray(w)
+    if len(arr.shape) != 2 or arr.shape[1] != len(perm):
         raise NMPruneError(
-            f"matrix with {arr.shape[-1] if arr.ndim else 0} columns does not match "
+            f"matrix with {arr.shape[-1] if arr.shape else 0} columns does not match "
             f"permutation of length {len(perm)}"
         )
-    return np.take(arr, perm.forward, axis=1)
+    out = np.empty(arr.shape, arr.dtype)
+    for rows, block in weight_blocks(arr):
+        # every index is in range; "clip" spares the buffered copy "raise" makes of out
+        np.take(block, perm.forward, axis=1, out=out[rows], mode="clip")
+    return out
 
 
 def unpermute_mask(mask, perm: ChannelPermutation) -> np.ndarray:

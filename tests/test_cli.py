@@ -607,14 +607,14 @@ class TestScoredOnce:
         assert calls == {}
 
     def test_width_refused_before_any_pass(self, tmp_path, capsys, monkeypatch):
-        # magnitude's mask refuses the width on its first block, before any
-        # error, reference or absolute sum goes over W
+        # magnitude's mask refuses the width, as every method does, before any
+        # pass goes over W: no block is checked, no error, reference or absolute sum taken
         path = gen_layer(tmp_path, dims="8x6")
         counts = self.count(monkeypatch, metrics.check_weights, harness._masked_sums)
         capsys.readouterr()
         assert run("eval", "--in", str(path), "--methods", "magnitude", "--n", "2", "--m", "4") == 1
         assert capsys.readouterr().err == "error: 6 columns not divisible by window width 4\n"
-        assert counts == {"check_weights": 1}
+        assert counts == {}
 
     def test_eval_scores_once(self, tmp_path, capsys, calls):
         path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)

@@ -351,6 +351,16 @@ REFUSALS = [
                                            None, PruneConfig(2, 4), "magnitude"),
                  NMPruneError, "weight row blocks do not tile the matrix's shape",
                  id="short-source"),
+    pytest.param(lambda: prune_with_method(BlockSource(np.float32, (4, 4),
+                                                       [np.ones((4, 4)), np.ones((1, 4))]),
+                                           None, PruneConfig(2, 4), "magnitude"),
+                 NMPruneError, "weight row blocks do not tile the matrix's shape",
+                 id="long-source"),
+    # every method refuses a bad width before it reads W, so before a NaN in W
+    pytest.param(lambda: prune_with_method(np.vstack([np.ones((4, 6)), np.full((1, 6), np.nan)]),
+                                           None, PruneConfig(2, 4), "magnitude"),
+                 NMPruneError, "6 columns not divisible by window width 4",
+                 id="indivisible-before-nan"),
 ]
 
 

@@ -13,6 +13,7 @@ from nmprune import (
     load_permutation,
     save_permutation,
 )
+from nmprune.metrics import BlockSource
 from nmprune.permute import apply_to_columns, build_permutation, unpermute_mask
 
 
@@ -90,6 +91,13 @@ class TestApply:
             apply_to_columns(w * v[None, :], perm),
             apply_to_columns(w, perm) * v[perm.forward][None, :],
         )
+
+    def test_row_blocks_gather_as_the_array(self):
+        rng = np.random.default_rng(8)
+        w = rng.standard_normal((5, 8)).astype(np.float32)
+        perm = build_permutation(rng.uniform(size=8), 4)
+        source = BlockSource(w.dtype, w.shape, [w[:2], w[2:3], w[3:]])
+        assert apply_to_columns(source, perm).tobytes() == np.take(w, perm.forward, axis=1).tobytes()
 
     def test_length_mismatch(self):
         with pytest.raises(NMPruneError, match="does not match permutation of length 4"):

@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
-SHARED = {"prune_with_method", "layer_sums", "build_permutation", "_permuted", "ria_select"}
+SHARED = {"prune_with_method", "layer_sums", "build_permutation", "apply_to_columns",
+          "ria_select"}
 
 
 def test_every_stage_reports_a_median(tmp_path):

@@ -35,13 +35,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 # module -> stage functions; ria_channel_scores is the channel-score pass of
-# older checkouts, which took it over W apart from the column sums, and
-# apply_to_columns their whole-matrix gather of W_perm, which _permuted
-# now does a row block at a time
+# older checkouts, which took it over W apart from the column sums
 STAGES = {
     "metrics": ("layer_sums", "ria_channel_scores"),
     "permute": ("build_permutation", "apply_to_columns"),
-    "harness": ("_permuted",),
     "masks": ("ria_select", "overlay_blocks"),
     "partition": ("plan_groups", "order_rows"),
 }

@@ -54,19 +54,19 @@ def _require(bundle, name: str) -> None:
 
 
 def _read_layer(args):
-    """The bundle, with ``W`` checked, plus activation norms with --alpha and
-    the calibration batch, both None when there is no ``Z``: a 1-D ``Z`` holds
-    norms, a 2-D ``Z`` is a batch the norms are taken from."""
+    """``W`` as the bundle's BlockSource, read anew on every pass, plus activation
+    norms with --alpha and the calibration batch, both None when there is no ``Z``:
+    a 1-D ``Z`` holds norms, a 2-D ``Z`` is a batch the norms are taken from."""
     if not np.isfinite(args.alpha):
         raise ConfigError("alpha must be finite")
     bundle = load_bundle(args.infile)
     _require(bundle, "W")
-    z = bundle.get("Z")
+    w, z = bundle.rows("W"), bundle.get("Z")
     if z is not None and z.ndim == 1:
-        return bundle, ActivationNorms(z, args.alpha), None
+        return w, ActivationNorms(z, args.alpha), None
     if z is not None and z.ndim != 2:
         raise NMPruneError("activation tensor must be a norms vector or a channels x samples batch")
-    return bundle, None if z is None else norms_from_batch(z, args.alpha), z
+    return w, None if z is None else norms_from_batch(z, args.alpha), z
 
 
 def _cmd_gen(args) -> int:
@@ -82,14 +82,14 @@ def _cmd_prune(args) -> int:
     sidecar = args.out + ".perm.json"
     if os.path.isdir(sidecar) and not os.path.islink(sidecar):  # no sidecar step can succeed
         raise NMPruneError(f"cannot write {sidecar}: {os.strerror(errno.EISDIR)}")
-    bundle, norms, _ = _read_layer(args)
-    # W is read in row blocks, never whole: once to score, once to permute or prune
-    res = prune_with_method(bundle.rows("W"), norms, cfg, args.method)
+    w, norms, _ = _read_layer(args)
+    # W is read twice: to score it, then to permute or prune it
+    res = prune_with_method(w, norms, cfg, args.method)
     w, mask, perm = res.weights, np.asarray(res.mask, dtype=np.uint8), res.permutation
     pruned = (apply_mask(block, mask[rows]) for rows, block in weight_blocks(w))
     entries = {"mask": mask, "W_pruned": BlockSource(np.float32, mask.shape, pruned)}
     if perm is not None:
-        entries["W_perm"] = np.asarray(w, dtype=np.float32)
+        entries["W_perm"] = np.asarray(w, dtype=np.float32)  # like W_pruned, for a uint8 W too
         unpermuted = (unpermute_mask(mask[rows], perm) for rows in row_blocks(*mask.shape))
         entries["mask_unpermuted"] = BlockSource(np.uint8, mask.shape, unpermuted)
     save_bundle(entries, args.out)
@@ -173,8 +173,8 @@ def _cmd_eval(args) -> int:
     methods = [s.strip() for s in args.methods.split(",") if s.strip()]
     if not methods:
         raise ConfigError("no methods requested")
-    bundle, norms, z = _read_layer(args)
-    reports = compare_methods(bundle["W"], norms, cfg, methods, z)
+    w, norms, z = _read_layer(args)
+    reports = compare_methods(w, norms, cfg, methods, z)
     print(json.dumps([_report_doc(r) for r in reports]))
     if args.csv:
         lines = [_csv_row("method", "error", "corrupted", "lemma1_pass")]
@@ -187,9 +187,9 @@ def _cmd_sweep(args) -> int:
     b_lo, b_hi = args.b_range
     if b_lo < 0 or b_hi < b_lo:
         raise ConfigError(f"bad block-count range {b_lo}..{b_hi}")
-    bundle, norms, z = _read_layer(args)
+    w, norms, z = _read_layer(args)
     bs = range(b_lo, b_hi + 1)
-    reports = sweep_blocks(bundle["W"], norms, args.n, args.m, bs, z)
+    reports = sweep_blocks(w, norms, args.n, args.m, bs, z)
     print(_csv_row("B", "error", "corrupted", "min_in_degree", "lemma1_pass"))
     for b, r in zip(bs, reports):
         print(_csv_row(b, r.error, r.corrupted, r.min_in_degree, r.lemma1_pass))

@@ -13,7 +13,7 @@ from .errors import ConfigError, NMPruneError
 from .graphs import verify_degree_laws
 from .masks import PruneConfig, overlay_blocks, ria_select, select_blocks
 from .metrics import (DEFAULT_ALPHA, ActivationNorms, BlockSource, abs_blocks, layer_sums,
-                      row_blocks, wanda_blocks, weight_shape)
+                      row_blocks, wanda_blocks, weight_blocks, weight_shape)
 from .partition import assign_blocks, plan_groups
 from .permute import ChannelPermutation, apply_to_columns, build_permutation
 
@@ -89,28 +89,28 @@ def norms_from_batch(z, alpha: float = DEFAULT_ALPHA) -> ActivationNorms:
 def reconstruction_error(w, mask, z) -> float:
     """Relative Frobenius error of the masked layer on calibration inputs.
 
-    ||W Z - (W * mask) Z||_F / ||W Z||_F, computed in float64. Raises
-    NMPruneError when the reference output is identically zero.
+    ||W Z - (W * mask) Z||_F / ||W Z||_F, in float64, of W as an array or a
+    BlockSource. Raises NMPruneError when W is not finite or W Z is zero.
     """
-    w_arr, m_arr = np.asarray(w), np.asarray(mask)
-    if w_arr.ndim != 2 or w_arr.shape != m_arr.shape:
-        raise NMPruneError(f"mask shape {m_arr.shape} does not match weights shape {w_arr.shape}")
-    z64, denom = _reference(w_arr, np.asarray(z))
-    return math.sqrt(_masked_sums(w_arr, m_arr, z64)[0]) / denom
+    w, mask = w if isinstance(w, BlockSource) else np.asarray(w), np.asarray(mask)
+    if len(w.shape) != 2 or tuple(w.shape) != mask.shape:
+        raise NMPruneError(f"mask shape {mask.shape} does not match weights shape {tuple(w.shape)}")
+    z64, denom = _reference(w, np.asarray(z))
+    return math.sqrt(_masked_sums(w, mask, z64)[0]) / denom
 
 
 def _masked_sums(w, mask, z64):
-    """(||R Z||_F², sum |K|) in float64, widened a row block at a time, with
-    K = W * mask and R = W - K, or R = K = W without a mask; z64 None means
-    identity inputs, ||R||_F². For a 0/1 mask, R and K hold W's cells off
-    and on the mask, up to the sign of a zero."""
+    """(||R Z||_F², sum |K|) in float64, widened a row block at a time from
+    weight_blocks, with K = W * mask and R = W - K, or R = K = W without a
+    mask; z64 None means identity inputs, ||R||_F². For a 0/1 mask, R and K
+    hold W's cells off and on the mask, up to the sign of a zero."""
     squares = total = 0.0
-    for rows in row_blocks(*w.shape):
+    for rows, block in weight_blocks(w):
         if mask is None:
-            kept = removed = w[rows].astype(np.float64)
+            kept = removed = block.astype(np.float64)
         else:
-            kept = np.multiply(w[rows], mask[rows], dtype=np.float64)
-            removed = np.subtract(w[rows], kept, dtype=np.float64)
+            kept = np.multiply(block, mask[rows], dtype=np.float64)
+            removed = np.subtract(block, kept, dtype=np.float64)
         out = (removed if z64 is None else removed @ z64).ravel()
         squares += float(out.dot(out))  # np.linalg.norm's own sum of squares
         total += float(np.abs(kept, out=kept).sum())  # removed is spent by now
@@ -139,7 +139,7 @@ class PruneResult:
 
     For methods that permute channels, ``weights`` and ``mask`` are both in
     the permuted layout and ``permutation`` records the mapping; otherwise
-    ``permutation`` is None and ``weights`` is W as given, even a BlockSource.
+    ``permutation`` is None and ``weights`` is W as given, an array or a BlockSource.
     """
 
     mask: np.ndarray
@@ -166,7 +166,7 @@ class _ScoredLayer:
     one group plan of the ``max_b`` blocks that fit, of which every smaller
     B's plan is a prefix. The error reference is kept per layout, and no
     float64 copy of W or of its scores is held. W may be a BlockSource, which
-    the mask passes read a row block at a time and never hold whole.
+    every pass, mask or error, reads a row block at a time and never holds whole.
     """
 
     def __init__(self, w, norms, n: int, m: int, z=None, max_b: int = 0):

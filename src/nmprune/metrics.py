@@ -99,7 +99,7 @@ def row_blocks(count: int, width: int) -> list[slice]:
 def weight_blocks(w):
     """W's row blocks, each checked by check_weights as it comes: yields (rows,
     block). A 2-D array is sliced along row_blocks; a BlockSource is read anew
-    on every call. Every pass that prune makes over W goes through here."""
+    on every call. Every pass over W, in prune, eval and sweep, goes through here."""
     f_out, f_in = weight_shape(w)
     blocks = w.blocks if isinstance(w, BlockSource) else map(
         # numpy sums a single column pairwise, as one run, so it stays one block

@@ -16,7 +16,7 @@ import pytest
 import helpers
 import nmprune
 from nmprune import load_bundle, load_permutation, save_bundle
-from nmprune import harness, metrics, partition
+from nmprune import harness, metrics, partition, tensor_store
 from nmprune.cli import main
 from nmprune.permute import apply_to_columns, unpermute_mask
 
@@ -240,6 +240,24 @@ class TestPruneReadsWTwice:
         save_bundle(layer, src)
         monkeypatch.setattr(metrics, "_TOPK_CHUNK", 48)  # three rows per block
         self.refused(tmp_path, capsys, src, method, "weights must be finite")
+
+    @pytest.mark.parametrize("method", ["magnitude", "eggs"])
+    def test_uint8_w_as_its_float32_copy(self, tmp_path, capsys, method):
+        # W is read in its stored dtype; every entry prune writes is float32 or
+        # uint8 as for a float32 W, W_perm included, and eval reads the same numbers
+        rng = np.random.default_rng(23)
+        z = rng.standard_normal((16, 4)).astype(np.float32)
+        w = rng.integers(0, 256, (12, 16)).astype(np.uint8)
+        outs = []
+        for dtype in (np.uint8, np.float32):
+            src, out = tmp_path / f"{dtype.__name__}.t", tmp_path / f"{dtype.__name__}-out.t"
+            save_bundle({"W": w.astype(dtype), "Z": z}, src)
+            capsys.readouterr()
+            assert run("eval", "--in", str(src), "--n", "2", "--m", "4", "--b", "2") == 0
+            assert run("prune", "--in", str(src), "--out", str(out), "--method", method,
+                       "--n", "2", "--m", "4", "--b", "2") == 0
+            outs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outs[0] == outs[1]
 
     def test_caller_array_is_not_permuted(self):
         w, z = nmprune.gen_synthetic(4, 8, 8)
@@ -565,7 +583,8 @@ class TestScoredOnce:
     command: the kernel's first pass, layer_sums, runs once, on W, and
     takes the channel scores too; the permuted layer is scored in one pass
     from W's sums, permuted, so |W| is widened in two passes in all; eggs
-    plans its groups in one plan_groups call, whatever the Bs."""
+    plans its groups in one plan_groups call, whatever the Bs. How often each
+    command reads W and Z from the bundle is pinned, so no pass is added unnoticed."""
 
     @staticmethod
     def count(monkeypatch, *fns) -> dict:
@@ -646,16 +665,35 @@ class TestScoredOnce:
         assert run(*argv, "--in", str(path), "--n", "2", "--m", "4") == 0
         assert passes == {"abs_blocks": 2}
 
+    @pytest.mark.parametrize("argv, reads", [
+        *[(["prune", "--out", "o.t", "--method", method, "--b", "2"], 2)
+          for method in nmprune.METHODS],
+        # W's reference, magnitude's and wanda's mask and error passes and the absolute sum;
+        # then, as for ria and eggs alone, W's sums and the gather of W_perm
+        (["eval", "--b", "2"], 8),
+        (["eval", "--methods", "ria,eggs", "--b", "2"], 3),
+        (["sweep", "--b-range", "0..4"], 3),
+    ])
+    def test_reads_of_each_entry(self, tmp_path, monkeypatch, argv, reads):
+        # every pass over W opens the bundle anew and streams W's row blocks; Z is read once
+        monkeypatch.chdir(tmp_path)
+        path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
+        opened, open_entry = [], tensor_store.Bundle._open
+        monkeypatch.setattr(tensor_store.Bundle, "_open",
+                            lambda bundle, name: opened.append(name) or open_entry(bundle, name))
+        assert run(*argv, "--in", str(path), "--n", "2", "--m", "4") == 0
+        assert {name: opened.count(name) for name in opened} == {"W": reads, "Z": 1}
+
 
 class TestMemory:
-    """tracemalloc peaks of whole commands, the bundle load included. prune
-    reads W a row block at a time and never holds it whole: ria and eggs hold
-    W_perm, magnitude and wanda only the mask, and W_pruned and
-    mask_unpermuted are streamed; verify reads only the mask, a row block at
-    a time; eval sums its errors a row block at a time. Each bound lies
-    between the peaks measured before and after those changes, except ria
-    and eggs at 1024x1024, which peak while scoring W_perm both before and
-    after: their bounds sit just above that peak."""
+    """tracemalloc peaks of whole commands, the bundle load included. prune,
+    eval and sweep read W a row block at a time and never hold it whole: ria
+    and eggs hold W_perm, magnitude and wanda only the mask, and W_pruned and
+    mask_unpermuted are streamed; eval and sweep take every mask and error
+    sum from W's blocks too; verify reads only the mask, a row block at a
+    time. Each bound lies between the peaks measured before and after those
+    changes, except ria and eggs at 1024x1024, which peak while scoring
+    W_perm both before and after: their bounds sit just above that peak."""
 
     @pytest.fixture(scope="class")
     def layers(self, tmp_path_factory):
@@ -679,10 +717,18 @@ class TestMemory:
         assert code in (0, 1) and peak < mib * 2**20
 
     def test_eval(self, layers, capsys):
-        # 22.7 MiB with eval's full-size float64 copies, 18.3 with its row-block sums
+        # 22.7 MiB with eval's full-size float64 copies, 18.3 with its row-block sums,
+        # 16.9 with W held beside W_perm, 12.9 with W read in row blocks
         argv = ["eval", "--in", str(layers / "1024x1024"), "--n", "2", "--m", "4", "--b", "2"]
         code, peak = helpers.traced_peak(main, argv)
-        assert code == 0 and peak < 20 * 2**20
+        assert code == 0 and peak < 15 * 2**20
+
+    def test_sweep(self, layers, capsys):
+        # 16.7 MiB with W held beside W_perm, 12.7 with W read in row blocks
+        argv = ["sweep", "--in", str(layers / "1024x1024"), "--b-range", "0..4", "--n", "2",
+                "--m", "4"]
+        code, peak = helpers.traced_peak(main, argv)
+        assert code == 0 and peak < 15 * 2**20
 
     def test_verify(self, layers, tmp_path, capsys):
         out = tmp_path / "eggs.t"

@@ -171,8 +171,9 @@ class TestMultiBlock:
 
 
 class TestBlockSource:
-    """prune_with_method takes W as a BlockSource whose blocks can be read
-    again, in blocks of any height, and returns what it returns for the array."""
+    """prune_with_method, compare_methods, sweep_blocks and reconstruction_error
+    take W as a BlockSource whose blocks can be read again, in blocks of any
+    height, and return what they return for the array."""
 
     @pytest.mark.parametrize("method", METHODS)
     def test_source_prunes_as_the_array(self, method):
@@ -187,6 +188,34 @@ class TestBlockSource:
             assert got.weights is source
         else:
             assert got.weights.tobytes() == want.weights.tobytes()
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "identity"])
+    @pytest.mark.parametrize("tiling", ["row-blocks", "other-heights"])
+    def test_source_reports_as_the_array(self, monkeypatch, tiling, batch):
+        w, batch_z = gen_synthetic(6, 11, 16, "dead-columns", k=2)
+        norms, cfg, z = norms_from_batch(batch_z), PruneConfig(2, 4, 2), batch_z if batch else None
+        monkeypatch.setattr(metrics, "_TOPK_CHUNK", 48)  # three rows per block, and a tail of two
+        # row_blocks' slices are the blocks Bundle.rows yields, and every sum adds as for the array
+        blocks = ([w[rows] for rows in metrics.row_blocks(*w.shape)] if tiling == "row-blocks"
+                  else [w[:4], w[4:5], w[5:]])
+        source = BlockSource(w.dtype, w.shape, blocks)
+        mask = prune_with_method(w, norms, cfg, "wanda").mask
+        pairs = [(compare_methods(source, norms, cfg, METHODS, z),
+                  compare_methods(w, norms, cfg, METHODS, z)),
+                 (sweep_blocks(source, norms, 2, 4, range(3), z),
+                  sweep_blocks(w, norms, 2, 4, range(3), z))]
+        errors = (reconstruction_error(source, mask, batch_z),
+                  reconstruction_error(w, mask, batch_z))
+        for got, want in pairs:
+            exact = [(r.method, r.corrupted, r.min_in_degree, r.lemma1_pass) for r in got]
+            assert exact == [(r.method, r.corrupted, r.min_in_degree, r.lemma1_pass) for r in want]
+            # blocks of other heights add their sums in another order
+            np.testing.assert_allclose([(r.error, r.retained_fraction) for r in got],
+                                       [(r.error, r.retained_fraction) for r in want], rtol=1e-12)
+        np.testing.assert_allclose(*errors, rtol=1e-12)
+        if tiling == "row-blocks":
+            assert [got for got, _ in pairs] == [want for _, want in pairs]
+            assert errors[0] == errors[1]
 
 
 class TestCompareMethods:
@@ -326,6 +355,10 @@ REFUSALS = [
     pytest.param(lambda: reconstruction_error(np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 1))),
                  NMPruneError, "mask shape (2, 3) does not match weights shape (2, 2)",
                  id="mask-shape"),
+    # the error passes check W's finiteness a row block at a time, as the mask passes do
+    pytest.param(lambda: reconstruction_error(np.array([[1.0, np.nan]]), np.ones((1, 2)),
+                                              np.ones((2, 1))),
+                 NMPruneError, "weights must be finite", id="non-finite-w-error"),
     pytest.param(lambda: prune_with_method(np.ones((4, 4)), None, PruneConfig(2, 4), "random"),
                  ConfigError, "unknown method 'random'", id="unknown-method"),
     pytest.param(lambda: prune_with_method(np.ones((4, 6)), ActivationNorms(np.ones(6)),

@@ -95,7 +95,7 @@ def reconstruction_error(w, mask, z) -> float:
     w, mask = w if isinstance(w, BlockSource) else np.asarray(w), np.asarray(mask)
     if len(w.shape) != 2 or tuple(w.shape) != mask.shape:
         raise NMPruneError(f"mask shape {mask.shape} does not match weights shape {tuple(w.shape)}")
-    z64, denom = _reference(w, np.asarray(z))
+    z64, denom, _ = _reference(w, np.asarray(z))
     return math.sqrt(_masked_sums(w, mask, z64)[0]) / denom
 
 
@@ -107,7 +107,7 @@ def _masked_sums(w, mask, z64):
     squares = total = 0.0
     for rows, block in weight_blocks(w):
         if mask is None:
-            kept = removed = block.astype(np.float64)
+            kept = removed = block.astype(np.float64, order="C")  # sums |W| as layer_sums does
         else:
             kept = np.multiply(block, mask[rows], dtype=np.float64)
             removed = np.subtract(block, kept, dtype=np.float64)
@@ -118,19 +118,19 @@ def _masked_sums(w, mask, z64):
 
 
 def _reference(w, z, rows=None):
-    """The checked float64 batch, rows in ``rows`` order if given, and ||W Z||_F;
-    z None means identity inputs: no batch and ||W||_F."""
+    """The checked float64 batch, rows in ``rows`` order if given, ||W Z||_F and
+    sum |W|; z None means identity inputs: no batch and ||W||_F."""
     z64 = None
     if z is not None:
         z = np.asarray(z)
         if z.ndim != 2 or z.shape[0] != w.shape[1]:
             raise NMPruneError("calibration batch rows must match the weight columns")
         z64 = np.asarray(z if rows is None else z[rows], dtype=np.float64)
-    denom = math.sqrt(_masked_sums(w, None, z64)[0])
-    if denom == 0.0:
+    squares, total = _masked_sums(w, None, z64)
+    if squares == 0.0:
         what = "weights are" if z is None else "reference output is"
         raise NMPruneError(f"{what} identically zero")
-    return z64, denom
+    return z64, math.sqrt(squares), total
 
 
 @dataclass(frozen=True)
@@ -164,9 +164,10 @@ class _ScoredLayer:
     column sums, the ria channel permutation, and one row-block pass over
     the permuted layer, from those sums permuted, for its ria top-k mask and
     one group plan of the ``max_b`` blocks that fit, of which every smaller
-    B's plan is a prefix. The error reference is kept per layout, and no
-    float64 copy of W or of its scores is held. W may be a BlockSource, which
-    every pass, mask or error, reads a row block at a time and never holds whole.
+    B's plan is a prefix. The error reference is kept per layout, sum |W| is
+    taken by W's first or reference pass, and no float64 copy of W or of its
+    scores is held. W may be a BlockSource, which every pass, mask or error,
+    reads a row block at a time and never holds whole.
     """
 
     def __init__(self, w, norms, n: int, m: int, z=None, max_b: int = 0):
@@ -226,20 +227,17 @@ class _ScoredLayer:
             self._refs[permuted] = _reference(self.w_perm if permuted else self.w, self.z, rows)
         return self._refs[permuted]
 
-    @cached_property
-    def _abs_total(self) -> float:
-        return _masked_sums(self.w, None, None)[1]
-
     def report(self, method: str, cfg: PruneConfig) -> MethodReport:
         """One method's error, input degrees and retained magnitude."""
         mask = self.mask(method, cfg)  # refuses a bad width or method before any pass
         permuted = method in _PERMUTED
-        z64, denom = self._reference(permuted)
+        z64, denom, total = self._reference(permuted)
         squares, kept = _masked_sums(self.w_perm if permuted else self.w, mask, z64)
         in_deg = mask.sum(axis=0)
         lemma = verify_degree_laws(mask, cfg).violation is None if method == "eggs" else None
+        total = self._sums[3] if permuted else total  # sum |W| of W, never of W_perm
         return MethodReport(method, math.sqrt(squares) / denom, int((in_deg == 0).sum()),
-                            int(in_deg.min()), kept / self._abs_total, lemma)
+                            int(in_deg.min()), kept / total, lemma)
 
 
 def prune_with_method(w, acts: ActivationNorms | None, cfg: PruneConfig,

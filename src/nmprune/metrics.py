@@ -1,8 +1,8 @@
 """Per-weight importance scores and channel-level aggregation.
 
 Scores come from one row-block kernel that widens |W| to float64 a block
-of rows at a time, so the pipeline holds no full-size float64 scores; ria
-takes a first pass that keeps only the column sums of |W| and the channel
+of rows at a time, so the pipeline holds no full-size float64 scores; ria's
+first pass keeps only the column sums of |W|, sum |W| and the channel
 scores, in closed form, and each block of the second takes its own row
 sums. An all-zero row or column sum divides as 1, so a dead channel scores
 exactly 0. The public score functions join those blocks into float64
@@ -136,19 +136,21 @@ def add_rows(total, block) -> np.ndarray:
 
 def layer_sums(w, act: ActivationNorms):
     """The kernel's first pass: validate ``w`` and ``act`` for ria and keep only
-    (column sums of |W| as divisors, s = norms**alpha, ria channel scores);
-    W's columns permute the first two bit for bit. Column j's ria summed over
-    the rows is s_j * (sum_i |w_ij| / r_i + [c_j != 0]), from row sums r and
-    column sums c, so it takes each block's own row sums and no ria cell."""
-    col_sums = rri_sums = None
+    (column sums of |W| as divisors, s = norms**alpha, ria channel scores,
+    sum |W|); W's columns permute the first two bit for bit. Column j's ria
+    summed over the rows is s_j * (sum_i |w_ij| / r_i + [c_j != 0]), from row
+    sums r and column sums c, so it takes each block's own row sums and no ria
+    cell. sum |W| adds each block's sum in block order, as the error passes do."""
+    col_sums, rri_sums, total = None, None, 0.0
     for _, a in abs_blocks(w):
+        total += float(a.sum())
         col_sums = add_rows(col_sums, a)
         rri_sums = add_rows(rri_sums, np.divide(a, _divisors(a.sum(axis=1))[:, None], out=a))
     _check_norms_length(act, col_sums.shape[0])
     if act.alpha < 0 and np.any(act.norms == 0.0):
         raise NMPruneError("zero activation norm cannot be raised to a negative alpha")
     scale = act.norms**act.alpha
-    return _divisors(col_sums), scale, scale * (rri_sums + (col_sums != 0.0))
+    return _divisors(col_sums), scale, scale * (rri_sums + (col_sums != 0.0)), total
 
 
 def ria_cells(a, sums, rows, cols, rri=None):

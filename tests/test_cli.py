@@ -665,24 +665,46 @@ class TestScoredOnce:
         assert run(*argv, "--in", str(path), "--n", "2", "--m", "4") == 0
         assert passes == {"abs_blocks": 2}
 
-    @pytest.mark.parametrize("argv, reads", [
-        *[(["prune", "--out", "o.t", "--method", method, "--b", "2"], 2)
-          for method in nmprune.METHODS],
-        # W's reference, magnitude's and wanda's mask and error passes and the absolute sum;
-        # then, as for ria and eggs alone, W's sums and the gather of W_perm
-        (["eval", "--b", "2"], 8),
-        (["eval", "--methods", "ria,eggs", "--b", "2"], 3),
-        (["sweep", "--b-range", "0..4"], 3),
-    ])
-    def test_reads_of_each_entry(self, tmp_path, monkeypatch, argv, reads):
-        # every pass over W opens the bundle anew and streams W's row blocks; Z is read once
+    @staticmethod
+    def reads(tmp_path, monkeypatch, argv, z) -> dict:
+        """How often ``argv`` opens each entry of a layer bundle whose Z is the
+        calibration batch, its norms vector or, for z None, absent."""
         monkeypatch.chdir(tmp_path)
         path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
+        layer = load_bundle(path)
+        z_entry = {"batch": {"Z": layer["Z"]}, "norms": {"Z": np.linalg.norm(layer["Z"], axis=1)},
+                   None: {}}[z]
+        save_bundle({"W": layer["W"], **z_entry}, path)
         opened, open_entry = [], tensor_store.Bundle._open
         monkeypatch.setattr(tensor_store.Bundle, "_open",
                             lambda bundle, name: opened.append(name) or open_entry(bundle, name))
         assert run(*argv, "--in", str(path), "--n", "2", "--m", "4") == 0
-        assert {name: opened.count(name) for name in opened} == {"W": reads, "Z": 1}
+        return {name: opened.count(name) for name in opened}
+
+    @pytest.mark.parametrize("argv, reads", [
+        *[(["prune", "--out", "o.t", "--method", method, "--b", "2"], 2)
+          for method in nmprune.METHODS],
+        # W's reference, which also sums |W|, and magnitude's and wanda's mask and error
+        # passes; then, as for ria and eggs alone, W's sums, with sum |W|, and the gather of W_perm
+        (["eval", "--b", "2"], 7),
+        (["eval", "--methods", "ria,eggs", "--b", "2"], 2),
+        (["sweep", "--b-range", "0..4"], 2),
+        (["eval", "--methods", "magnitude"], 3),
+        (["eval", "--methods", "ria,magnitude", "--b", "2"], 5),
+    ])
+    def test_reads_of_each_entry(self, tmp_path, monkeypatch, argv, reads):
+        # every pass over W opens the bundle anew and streams W's row blocks; Z is read once
+        assert self.reads(tmp_path, monkeypatch, argv, "batch") == {"W": reads, "Z": 1}
+
+    @pytest.mark.parametrize("argv, z, reads", [
+        (["eval", "--methods", "magnitude"], None, 3),
+        (["eval", "--b", "2"], "norms", 7),
+        (["sweep", "--b-range", "0..4"], "norms", 2),
+    ])
+    def test_reads_without_a_batch(self, tmp_path, monkeypatch, argv, z, reads):
+        # a W-only bundle has no Z to open; a norms vector is read once, as a batch is
+        want = {"W": reads, "Z": 1} if z else {"W": reads}
+        assert self.reads(tmp_path, monkeypatch, argv, z) == want
 
 
 class TestMemory:

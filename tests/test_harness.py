@@ -21,7 +21,7 @@ from nmprune import (
     prune_with_method,
     reconstruction_error,
 )
-from nmprune import metrics
+from nmprune import harness, metrics
 from nmprune.harness import sweep_blocks
 from nmprune.metrics import BlockSource
 from nmprune.masks import importance_select
@@ -216,6 +216,47 @@ class TestBlockSource:
         if tiling == "row-blocks":
             assert [got for got, _ in pairs] == [want for _, want in pairs]
             assert errors[0] == errors[1]
+
+
+class TestAbsoluteSum:
+    """retained_fraction divides by sum |W| from W's first pass (layer_sums) for
+    ria and eggs, and from W's reference pass for magnitude and wanda. Both add
+    each row block's sum in block order, so they are _masked_sums' own float,
+    bit for bit, for an array in either memory order and for row blocks of any
+    heights."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["gaussian", "dead-columns", "one-column"]),
+           st.integers(1, 24), st.integers(2, 24),
+           st.sampled_from(["array", "fortran", "row-blocks", "one-row", "growing"]),
+           st.sampled_from([8, 48, 1 << 18]), st.booleans(),
+           st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=200, deadline=None)
+    def test_three_sums_are_one_float(self, seed, layer, f_out, f_in, given_as, chunk, batch,
+                                      dtype):
+        # float64 weights, whose sums round, tell one order of addition from another
+        rng = np.random.default_rng(seed)
+        f_in = 1 if layer == "one-column" else f_in
+        w = rng.standard_normal((f_out, f_in)).astype(dtype)
+        if layer == "dead-columns":  # exact-zero rows and columns, one cell left alive
+            rows, cols = rng.random(f_out) < 0.3, rng.random(f_in) < 0.3
+            rows[rng.integers(f_out)] = cols[rng.integers(f_in)] = False
+            w[rows], w[:, cols] = 0.0, 0.0
+        z = rng.standard_normal((f_in, 3)).astype(np.float32) if batch else None
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+            if given_as == "array":
+                source = w
+            elif given_as == "fortran":
+                source = np.asfortranarray(w)
+            else:
+                # row_blocks' slices; one row each; or heights 1, 2, 3, ..., the first the smallest
+                cuts = {"row-blocks": [r.start for r in metrics.row_blocks(f_out, f_in)],
+                        "one-row": range(f_out),
+                        "growing": [k * (k + 1) // 2 for k in range(f_out)]}[given_as]
+                source = BlockSource(w.dtype, w.shape, np.split(w, [c for c in cuts if 0 < c < f_out]))
+            sums = (metrics.layer_sums(source, ActivationNorms(np.ones(f_in)))[3],
+                    harness._reference(source, z)[2],
+                    harness._masked_sums(source, None, None)[1])
+        assert len({s.hex() for s in sums}) == 1, sums
 
 
 class TestCompareMethods:

@@ -261,7 +261,7 @@ class TestRowBlocks:
         # scores follow the C-ordered sums whatever the input's memory order
         w_in = np.asfortranarray(w) if fortran else w
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
-            col_sums, scale, channel = metrics.layer_sums(w_in, act)
+            col_sums, scale, channel, _ = metrics.layer_sums(w_in, act)
             row_sums = np.concatenate([r for *_, r in metrics.ria_blocks(w_in, (col_sums, scale))])
             got = [ria(w_in, act), rri(w_in), wanda_score(w_in, act), magnitude_score(w_in)]
             got += [np.concatenate([s.copy() for _, s in blocks])

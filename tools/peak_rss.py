@@ -19,6 +19,13 @@ wanda and magnitude, each followed by ``verify`` at B=0. Their peaks also
 show what the allocator keeps of one command's heap for the next, which a
 fresh process never shows. The output JSON maps each command, or sequence,
 to its peak in MiB. Standard library only.
+
+The same code reads up to ~2 MiB apart from checkouts in different
+directories: ``prune --method ria`` and ``eggs`` at 4096x4096 have read 158.8
+MiB from one directory and 160.9 MiB from another, whichever tree sat
+there. A peak step of 2 MiB or less between two trees is therefore not
+evidence either way, unless each tree was also measured from the other's
+directory.
 """
 
 from __future__ import annotations

@@ -34,10 +34,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-# module -> stage functions; ria_channel_scores is the channel-score pass of
-# older checkouts, which took it over W apart from the column sums
+# module -> stage functions
 STAGES = {
-    "metrics": ("layer_sums", "ria_channel_scores"),
+    "metrics": ("layer_sums",),
     "permute": ("build_permutation", "apply_to_columns"),
     "masks": ("ria_select", "overlay_blocks"),
     "partition": ("plan_groups", "order_rows"),

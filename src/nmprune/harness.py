@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, NMPruneError
 from .graphs import verify_degree_laws
-from .masks import PruneConfig, overlay_blocks, ria_select, select_blocks
+from .masks import PruneConfig, group_sums, overlay_blocks, ria_select, select_blocks
 from .metrics import (DEFAULT_ALPHA, ActivationNorms, BlockSource, abs_blocks, layer_sums,
                       row_blocks, wanda_blocks, weight_blocks, weight_shape)
 from .partition import assign_blocks, plan_groups
@@ -164,10 +164,16 @@ class _ScoredLayer:
     column sums, the ria channel permutation, and one row-block pass over
     the permuted layer, from those sums permuted, for its ria top-k mask and
     one group plan of the ``max_b`` blocks that fit, of which every smaller
-    B's plan is a prefix. The error reference is kept per layout, sum |W| is
-    taken by W's first or reference pass, and no float64 copy of W or of its
-    scores is held. W may be a BlockSource, which every pass, mask or error,
-    reads a row block at a time and never holds whole.
+    B's plan is a prefix; the plan's group sums come a block of groups at a
+    time from W_perm's group columns. The error reference is kept per layout,
+    sum |W| is taken by W's first or reference pass, and no float64 copy of W
+    or of its scores is held. W may be a BlockSource, which every pass, mask
+    or error, reads a row block at a time and never holds whole.
+
+    The ria mask is the one mask buffer of both permuted methods: an eggs
+    mask is the ria mask with its B's blocks overlaid in place, and the next
+    mask() call takes the overlay back first. So a mask that mask() returns
+    is valid until that layer's next mask() call.
     """
 
     def __init__(self, w, norms, n: int, m: int, z=None, max_b: int = 0):
@@ -176,6 +182,7 @@ class _ScoredLayer:
         self.w = w if isinstance(w, BlockSource) else np.asarray(w)
         self.shape, self.norms, self.z = weight_shape(self.w), norms, z  # the first refusal
         self.n, self.m, self.max_b, self._refs = n, m, max_b, {}
+        self._overlay = None  # the ria mask's cells an eggs mask overlaid, and their values
 
     @cached_property
     def _sums(self):
@@ -193,14 +200,18 @@ class _ScoredLayer:
     def _scored(self):
         # W_perm's column sums and norms**alpha: W's, permuted, bit for bit
         terms = tuple(t[self.perm.forward] for t in self._sums[:2])
-        base, sums, group_sums = ria_select(self.w_perm, terms, self.n, self.m, bool(self.max_b))
+        base, sums = ria_select(self.w_perm, terms, self.n, self.m)
         # as many blocks as fit, so the plan itself never clamps; each B takes a prefix
-        plan = (plan_groups(group_sums, self.m, min(self.max_b, group_sums.shape[1] // self.m))
-                if self.max_b else None)
+        plan = (plan_groups(group_sums(self.w_perm, sums[0], self.m), self.m,
+                            min(self.max_b, self.shape[0] // self.m)) if self.max_b else None)
         return sums, plan, base
 
     def mask(self, method: str, cfg: PruneConfig) -> np.ndarray:
-        """The method's mask, in the permuted layout for ria and eggs."""
+        """The method's mask, in the permuted layout for ria and eggs; valid
+        until this layer's next mask() call."""
+        if self._overlay is not None:
+            cells, previous = self._overlay
+            self._scored[2][cells], self._overlay = previous, None
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
         if method != "magnitude" and self.norms is None:
@@ -215,10 +226,9 @@ class _ScoredLayer:
         sums, plan, base = self._scored
         if method == "ria" or cfg.b == 0:
             return base
-        mask = base.copy()
         rows = assign_blocks(plan.reshape(len(plan), -1), self.m, cfg.b)
-        overlay_blocks(mask, self.w_perm, sums, rows, self.n, self.m)
-        return mask
+        self._overlay = overlay_blocks(base, self.w_perm, sums, rows, self.n, self.m)
+        return base
 
     def _reference(self, permuted: bool):
         """A layout's float64 batch (None for identity inputs) and reference norm."""

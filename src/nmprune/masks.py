@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NMPruneError, VerificationError
-from .metrics import ActivationNorms, layer_sums, ria_blocks, ria_cells, row_blocks
+from .metrics import (ActivationNorms, BlockSource, layer_sums, ria_blocks, ria_cells,
+                      row_blocks)
 from .partition import plan_groups
 
 
@@ -148,24 +149,46 @@ def select_blocks(blocks, shape, n: int, m: int) -> np.ndarray:
     return mask
 
 
-def ria_select(w, sums, n: int, m: int, grouped: bool):
+def ria_select(w, sums, n: int, m: int):
     """One row-block pass over ``w`` from its layer_sums' (column sums,
-    norms**alpha): the top-k ria mask, the (row sums, column sums,
-    norms**alpha) that overlay_blocks takes and, if ``grouped``, the
-    (G, F_out) rri group sums that plan_groups takes."""
+    norms**alpha): the top-k ria mask and the (row sums, column sums,
+    norms**alpha) that overlay_blocks takes; the row sums are also the
+    divisors that group_sums takes."""
     shape = np.shape(w)
     mask, row_sums = np.empty(shape, dtype=np.uint8), np.empty(shape[0])
-    group_sums = np.empty((shape[1] // m, shape[0])) if grouped else None
-    for rows, scores, rri, block_sums in ria_blocks(w, sums):
+    for rows, scores, _, block_sums in ria_blocks(w, sums):
         mask[rows], row_sums[rows] = importance_select(scores, n, m), block_sums
-        # np.add.reduce's group sums, bit for bit: it adds pairwise from M = 8
-        # up, and below left to right, as the strided column views do faster.
-        # Summing straight into the strided (G, F_out) view took twice as long
-        if grouped and m >= 8:
-            group_sums[:, rows] = np.add.reduce(rri.reshape(len(rri), -1, m), axis=2).T
-        elif grouped:
-            group_sums[:, rows] = sum((rri[:, j::m] for j in range(1, m)), rri[:, 0::m]).T
-    return mask, (row_sums, *sums), group_sums
+    return mask, (row_sums, *sums)
+
+
+def group_sums(w, row_sums, m: int) -> BlockSource:
+    """The (G, F_out) rri group sums that plan_groups takes, a block of groups
+    at a time over row_blocks(G, F_out * m), from the group columns of ``w``
+    (already checked) and ria_select's row sums. Each block widens its
+    columns into one reused buffer, and each row adds |w_ij| / r_i over the
+    group's m cells in the order np.add.reduce adds one contiguous line of m.
+    The blocks are read once."""
+    w = np.asarray(w)
+    f_out, f_in = w.shape
+    parts = row_blocks(f_in // m, f_out * m)
+
+    def blocks():
+        buf = np.empty(f_out * m * (parts[0].stop - parts[0].start))
+        for part in parts:
+            cols = w[:, part.start * m : part.stop * m]
+            a = np.abs(cols, out=buf[: cols.size].reshape(f_out, -1), dtype=np.float64)
+            a /= row_sums[:, None]
+            # np.add.reduce adds pairwise from M = 8 up, and below left to
+            # right, as the strided column views do faster
+            if m >= 8:
+                sums = np.add.reduce(a.reshape(f_out, -1, m), axis=2)
+            else:
+                sums = a[:, 0::m] + a[:, 1::m]
+                for j in range(2, m):
+                    sums += a[:, j::m]
+            yield np.ascontiguousarray(sums.T)
+
+    return BlockSource(np.dtype(np.float64), (f_in // m, f_out), blocks())
 
 
 def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarray:
@@ -178,22 +201,26 @@ def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarra
     per window. With b = 0 this degenerates to plain score-driven pruning.
     Every input column ends with degree >= min(b, rows // m).
     """
-    mask, sums, group_sums = ria_select(w_perm, layer_sums(w_perm, act_perm)[:2], cfg.n, cfg.m,
-                                        cfg.b > 0)
+    mask, sums = ria_select(w_perm, layer_sums(w_perm, act_perm)[:2], cfg.n, cfg.m)
     if cfg.b:
-        overlay_blocks(mask, w_perm, sums, plan_groups(group_sums, cfg.m, cfg.b), cfg.n, cfg.m)
+        plan = plan_groups(group_sums(w_perm, sums[0], cfg.m), cfg.m, cfg.b)
+        overlay_blocks(mask, w_perm, sums, plan, cfg.n, cfg.m)
     return mask
 
 
-def overlay_blocks(mask, w, sums, rows, n: int, m: int) -> None:
+def overlay_blocks(mask, w, sums, rows, n: int, m: int):
     """Give the blocks of a (groups, blocks, m) row plan connectivity
     selection on their cells of ``w``, scored by ria from ria_select's sums,
-    in the mask in place. Groups own disjoint columns and blocks disjoint rows."""
+    in the mask in place. Groups own disjoint columns and blocks disjoint rows.
+    Returns the cells' index and their previous (groups, blocks, m, m) values:
+    ``mask[cells] = previous`` takes the overlay back."""
     cols = np.arange(mask.shape[1]).reshape(-1, m)
     cells = rows[..., None], cols[:, None, None, :]
     block_w = np.asarray(w)[cells]
     scores = ria_cells(np.abs(block_w, dtype=np.float64), sums, *cells)[0]
-    mask[cells] = connectivity_select(block_w, scores, n, m)
+    selected, previous = connectivity_select(block_w, scores, n, m), mask[cells]
+    mask[cells] = selected
+    return cells, previous
 
 
 def apply_mask(w, mask) -> np.ndarray:

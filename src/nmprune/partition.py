@@ -13,28 +13,31 @@ import warnings
 import numpy as np
 
 from .errors import NMPruneError
-from .metrics import row_blocks
+from .metrics import BlockSource, row_blocks
 
 
 def order_rows(sums, count: int | None = None) -> np.ndarray:
     """Per pruning group, row indices sorted ascending by the row's score sum
     over the group; ties keep the lower row index. ``sums`` holds those
-    sums, shape (groups, rows), one contiguous line per group, such as
-    masks.ria_select's rri group sums.
+    sums, shape (groups, rows), one contiguous line per group: an array, or
+    a BlockSource of blocks of groups, such as masks.group_sums', each
+    sorted as it arrives and read only if a row is asked for.
 
     Only the first ``count`` rows of each order are sorted and returned
     (all rows by default). Returns shape (groups, min(count, rows)).
     """
-    s = np.asarray(sums, dtype=np.float64)
-    if s.ndim != 2:
-        raise NMPruneError("group sums must be 2-D")
-    groups, f_out = s.shape
+    if not isinstance(sums, BlockSource):
+        s = np.asarray(sums, dtype=np.float64)
+        if s.ndim != 2:
+            raise NMPruneError("group sums must be 2-D")
+        sums = BlockSource(s.dtype, s.shape, (s[part] for part in row_blocks(*s.shape)))
+    groups, f_out = sums.shape
     count = f_out if count is None else min(max(count, 0), f_out)
     order = np.empty((groups, count), dtype=np.int64)
     if not count:
         return order
-    for part in row_blocks(groups, f_out):  # groups are independent: a chunk at a time
-        chunk = s[part]
+    start = 0
+    for chunk in sums.blocks:  # groups are independent: a block at a time
         # candidates: the rows at or below each group's count-th smallest sum.
         # A stable argsort of "above" lists them first, in row order; sorting
         # as many leading rows as the widest group has candidates is enough,
@@ -44,7 +47,8 @@ def order_rows(sums, count: int | None = None) -> np.ndarray:
         width = f_out - int(above.sum(axis=1).min())
         rows = np.argsort(above, axis=1, kind="stable")[:, :width]
         ranked = np.argsort(np.take_along_axis(chunk, rows, axis=1), axis=1, kind="stable")
-        order[part] = np.take_along_axis(rows, ranked[:, :count], axis=1)
+        order[start : start + len(chunk)] = np.take_along_axis(rows, ranked[:, :count], axis=1)
+        start += len(chunk)
     return order
 
 
@@ -74,7 +78,8 @@ def assign_blocks(order, m: int, b: int) -> np.ndarray:
 
 def plan_groups(sums, m: int, b: int) -> np.ndarray:
     """Connectivity rows per pruning group, shape (groups, b_eff, m), from
-    the (groups, rows) group sums that order_rows takes.
+    the (groups, rows) group sums that order_rows takes, an array or a
+    BlockSource of blocks of groups.
 
     Ordering is computed independently per group, so a row may sit in a
     connectivity block in one group and an importance block in another.

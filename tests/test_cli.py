@@ -583,8 +583,11 @@ class TestScoredOnce:
     command: the kernel's first pass, layer_sums, runs once, on W, and
     takes the channel scores too; the permuted layer is scored in one pass
     from W's sums, permuted, so |W| is widened in two passes in all; eggs
-    plans its groups in one plan_groups call, whatever the Bs. How often each
-    command reads W and Z from the bundle is pinned, so no pass is added unnoticed."""
+    widens W_perm's group columns in a third pass, for its group sums, and
+    plans its groups in one plan_groups call, whatever the Bs. That pass runs
+    over W_perm in memory, so abs_blocks still runs twice and the bundle
+    reads are the same. How often each command reads W and Z from the bundle
+    is pinned, so no pass is added unnoticed."""
 
     @staticmethod
     def count(monkeypatch, *fns) -> dict:

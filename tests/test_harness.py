@@ -1,5 +1,6 @@
 """Synthetic generation, reconstruction error, and method comparison."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -346,6 +347,33 @@ class TestSharedLayer:
             compare_methods(w, z, PruneConfig(2, 4, 1))
 
 
+class TestMaskSequence:
+    """A scored layer overlays each eggs mask on its one ria mask in place and
+    takes the overlay back at the next mask() call. Whatever the order of the
+    requests, each mask, read before the next call, equals a fresh prune's."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(PROFILES),
+           st.sampled_from([(16, 16), (10, 16), (3, 8), (17, 24)]),
+           st.sampled_from([(1, 4), (2, 4), (2, 8), (1, 2)]), st.integers(0, 4),
+           st.lists(st.one_of(st.sampled_from(["ria", "magnitude"]), st.integers(0, 4)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_each_mask_equals_a_fresh_layers(self, seed, profile, shape, nm, max_b, requests):
+        (f_out, f_in), (n, m) = shape, nm
+        w, z = gen_synthetic(seed, f_out, f_in, profile, k=1)
+        norms = norms_from_batch(z)
+        layer = harness._ScoredLayer(w, norms, n, m, max_b=max_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a B above the full blocks clamps
+            for request in requests:
+                method, b = ("eggs", min(request, max_b)) if isinstance(request, int) else (
+                    request, 0)
+                cfg = PruneConfig(n, m, b)
+                got = layer.mask(method, cfg)
+                want = prune_with_method(w, norms, cfg, method).mask
+                assert got.dtype == want.dtype == np.uint8 and got.tobytes() == want.tobytes()
+
+
 class TestMemory:
     """Scoring goes row block by row block: no full-size float64 |W|, ria or
     rri is held, and order_rows sorts a chunk of groups at a time. W itself,
@@ -362,6 +390,18 @@ class TestMemory:
         w, norms, _ = layer
         _, peak = helpers.traced_peak(prune_with_method, w, norms, PruneConfig(2, 4, 2), method)
         assert peak < mib * 2**20
+
+    @pytest.mark.parametrize("chunk", [metrics._TOPK_CHUNK, 1 << 15])
+    def test_eggs_peaks_with_ria(self, layer, chunk):
+        # 9.84 MiB for both when set, and 5.68 in 256 KiB blocks: a (G, F_out)
+        # float64 array of group sums (2 MiB here) stands out, and a copy of
+        # the ria mask (1 MiB) does once the blocks' buffers are smaller than it
+        w, norms, _ = layer
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+            peak = {method: helpers.traced_peak(prune_with_method, w, norms,
+                                                PruneConfig(2, 4, 2), method)[1]
+                    for method in ("eggs", "ria")}
+        assert peak["eggs"] <= peak["ria"] + 2**18
 
     # eval's library path sums its errors row block by row block: 14.1 MiB for
     # compare_methods and 13.9 for sweep_blocks when these bounds were set

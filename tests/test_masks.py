@@ -343,17 +343,19 @@ class TestFusedPass:
     """The permuted layer is scored in one row-block pass from W's column
     sums, permuted: in prune_with_method (ria and eggs) and in the scored
     layer of eval and sweep. The permutation, W_perm, the (G, F_out) rri
-    group sums that plan_groups takes and the masks equal the whole-matrix
-    oracles bit for bit. A small _TOPK_CHUNK gives several row blocks and a
-    partial tail block."""
+    group sums that plan_groups takes, joined from their blocks of groups,
+    and the masks equal the whole-matrix oracles bit for bit. A small
+    _TOPK_CHUNK gives several row blocks and a partial tail block. A scored
+    layer's mask is valid until its next mask() call, so each kept is copied."""
 
     @staticmethod
     def check(w, act, cfg, chunk, max_b):
         planned, plan_groups = [], harness.plan_groups
 
         def spy(sums, *args):
-            planned.append(np.array(sums))
-            return plan_groups(sums, *args)
+            blocks = list(sums.blocks)
+            planned.append(np.concatenate(blocks))
+            return plan_groups(sums._replace(blocks=iter(blocks)), *args)
 
         with warnings.catch_warnings(), mock.patch.object(metrics, "_TOPK_CHUNK", chunk), \
                 mock.patch.object(harness, "plan_groups", spy):
@@ -361,7 +363,7 @@ class TestFusedPass:
             pruned = {method: prune_with_method(w, act, cfg, method) for method in ("ria", "eggs")}
             pruned_plans = len(planned)
             layer = harness._ScoredLayer(w, act, cfg.n, cfg.m, max_b=max_b)
-            scored = {method: layer.mask(method, cfg) for method in ("ria", "eggs")}
+            scored = {method: layer.mask(method, cfg).copy() for method in ("ria", "eggs")}
             perm = build_permutation(helpers.ria_channel_scores_oracle(w, act), cfg.m)
             w_perm = apply_to_columns(w, perm)
             act_perm = ActivationNorms(act.norms[perm.forward], act.alpha)

@@ -9,16 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from nmprune import ActivationNorms, NMPruneError, metrics
+from nmprune import ActivationNorms, NMPruneError, masks, metrics
 from nmprune.masks import ria_select
-from nmprune.metrics import layer_sums, rri
+from nmprune.metrics import BlockSource, layer_sums, rri
 from nmprune.partition import assign_blocks, order_rows, plan_groups
 
 
-def group_sums(w, m):
-    """The rri group sums the kernel hands to order_rows, shape (groups, rows)."""
-    sums = layer_sums(w, ActivationNorms(np.ones(np.shape(w)[1])))[:2]
-    return ria_select(w, sums, 1, m, True)[2]
+def group_sums(w, m, act=None):
+    """The rri group sums the kernel hands to order_rows, shape (groups, rows),
+    joined from masks.group_sums' blocks of groups."""
+    act = ActivationNorms(np.ones(np.shape(w)[1])) if act is None else act
+    row_sums = ria_select(w, layer_sums(w, act)[:2], 1, m)[1][0]
+    source = masks.group_sums(w, row_sums, m)
+    blocks = list(source.blocks)
+    parts = metrics.row_blocks(source.shape[0], source.shape[1] * m)
+    assert [len(b) for b in blocks] == [p.stop - p.start for p in parts]
+    sums = np.concatenate(blocks)
+    assert sums.dtype == np.float64 and sums.shape == source.shape
+    return sums
 
 
 class TestSplitGroups:
@@ -46,27 +54,53 @@ class TestSplitGroups:
             np.testing.assert_array_equal(order[g], np.argsort(sums, kind="stable"))
 
 
-class TestKernelGroupSums:
-    """The group sums the row-block kernel reduces per block equal one
-    whole-matrix reduction of rri, so the row order equals the oracle's."""
+def kernel_layer(seed, f_out, f_in, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":  # equal group sums tie often
+        w = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(f_out, f_in))
+    else:
+        w = rng.standard_normal((f_out, f_in))
+    if kind == "dead":  # exact-zero rows and columns, each sum dividing as 1
+        w[rng.random(f_out) < 0.25] = 0.0
+        w[:, rng.random(f_in) < 0.25] = 0.0
+        w[:, rng.integers(f_in)] = 0.0
+    w = w.astype(np.float32) if kind == "float32" else w
+    return w, ActivationNorms(rng.uniform(0.1, 2.0, size=f_in))
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 16), st.integers(1, 30), st.integers(1, 3),
-           st.integers(1, 1 << 8), st.sampled_from(["float", "integer"]))
-    @settings(max_examples=200, deadline=None)
-    def test_match_the_whole_matrix_reduction(self, seed, m, f_out, groups, chunk, kind):
-        # a small _TOPK_CHUNK leaves a partial last block, or one row per block
-        rng = np.random.default_rng(seed)
-        shape = (f_out, groups * m)
-        if kind == "float":
-            w = rng.standard_normal(shape).astype(np.float32)
-        else:  # equal group sums tie often
-            w = rng.choice([-2.0, -1.0, 1.0, 2.0], size=shape)
-        act = ActivationNorms(rng.uniform(0.1, 2.0, size=shape[1]))
+
+class TestKernelGroupSums:
+    """masks.group_sums adds each row's rri over every group a block of groups
+    at a time; its blocks, joined, equal one whole-matrix reduction of rri bit
+    for bit, so the row order equals the oracle's. A small _TOPK_CHUNK gives
+    one group per block, or a partial tail block of groups."""
+
+    KINDS = ["float32", "float64", "integer", "dead"]
+
+    @staticmethod
+    def check(w, act, m, chunk):
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
-            sums = ria_select(w, layer_sums(w, act)[:2], 1, m, True)[2]
+            sums = group_sums(w, m, act)
         want_rri = helpers.ria_rri_oracle(w, act)[1]
         assert sums.tobytes() == helpers.group_sums(want_rri, m).tobytes()
         np.testing.assert_array_equal(order_rows(sums), helpers.order_rows_oracle(want_rri, m))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8, 16]), st.integers(1, 30),
+           st.integers(1, 5), st.integers(1, 1 << 9), st.sampled_from(KINDS))
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_whole_matrix_reduction(self, seed, m, f_out, groups, chunk, kind):
+        self.check(*kernel_layer(seed, f_out, groups * m, kind), m, chunk)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 16])
+    @pytest.mark.parametrize("rows, groups, per_block", [
+        (lambda m: m + 1, 5, 2),  # blocks of 2, 2 and 1 groups
+        (lambda m: m + 1, 3, 1),  # one group per block
+        (lambda m: m - 1, 4, 3),  # F_out < M, in blocks of 3 and 1 groups
+        (lambda m: 1, 4, 3),  # a single row
+    ], ids=["tail", "one-group", "narrow", "one-row"])
+    def test_edges(self, m, kind, rows, groups, per_block):
+        f_out = rows(m)
+        self.check(*kernel_layer(m, f_out, groups * m, kind), m, per_block * f_out * m)
 
 
 class TestOrderRows:
@@ -87,6 +121,30 @@ class TestOrderRows:
         np.testing.assert_array_equal(order_rows(sums, 2), [[1, 2]])
         np.testing.assert_array_equal(order_rows(sums, 5), [[1, 2, 0]])
         assert order_rows(sums, 0).shape == (1, 0)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 12), st.integers(1, 4),
+           st.integers(0, 14))
+    @settings(max_examples=100, deadline=None)
+    def test_block_source_matches_the_array(self, seed, groups, f_out, per_block, count):
+        # blocks of per_block groups, the last one partial when per_block does not divide
+        sums = np.random.default_rng(seed).integers(0, 3, size=(groups, f_out)).astype(float)
+
+        def source():
+            blocks = [sums[g : g + per_block] for g in range(0, groups, per_block)]
+            return BlockSource(sums.dtype, sums.shape, iter(blocks))
+
+        np.testing.assert_array_equal(order_rows(source(), count), order_rows(sums, count))
+        np.testing.assert_array_equal(order_rows(source()), order_rows(sums))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a B above the full blocks clamps
+            np.testing.assert_array_equal(plan_groups(source(), 2, count),
+                                          plan_groups(sums, 2, count))
+
+    def test_block_source_unread_without_a_count(self):
+        def blocks():
+            raise AssertionError("read")
+            yield
+        assert order_rows(BlockSource(np.dtype(np.float64), (3, 5), blocks()), 0).shape == (3, 0)
 
     def test_range_checked(self):
         for sums in (np.ones(8), np.ones((2, 2, 2))):

@@ -18,7 +18,8 @@ def test_every_stage_reports_a_median(tmp_path):
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert (doc["dims"], doc["unit"], doc["repeats"]) == ("64x64", "ms", 2)
     median = doc["median"]
-    # only eggs plans its groups and overlays its blocks
-    assert set(median["eggs"]) == SHARED | {"plan_groups", "order_rows", "overlay_blocks"}
+    # only eggs sums, orders and plans its groups and overlays its blocks
+    assert set(median["eggs"]) == SHARED | {"group_sums", "plan_groups", "order_rows",
+                                            "overlay_blocks"}
     assert set(median["ria"]) == SHARED
     assert all(ms >= 0 for stages in median.values() for ms in stages.values())

@@ -10,8 +10,10 @@ calibration batch, pruned 2:4 with B=2. Each of ``--repeats`` rounds (7 by
 default) calls ``prune_with_method`` once for eggs and once for ria. For
 the run, every function in STAGES is wrapped under each name it has in
 nmprune's modules, and the wall time of each of its calls is booked to its
-stage. Stages nest: order_rows' time is also inside plan_groups'. A stage
-this checkout does not have is left out. The output JSON maps each method
+stage. A stage that returns a BlockSource is also booked the time its
+blocks take to make as they are read. Stages nest: order_rows' time is also
+inside plan_groups', and group_sums' blocks are made inside order_rows. A
+stage this checkout does not have is left out. The output JSON maps each method
 to the median milliseconds of the whole call and of each stage it called.
 BLAS is held to one thread before numpy loads. numpy and the standard
 library only.
@@ -38,10 +40,24 @@ sys.path.insert(0, str(ROOT / "src"))
 STAGES = {
     "metrics": ("layer_sums",),
     "permute": ("build_permutation", "apply_to_columns"),
-    "masks": ("ria_select", "overlay_blocks"),
+    "masks": ("ria_select", "group_sums", "overlay_blocks"),
     "partition": ("plan_groups", "order_rows"),
 }
 METHODS = ("eggs", "ria")
+
+
+def booked_blocks(blocks, booked: dict, stage: str):
+    """The blocks of ``blocks``, in order, each next() booked to ``stage``."""
+    blocks = iter(blocks)
+    while True:
+        start = time.perf_counter()
+        try:
+            block = next(blocks)
+        except StopIteration:
+            return
+        finally:
+            booked[stage] = booked.get(stage, 0.0) + time.perf_counter() - start
+        yield block
 
 
 def wrap_stages(booked: dict) -> None:
@@ -49,6 +65,7 @@ def wrap_stages(booked: dict) -> None:
     each call adds its seconds to ``booked[stage]``. nmprune must be loaded."""
     modules = {name: mod for name, mod in sys.modules.items()
                if name == "nmprune" or name.startswith("nmprune.")}
+    block_source = modules["nmprune.metrics"].BlockSource
     for module, names in STAGES.items():
         for stage in names:
             fn = getattr(modules[f"nmprune.{module}"], stage, None)
@@ -58,9 +75,12 @@ def wrap_stages(booked: dict) -> None:
             def timed(*args, _fn=fn, _stage=stage, **kwargs):
                 start = time.perf_counter()
                 try:
-                    return _fn(*args, **kwargs)
+                    result = _fn(*args, **kwargs)
                 finally:
                     booked[_stage] = booked.get(_stage, 0.0) + time.perf_counter() - start
+                if isinstance(result, block_source):
+                    return result._replace(blocks=booked_blocks(result.blocks, booked, _stage))
+                return result
 
             for mod in modules.values():
                 for attr, value in list(vars(mod).items()):

@@ -105,12 +105,19 @@ def _masked_sums(w, mask, z64):
     mask; z64 None means identity inputs, ||R||_F². For a 0/1 mask, R and K
     hold W's cells off and on the mask, up to the sign of a zero."""
     squares = total = 0.0
+    buf = np.empty((2, 0, 0))
     for rows, block in weight_blocks(w):
+        # K and R in one buffer reused from block to block: a fresh pair per
+        # block let glibc trim the heap and fault it back in between blocks
+        if buf.shape[1] < len(block):
+            buf = np.empty((2, *block.shape))
+        kept, removed = buf[0, : len(block)], buf[1, : len(block)]
         if mask is None:
-            kept = removed = block.astype(np.float64, order="C")  # sums |W| as layer_sums does
+            kept[...] = block  # C order, so sum |W| adds as layer_sums does
+            removed = kept
         else:
-            kept = np.multiply(block, mask[rows], dtype=np.float64)
-            removed = np.subtract(block, kept, dtype=np.float64)
+            np.multiply(block, mask[rows], out=kept, dtype=np.float64)
+            np.subtract(block, kept, out=removed, dtype=np.float64)
         out = (removed if z64 is None else removed @ z64).ravel()
         squares += float(out.dot(out))  # np.linalg.norm's own sum of squares
         total += float(np.abs(kept, out=kept).sum())  # removed is spent by now

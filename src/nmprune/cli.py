@@ -86,7 +86,9 @@ def _cmd_prune(args) -> int:
     # W is read twice: to score it, then to permute or prune it
     res = prune_with_method(w, norms, cfg, args.method)
     w, mask, perm = res.weights, np.asarray(res.mask, dtype=np.uint8), res.permutation
-    pruned = (apply_mask(block, mask[rows]) for rows, block in weight_blocks(w))
+    # W from the bundle is checked as it is read; W_perm was gathered from checked blocks
+    blocks = weight_blocks(w) if perm is None else ((r, w[r]) for r in row_blocks(*mask.shape))
+    pruned = (apply_mask(block, mask[rows]) for rows, block in blocks)
     entries = {"mask": mask, "W_pruned": BlockSource(np.float32, mask.shape, pruned)}
     if perm is not None:
         entries["W_perm"] = np.asarray(w, dtype=np.float32)  # like W_pruned, for a uint8 W too

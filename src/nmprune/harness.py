@@ -11,11 +11,11 @@ import numpy as np
 
 from .errors import ConfigError, NMPruneError
 from .graphs import verify_degree_laws
-from .masks import PruneConfig, group_sums, overlay_blocks, ria_select, select_blocks
+from .masks import PruneConfig, overlay_blocks, ria_select, select_blocks
 from .metrics import (DEFAULT_ALPHA, ActivationNorms, BlockSource, abs_blocks, layer_sums,
                       row_blocks, wanda_blocks, weight_blocks, weight_shape)
-from .partition import assign_blocks, plan_groups
-from .permute import ChannelPermutation, apply_to_columns, build_permutation
+from .partition import assign_blocks
+from .permute import ChannelPermutation, build_permutation, permuted_blocks
 
 METHODS = ("magnitude", "wanda", "ria", "eggs")
 _PERMUTED = ("ria", "eggs")  # the methods whose mask is in the permuted layout
@@ -168,11 +168,11 @@ class MethodReport:
 
 class _ScoredLayer:
     """The layer-only work of one command, each piece done at most once: W's
-    column sums, the ria channel permutation, and one row-block pass over
-    the permuted layer, from those sums permuted, for its ria top-k mask and
-    one group plan of the ``max_b`` blocks that fit, of which every smaller
-    B's plan is a prefix; the plan's group sums come a block of groups at a
-    time from W_perm's group columns. The error reference is kept per layout,
+    column sums, the ria channel permutation, and one pass that gathers each
+    of W's checked row blocks into W_perm and scores it there, from those sums
+    permuted, for its ria top-k mask and one group plan of the ``max_b`` blocks
+    that fit, of which every smaller B's plan is a prefix, picked from the
+    blocks' group sums as they come. The error reference is kept per layout,
     sum |W| is taken by W's first or reference pass, and no float64 copy of W
     or of its scores is held. W may be a BlockSource, which every pass, mask
     or error, reads a row block at a time and never holds whole.
@@ -199,26 +199,27 @@ class _ScoredLayer:
     def perm(self) -> ChannelPermutation:
         return build_permutation(self._sums[2], self.m)
 
-    @cached_property
+    @property
     def w_perm(self) -> np.ndarray:
-        return apply_to_columns(self.w, self.perm)
+        return self._scored[0]
 
     @cached_property
     def _scored(self):
         # W_perm's column sums and norms**alpha: W's, permuted, bit for bit
         terms = tuple(t[self.perm.forward] for t in self._sums[:2])
-        base, sums = ria_select(self.w_perm, terms, self.n, self.m)
         # as many blocks as fit, so the plan itself never clamps; each B takes a prefix
-        plan = (plan_groups(group_sums(self.w_perm, sums[0], self.m), self.m,
-                            min(self.max_b, self.shape[0] // self.m)) if self.max_b else None)
-        return sums, plan, base
+        b = min(self.max_b, self.shape[0] // self.m) if self.max_b else None
+        w_perm = np.empty(self.shape, self.w.dtype)
+        base, sums, plan = ria_select(permuted_blocks(self.w, self.perm, w_perm), self.shape,
+                                      terms, self.n, self.m, b)
+        return w_perm, sums, plan, base
 
     def mask(self, method: str, cfg: PruneConfig) -> np.ndarray:
         """The method's mask, in the permuted layout for ria and eggs; valid
         until this layer's next mask() call."""
         if self._overlay is not None:
             cells, previous = self._overlay
-            self._scored[2][cells], self._overlay = previous, None
+            self._scored[3][cells], self._overlay = previous, None
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
         if method != "magnitude" and self.norms is None:
@@ -227,14 +228,14 @@ class _ScoredLayer:
         if cols % self.m:  # every method's refusal, before any pass over W
             raise NMPruneError(f"{cols} columns not divisible by window width {self.m}")
         if method == "magnitude":
-            return select_blocks(abs_blocks(self.w), self.shape, self.n, self.m)
+            return select_blocks(abs_blocks(weight_blocks(self.w)), self.shape, self.n, self.m)
         if method == "wanda":
             return select_blocks(wanda_blocks(self.w, self.norms), self.shape, self.n, self.m)
-        sums, plan, base = self._scored
+        w_perm, sums, plan, base = self._scored
         if method == "ria" or cfg.b == 0:
             return base
         rows = assign_blocks(plan.reshape(len(plan), -1), self.m, cfg.b)
-        self._overlay = overlay_blocks(base, self.w_perm, sums, rows, self.n, self.m)
+        self._overlay = overlay_blocks(base, w_perm, sums, rows, self.n, self.m)
         return base
 
     def _reference(self, permuted: bool):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NMPruneError, VerificationError
 from .metrics import (ActivationNorms, BlockSource, layer_sums, ria_blocks, ria_cells,
-                      row_blocks)
+                      row_blocks, weight_blocks)
 from .partition import plan_groups
 
 
@@ -46,29 +46,31 @@ def _check_nm(n, m) -> None:
         raise ConfigError(f"need 0 < N < M, got {n}:{m}")
 
 
-def importance_select(scores, n: int, m: int) -> np.ndarray:
+def importance_select(scores, n: int, m: int, out=None) -> np.ndarray:
     """Keep the top m-n scores in every row window of width m.
 
-    Ties retain the lower column index. Returns a uint8 mask.
+    Ties retain the lower column index. Returns a uint8 mask, written into
+    ``out``, a C-contiguous uint8 array of the scores' shape, if given.
     """
     _check_nm(n, m)
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
         raise NMPruneError("score matrix must be 2-D")
-    rows, cols = s.shape
+    cols = s.shape[1]
     if cols % m:
         raise NMPruneError(f"{cols} columns not divisible by window width {m}")
-    if np.isnan(s).any():
+    if s.size and np.isnan(s.max()):  # max propagates NaN, with no temporary
         raise NMPruneError("scores must not be NaN")
     windows = s.reshape(-1, m)
-    keep = np.empty(windows.shape, dtype=np.uint8)
+    keep = (np.empty(s.shape, dtype=np.uint8) if out is None else out).reshape(windows.shape)
     # rank[k] counts the columns of its window that beat column k. It
     # starts at k, as if every earlier column won; a later column beats an
     # earlier one only when strictly larger, which moves that point from
     # the later column's rank to the earlier one's, on strided views in place.
     rank_type = np.min_scalar_type(m - 1)
     start_rank = np.arange(m, dtype=rank_type)[:, None]
-    for chunk in row_blocks(windows.shape[0], m):
+    # a quarter of a block's windows at a time: the rank planes stay in cache
+    for chunk in row_blocks(windows.shape[0], 4 * m):
         planes = windows[chunk].T
         rank = np.repeat(start_rank, planes.shape[1], axis=1)
         later_wins = np.empty((m - 1, planes.shape[1]), dtype=bool)
@@ -77,7 +79,7 @@ def importance_select(scores, n: int, m: int) -> np.ndarray:
             rank[j] += wins.sum(axis=0, dtype=rank_type)
             rank[j + 1 :] -= wins
         np.less(rank, m - n, out=keep[chunk].T)
-    return keep.reshape(rows, cols)
+    return keep.reshape(s.shape)
 
 
 def diagonal_select(block) -> np.ndarray:
@@ -145,50 +147,41 @@ def select_blocks(blocks, shape, n: int, m: int) -> np.ndarray:
     """importance_select over a kernel's (rows, scores) blocks into one uint8 mask."""
     mask = np.empty(shape, dtype=np.uint8)
     for rows, scores in blocks:
-        mask[rows] = importance_select(scores, n, m)
+        importance_select(scores, n, m, out=mask[rows])
     return mask
 
 
-def ria_select(w, sums, n: int, m: int):
-    """One row-block pass over ``w`` from its layer_sums' (column sums,
-    norms**alpha): the top-k ria mask and the (row sums, column sums,
-    norms**alpha) that overlay_blocks takes; the row sums are also the
-    divisors that group_sums takes."""
-    shape = np.shape(w)
+def ria_select(blocks, shape, sums, n: int, m: int, b=None):
+    """One pass over a layer's checked (rows, block) pairs, from its layer_sums'
+    (column sums, norms**alpha): the top-k ria mask, the (row sums, column sums,
+    norms**alpha) that overlay_blocks takes and, unless ``b`` is None, plan_groups'
+    rows at ``b``, read from the (F_out, G) rri group sums as each block makes
+    its own in its spent ria buffer. Every block is scored, read or not."""
     mask, row_sums = np.empty(shape, dtype=np.uint8), np.empty(shape[0])
-    for rows, scores, _, block_sums in ria_blocks(w, sums):
-        mask[rows], row_sums[rows] = importance_select(scores, n, m), block_sums
-    return mask, (row_sums, *sums)
 
-
-def group_sums(w, row_sums, m: int) -> BlockSource:
-    """The (G, F_out) rri group sums that plan_groups takes, a block of groups
-    at a time over row_blocks(G, F_out * m), from the group columns of ``w``
-    (already checked) and ria_select's row sums. Each block widens its
-    columns into one reused buffer, and each row adds |w_ij| / r_i over the
-    group's m cells in the order np.add.reduce adds one contiguous line of m.
-    The blocks are read once."""
-    w = np.asarray(w)
-    f_out, f_in = w.shape
-    parts = row_blocks(f_in // m, f_out * m)
-
-    def blocks():
-        buf = np.empty(f_out * m * (parts[0].stop - parts[0].start))
-        for part in parts:
-            cols = w[:, part.start * m : part.stop * m]
-            a = np.abs(cols, out=buf[: cols.size].reshape(f_out, -1), dtype=np.float64)
-            a /= row_sums[:, None]
-            # np.add.reduce adds pairwise from M = 8 up, and below left to
-            # right, as the strided column views do faster
+    def scored():
+        for rows, scores, rri, block_sums in ria_blocks(blocks, sums):
+            importance_select(scores, n, m, out=mask[rows])
+            row_sums[rows] = block_sums
+            if b is None:
+                continue
+            out = scores.reshape(-1)[: rri.size // m].reshape(len(rri), -1)
+            # each row adds |w_ij| / r_i over a group's m cells as np.add.reduce
+            # does: pairwise from M = 8 up, below left to right, as these views do faster
             if m >= 8:
-                sums = np.add.reduce(a.reshape(f_out, -1, m), axis=2)
+                np.add.reduce(rri.reshape(len(rri), -1, m), axis=2, out=out)
             else:
-                sums = a[:, 0::m] + a[:, 1::m]
+                np.add(rri[:, 0::m], rri[:, 1::m], out=out)
                 for j in range(2, m):
-                    sums += a[:, j::m]
-            yield np.ascontiguousarray(sums.T)
+                    out += rri[:, j::m]
+            yield out
 
-    return BlockSource(np.dtype(np.float64), (f_in // m, f_out), blocks())
+    stream = scored()
+    plan = None if b is None else plan_groups(
+        BlockSource(np.dtype(np.float64), (shape[0], shape[1] // m), stream), m, b)
+    for _ in stream:
+        pass
+    return mask, (row_sums, *sums), plan
 
 
 def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarray:
@@ -201,10 +194,10 @@ def eggs_prune(w_perm, act_perm: ActivationNorms, cfg: PruneConfig) -> np.ndarra
     per window. With b = 0 this degenerates to plain score-driven pruning.
     Every input column ends with degree >= min(b, rows // m).
     """
-    mask, sums = ria_select(w_perm, layer_sums(w_perm, act_perm)[:2], cfg.n, cfg.m)
+    mask, sums, rows = ria_select(weight_blocks(w_perm), np.shape(w_perm),
+                                  layer_sums(w_perm, act_perm)[:2], cfg.n, cfg.m, cfg.b or None)
     if cfg.b:
-        plan = plan_groups(group_sums(w_perm, sums[0], cfg.m), cfg.m, cfg.b)
-        overlay_blocks(mask, w_perm, sums, plan, cfg.n, cfg.m)
+        overlay_blocks(mask, w_perm, sums, rows, cfg.n, cfg.m)
     return mask
 
 

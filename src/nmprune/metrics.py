@@ -114,11 +114,11 @@ def weight_blocks(w):
         raise NMPruneError("weight row blocks do not tile the matrix's shape")
 
 
-def abs_blocks(w):
-    """|W| in float64, row block by row block from weight_blocks: yields (rows,
-    block), views of one buffer, with a spare row for add_rows."""
+def abs_blocks(blocks):
+    """|W| in float64 from W's checked (rows, block) pairs, as weight_blocks yields
+    them: yields (rows, block), views of one buffer, with a spare row for add_rows."""
     buf = np.empty((0, 0))
-    for rows, block in weight_blocks(w):
+    for rows, block in blocks:
         if len(buf) <= len(block):  # row_blocks' first is the largest, a BlockSource's need not be
             buf = np.empty((len(block) + 1, block.shape[1]))
         yield rows, np.abs(block, out=buf[1 : 1 + len(block)], dtype=np.float64)
@@ -142,7 +142,7 @@ def layer_sums(w, act: ActivationNorms):
     sums r and column sums c, so it takes each block's own row sums and no ria
     cell. sum |W| adds each block's sum in block order, as the error passes do."""
     col_sums, rri_sums, total = None, None, 0.0
-    for _, a in abs_blocks(w):
+    for _, a in abs_blocks(weight_blocks(w)):
         total += float(a.sum())
         col_sums = add_rows(col_sums, a)
         rri_sums = add_rows(rri_sums, np.divide(a, _divisors(a.sum(axis=1))[:, None], out=a))
@@ -165,13 +165,14 @@ def ria_cells(a, sums, rows, cols, rri=None):
     return a, rri
 
 
-def ria_blocks(w, sums):
-    """ria and rri of ``w`` row block by row block, from its layer_sums' first two
-    terms: yields (rows, ria, rri, row sums), ria and rri in buffers reused from block
-    to block. Each block divides by its own row sums of |W|, as divisors."""
+def ria_blocks(blocks, sums):
+    """ria and rri of W's checked (rows, block) pairs, from W's layer_sums' first
+    two terms: yields (rows, ria, rri, row sums), ria and rri in buffers reused from
+    block to block. Each block divides by its own row sums of |W|, as divisors."""
     rri = None
-    for rows, a in abs_blocks(w):
-        rri = np.empty_like(a) if rri is None else rri  # the first block is the largest
+    for rows, a in abs_blocks(blocks):
+        if rri is None or len(rri) < len(a):  # a BlockSource's first block need not be the largest
+            rri = np.empty_like(a)
         row_sums = _divisors(a.sum(axis=1))
         yield rows, *ria_cells(a, (row_sums, *sums), np.s_[:, None], np.s_[:],
                                rri[: len(a)]), row_sums
@@ -180,7 +181,7 @@ def ria_blocks(w, sums):
 def wanda_blocks(w, act: ActivationNorms):
     """|W| times the activation norms, as abs_blocks yields |W|."""
     _check_norms_length(act, weight_shape(w)[1])
-    for rows, a in abs_blocks(w):
+    for rows, a in abs_blocks(weight_blocks(w)):
         a *= act.norms
         yield rows, a
 
@@ -199,7 +200,8 @@ def rri(w) -> np.ndarray:
     Every row of the result sums to 1, except an all-zero row: its sum
     divides as 1, so it scores 0.
     """
-    return _joined(w, ((rows, a / _divisors(a.sum(axis=1))[:, None]) for rows, a in abs_blocks(w)))
+    return _joined(w, ((rows, a / _divisors(a.sum(axis=1))[:, None])
+                       for rows, a in abs_blocks(weight_blocks(w))))
 
 
 def ria(w, act: ActivationNorms) -> np.ndarray:
@@ -208,7 +210,7 @@ def ria(w, act: ActivationNorms) -> np.ndarray:
     score[i][j] = (|w_ij| / sum_k |w_ik| + |w_ij| / sum_k |w_kj|) * norms[j]**alpha,
     where a zero sum divides as 1.
     """
-    return _joined(w, ria_blocks(w, layer_sums(w, act)[:2]))
+    return _joined(w, ria_blocks(weight_blocks(w), layer_sums(w, act)[:2]))
 
 
 def channel_scores(scores) -> np.ndarray:
@@ -221,7 +223,7 @@ def channel_scores(scores) -> np.ndarray:
 
 def magnitude_score(w) -> np.ndarray:
     """Plain absolute weight values."""
-    return _joined(w, abs_blocks(w))
+    return _joined(w, abs_blocks(weight_blocks(w)))
 
 
 def wanda_score(w, act: ActivationNorms) -> np.ndarray:

@@ -84,10 +84,16 @@ def apply_to_columns(w, perm: ChannelPermutation) -> np.ndarray:
             f"permutation of length {len(perm)}"
         )
     out = np.empty(arr.shape, arr.dtype)
-    for rows, block in weight_blocks(arr):
-        # every index is in range; "clip" spares the buffered copy "raise" makes of out
-        np.take(block, perm.forward, axis=1, out=out[rows], mode="clip")
+    for _ in permuted_blocks(arr, perm, out):
+        pass
     return out
+
+
+def permuted_blocks(w, perm: ChannelPermutation, out):
+    """W's checked row blocks, each gathered into ``out`` as it comes: yields (rows, out[rows])."""
+    for rows, block in weight_blocks(w):
+        # every index is in range; "clip" spares the buffered copy "raise" makes of out
+        yield rows, np.take(block, perm.forward, axis=1, out=out[rows], mode="clip")
 
 
 def unpermute_mask(mask, perm: ChannelPermutation) -> np.ndarray:

@@ -171,15 +171,15 @@ def ria_channel_scores_oracle(w, act):
 
 def group_sums(scores, m):
     """Each row's score sum over every group of m columns, as one
-    whole-matrix reduction: shape (groups, rows), one contiguous line per group."""
+    whole-matrix reduction: shape (rows, groups), one line per row."""
     s = np.asarray(scores, dtype=np.float64)
-    return np.ascontiguousarray(s.reshape(s.shape[0], -1, m).sum(axis=2).T)
+    return s.reshape(s.shape[0], -1, m).sum(axis=2)
 
 
 def order_rows_oracle(scores, m):
     """One full stable argsort per group of the rows' score sums over the
     group's m columns: shape (groups, rows), ties at the lower row."""
-    return np.argsort(group_sums(scores, m), axis=1, kind="stable")
+    return np.argsort(group_sums(scores, m).T, axis=1, kind="stable")
 
 
 def connectivity_select_oracle(block_w, block_scores, n, m):

@@ -581,13 +581,12 @@ class TestAlpha:
 class TestScoredOnce:
     """prune, eval and sweep score, permute and plan the layer once per
     command: the kernel's first pass, layer_sums, runs once, on W, and
-    takes the channel scores too; the permuted layer is scored in one pass
-    from W's sums, permuted, so |W| is widened in two passes in all; eggs
-    widens W_perm's group columns in a third pass, for its group sums, and
-    plans its groups in one plan_groups call, whatever the Bs. That pass runs
-    over W_perm in memory, so abs_blocks still runs twice and the bundle
-    reads are the same. How often each command reads W and Z from the bundle
-    is pinned, so no pass is added unnoticed."""
+    takes the channel scores too; the second pass gathers each row block of
+    W into W_perm and scores it there, from W's sums, permuted, so |W| is
+    widened in two passes in all; eggs adds each block's rri over every
+    group in that pass and plans its groups from those sums as they come,
+    in one plan_groups call, whatever the Bs. How often each command reads
+    W and Z from the bundle is pinned, so no pass is added unnoticed."""
 
     @staticmethod
     def count(monkeypatch, *fns) -> dict:
@@ -661,7 +660,7 @@ class TestScoredOnce:
                                       ["eval", "--methods", "ria,eggs", "--b", "2"],
                                       ["sweep", "--b-range", "0..4"]])
     def test_two_passes_over_the_layer(self, tmp_path, monkeypatch, argv):
-        # one pass over W for its column sums and channel scores, one over W_perm
+        # one pass over W for its column sums and channel scores, one that gathers and scores W_perm
         monkeypatch.chdir(tmp_path)
         path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
         passes = self.count(monkeypatch, metrics.abs_blocks)

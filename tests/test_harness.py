@@ -376,8 +376,9 @@ class TestMaskSequence:
 
 class TestMemory:
     """Scoring goes row block by row block: no full-size float64 |W|, ria or
-    rri is held, and order_rows sorts a chunk of groups at a time. W itself,
-    made before tracing starts, is not counted."""
+    rri is held, and order_rows keeps only each group's lowest rows as the
+    blocks' group sums come. W itself, made before tracing starts, is not
+    counted."""
 
     @pytest.fixture(scope="class")
     def layer(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from nmprune import harness, metrics
+from nmprune import harness, masks, metrics
 from nmprune import (
     ActivationNorms,
     ConfigError,
@@ -19,6 +19,7 @@ from nmprune import (
     VerificationError,
     apply_mask,
     check_nm_pattern,
+    compare_methods,
     prune_with_method,
     verify_degree_laws,
 )
@@ -340,25 +341,26 @@ def fused_layer(seed, f_out, f_in, kind):
 
 
 class TestFusedPass:
-    """The permuted layer is scored in one row-block pass from W's column
-    sums, permuted: in prune_with_method (ria and eggs) and in the scored
-    layer of eval and sweep. The permutation, W_perm, the (G, F_out) rri
-    group sums that plan_groups takes, joined from their blocks of groups,
-    and the masks equal the whole-matrix oracles bit for bit. A small
-    _TOPK_CHUNK gives several row blocks and a partial tail block. A scored
-    layer's mask is valid until its next mask() call, so each kept is copied."""
+    """The permuted layer is gathered and scored in one pass over W's row
+    blocks, from W's column sums, permuted: in prune_with_method (ria and
+    eggs) and in the scored layer of eval and sweep. The permutation, W_perm,
+    the (F_out, G) rri group sums that plan_groups takes, joined from the row
+    blocks the pass makes, and the masks equal the whole-matrix oracles bit
+    for bit. A small _TOPK_CHUNK gives several row blocks and a partial tail
+    block. A group-sum block is valid until the next is read, and a scored
+    layer's mask until its next mask() call, so each kept is copied."""
 
     @staticmethod
     def check(w, act, cfg, chunk, max_b):
-        planned, plan_groups = [], harness.plan_groups
+        planned, plan_groups = [], masks.plan_groups
 
         def spy(sums, *args):
-            blocks = list(sums.blocks)
+            blocks = [block.copy() for block in sums.blocks]
             planned.append(np.concatenate(blocks))
             return plan_groups(sums._replace(blocks=iter(blocks)), *args)
 
         with warnings.catch_warnings(), mock.patch.object(metrics, "_TOPK_CHUNK", chunk), \
-                mock.patch.object(harness, "plan_groups", spy):
+                mock.patch.object(masks, "plan_groups", spy):
             warnings.simplefilter("ignore", UserWarning)  # a B above the full blocks clamps
             pruned = {method: prune_with_method(w, act, cfg, method) for method in ("ria", "eggs")}
             pruned_plans = len(planned)
@@ -396,6 +398,45 @@ class TestFusedPass:
         n = 1 + (n - 1) % (m - 1)
         w, act = fused_layer(seed, f_out, groups * m, kind)
         self.check(w, act, PruneConfig(n, m, b), chunk, b)
+
+
+class TestEmptyPlan:
+    """With F_out < M every B clamps to no block, so the scored layer's plan
+    asks for no row and reads no group sum; the scoring pass must still score
+    and fill every mask row. prune_with_method's and eval's eggs masks are
+    then the ria mask, and both equal the oracles."""
+
+    @pytest.mark.parametrize("kind", ["float", "integer", "dead"])
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    def test_every_row_is_scored(self, m, kind):
+        f_out, f_in = m - 1, 3 * m
+        w, act = fused_layer(m, f_out, f_in, kind)
+        cfg, scored, select = PruneConfig(m // 2, m, 2), [], masks.importance_select
+
+        def spy(scores, *args, **kwargs):
+            scored.append(len(scores))
+            return select(scores, *args, **kwargs)
+
+        with warnings.catch_warnings(), mock.patch.object(metrics, "_TOPK_CHUNK", f_in), \
+                mock.patch.object(masks, "importance_select", spy):
+            warnings.simplefilter("ignore", UserWarning)  # every B clamps
+            pruned = [prune_with_method(w, act, cfg, method).mask for method in ("ria", "eggs")]
+            layer = harness._ScoredLayer(w, act, cfg.n, cfg.m, max_b=cfg.b)  # eval's and sweep's
+            evaluated = [layer.mask(method, cfg).copy() for method in ("ria", "eggs")]
+            reports = compare_methods(w, act, cfg, ("ria", "eggs"))
+        # one row per block in four scored layers; an empty overlay's fill top-k scores none
+        assert [rows for rows in scored if rows] == [1] * f_out * 4
+        perm = build_permutation(helpers.ria_channel_scores_oracle(w, act), cfg.m)
+        w_perm = apply_to_columns(w, perm)
+        act_perm = ActivationNorms(act.norms[perm.forward], act.alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            want = helpers.eggs_prune_oracle(w_perm, act_perm, cfg)
+        ria = helpers.top_k_per_window_oracle(helpers.ria_rri_oracle(w_perm, act_perm)[0],
+                                              cfg.n, cfg.m)
+        assert want.tobytes() == ria.tobytes()
+        assert [mask.tobytes() for mask in pruned + evaluated] == [want.tobytes()] * 4
+        assert reports[0].error == reports[1].error and reports[1].lemma1_pass
 
 
 class TestApplyMask:

@@ -162,7 +162,9 @@ class TestScoreOnce:
         assert [t.tobytes() for t in carried] == [t.tobytes() for t in sums]
         got_ria, got_rri = (np.concatenate(b) for b in zip(*[(s.copy(), r.copy())
                                                              for _, s, r, _ in
-                                                             metrics.ria_blocks(w_perm, sums)]))
+                                                             metrics.ria_blocks(
+                                                                 metrics.weight_blocks(w_perm),
+                                                                 sums)]))
         want_ria, want_rri = helpers.ria_rri_oracle(w_perm, act_perm)
         assert got_ria.tobytes() == ria(w_perm, act_perm).tobytes() == want_ria.tobytes()
         assert got_rri.tobytes() == rri(w_perm).tobytes() == want_rri.tobytes()
@@ -262,10 +264,12 @@ class TestRowBlocks:
         w_in = np.asfortranarray(w) if fortran else w
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
             col_sums, scale, channel, _ = metrics.layer_sums(w_in, act)
-            row_sums = np.concatenate([r for *_, r in metrics.ria_blocks(w_in, (col_sums, scale))])
+            row_sums = np.concatenate([r for *_, r in metrics.ria_blocks(
+                metrics.weight_blocks(w_in), (col_sums, scale))])
             got = [ria(w_in, act), rri(w_in), wanda_score(w_in, act), magnitude_score(w_in)]
             got += [np.concatenate([s.copy() for _, s in blocks])
-                    for blocks in (metrics.wanda_blocks(w_in, act), metrics.abs_blocks(w_in))]
+                    for blocks in (metrics.wanda_blocks(w_in, act),
+                                   metrics.abs_blocks(metrics.weight_blocks(w_in)))]
         a = np.abs(np.asarray(w, dtype=np.float64))
         want_ria, want_rri = helpers.ria_rri_oracle(w, act)
         assert row_sums.tobytes() == helpers.divisors_oracle(a.sum(axis=1)).tobytes()

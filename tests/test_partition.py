@@ -11,29 +11,38 @@ from hypothesis import strategies as st
 import helpers
 from nmprune import ActivationNorms, NMPruneError, masks, metrics
 from nmprune.masks import ria_select
-from nmprune.metrics import BlockSource, layer_sums, rri
+from nmprune.metrics import BlockSource, layer_sums, rri, weight_blocks
 from nmprune.partition import assign_blocks, order_rows, plan_groups
 
 
-def group_sums(w, m, act=None):
-    """The rri group sums the kernel hands to order_rows, shape (groups, rows),
-    joined from masks.group_sums' blocks of groups."""
+def kernel_plan(w, m, plan, act=None):
+    """What ``plan``, in plan_groups' place, returns from the rri group sums that
+    masks.ria_select makes as it scores ``w``: a BlockSource of (rows, groups)
+    row blocks."""
     act = ActivationNorms(np.ones(np.shape(w)[1])) if act is None else act
-    row_sums = ria_select(w, layer_sums(w, act)[:2], 1, m)[1][0]
-    source = masks.group_sums(w, row_sums, m)
-    blocks = list(source.blocks)
-    parts = metrics.row_blocks(source.shape[0], source.shape[1] * m)
-    assert [len(b) for b in blocks] == [p.stop - p.start for p in parts]
-    sums = np.concatenate(blocks)
-    assert sums.dtype == np.float64 and sums.shape == source.shape
-    return sums
+    with mock.patch.object(masks, "plan_groups", lambda sums, *_: plan(sums)):
+        return ria_select(weight_blocks(w), np.shape(w), layer_sums(w, act)[:2], 1, m, 0)[2]
+
+
+def group_sums(w, m, act=None):
+    """The rri group sums the kernel hands to order_rows, shape (rows, groups),
+    joined from masks.ria_select's row blocks, each copied as it comes: a block
+    is valid until the next is read."""
+    def join(source):
+        blocks = [block.copy() for block in source.blocks]
+        parts = metrics.row_blocks(*np.shape(w))
+        assert [len(b) for b in blocks] == [p.stop - p.start for p in parts]
+        sums = np.concatenate(blocks)
+        assert sums.dtype == source.dtype == np.float64 and sums.shape == source.shape
+        return sums
+    return kernel_plan(w, m, join, act)
 
 
 class TestSplitGroups:
     """The kernel sums rri over contiguous groups of m columns for order_rows."""
 
     def test_two_groups(self):
-        assert group_sums(np.ones((3, 8)), 4).shape == (2, 3)
+        assert group_sums(np.ones((3, 8)), 4).shape == (3, 2)
         assert order_rows(group_sums(np.ones((3, 8)), 4)).shape == (2, 3)
 
     def test_single_group(self):
@@ -69,10 +78,10 @@ def kernel_layer(seed, f_out, f_in, kind):
 
 
 class TestKernelGroupSums:
-    """masks.group_sums adds each row's rri over every group a block of groups
-    at a time; its blocks, joined, equal one whole-matrix reduction of rri bit
+    """masks.ria_select adds each row's rri over every group as it scores each
+    row block; its blocks, joined, equal one whole-matrix reduction of rri bit
     for bit, so the row order equals the oracle's. A small _TOPK_CHUNK gives
-    one group per block, or a partial tail block of groups."""
+    one row per block, or a partial tail block of rows."""
 
     KINDS = ["float32", "float64", "integer", "dead"]
 
@@ -93,31 +102,56 @@ class TestKernelGroupSums:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("m", [2, 4, 6, 8, 16])
     @pytest.mark.parametrize("rows, groups, per_block", [
-        (lambda m: m + 1, 5, 2),  # blocks of 2, 2 and 1 groups
-        (lambda m: m + 1, 3, 1),  # one group per block
-        (lambda m: m - 1, 4, 3),  # F_out < M, in blocks of 3 and 1 groups
+        (lambda m: 5, 3, 2),  # blocks of 2, 2 and 1 rows
+        (lambda m: m + 1, 1, 1),  # one group, one row per block
+        (lambda m: m - 1, 4, 3),  # F_out < M, in blocks of 3 rows and a tail
         (lambda m: 1, 4, 3),  # a single row
     ], ids=["tail", "one-group", "narrow", "one-row"])
     def test_edges(self, m, kind, rows, groups, per_block):
-        f_out = rows(m)
-        self.check(*kernel_layer(m, f_out, groups * m, kind), m, per_block * f_out * m)
+        self.check(*kernel_layer(m, rows(m), groups * m, kind), m, per_block * groups * m)
+
+
+class TestStreamedOrder:
+    """order_rows and plan_groups on the group sums that masks.ria_select makes
+    as it scores equal one full stable argsort per group of the oracle's rri
+    sums, bit for bit: integer layers tie often, dead rows and columns sum to
+    0, the count runs from 0 to past F_out, and a small _TOPK_CHUNK gives one
+    row per block or a partial tail block."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8, 16]), st.integers(1, 30),
+           st.integers(1, 4), st.sampled_from(TestKernelGroupSums.KINDS), st.integers(0, 34),
+           st.integers(0, 5), st.integers(1, 1 << 9))
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_oracle(self, seed, m, f_out, groups, kind, count, b, chunk):
+        w, act = kernel_layer(seed, f_out, groups * m, kind)
+        want = helpers.order_rows_oracle(helpers.ria_rri_oracle(w, act)[1], m)
+        with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
+            got = kernel_plan(w, m, lambda sums: order_rows(sums, count), act)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rows = kernel_plan(w, m, lambda sums: plan_groups(sums, m, b), act)
+        assert got.dtype == np.int64 and got.tobytes() == want[:, :count].tobytes()
+        full = f_out // m
+        effective = min(b, full)
+        np.testing.assert_array_equal(rows, want[:, : effective * m].reshape(groups, effective, m))
+        assert len(caught) == (groups if b > full else 0)
 
 
 class TestOrderRows:
-    """order_rows takes the (groups, rows) sums; one line is one group."""
+    """order_rows takes the (rows, groups) sums; one line is one row."""
 
     def test_ascending_by_sum(self):
-        sums = np.array([[0.9, 0.1, 0.5]])
+        sums = np.array([[0.9], [0.1], [0.5]])
         np.testing.assert_array_equal(order_rows(sums), [[1, 2, 0]])
 
     def test_ties_keep_row_index(self):
-        np.testing.assert_array_equal(order_rows(np.full((1, 4), 1.0)), [[0, 1, 2, 3]])
+        np.testing.assert_array_equal(order_rows(np.full((4, 1), 1.0)), [[0, 1, 2, 3]])
 
     def test_single_row(self):
         np.testing.assert_array_equal(order_rows(np.array([[3.0]])), [[0]])
 
     def test_count_truncates(self):
-        sums = np.array([[0.9, 0.1, 0.5]])
+        sums = np.array([[0.9], [0.1], [0.5]])
         np.testing.assert_array_equal(order_rows(sums, 2), [[1, 2]])
         np.testing.assert_array_equal(order_rows(sums, 5), [[1, 2, 0]])
         assert order_rows(sums, 0).shape == (1, 0)
@@ -126,11 +160,11 @@ class TestOrderRows:
            st.integers(0, 14))
     @settings(max_examples=100, deadline=None)
     def test_block_source_matches_the_array(self, seed, groups, f_out, per_block, count):
-        # blocks of per_block groups, the last one partial when per_block does not divide
-        sums = np.random.default_rng(seed).integers(0, 3, size=(groups, f_out)).astype(float)
+        # blocks of per_block rows, the last one partial when per_block does not divide
+        sums = np.random.default_rng(seed).integers(0, 3, size=(f_out, groups)).astype(float)
 
         def source():
-            blocks = [sums[g : g + per_block] for g in range(0, groups, per_block)]
+            blocks = [sums[r : r + per_block] for r in range(0, f_out, per_block)]
             return BlockSource(sums.dtype, sums.shape, iter(blocks))
 
         np.testing.assert_array_equal(order_rows(source(), count), order_rows(sums, count))
@@ -144,11 +178,12 @@ class TestOrderRows:
         def blocks():
             raise AssertionError("read")
             yield
-        assert order_rows(BlockSource(np.dtype(np.float64), (3, 5), blocks()), 0).shape == (3, 0)
+        assert order_rows(BlockSource(np.dtype(np.float64), (5, 3), blocks()), 0).shape == (3, 0)
 
     def test_range_checked(self):
-        for sums in (np.ones(8), np.ones((2, 2, 2))):
-            with pytest.raises(NMPruneError, match="group sums must be 2-D"):
+        for sums in (np.ones(8), np.ones((2, 2, 2)), np.array([[1.0], [np.inf]]),
+                     np.array([[np.nan, 1.0]])):
+            with pytest.raises(NMPruneError, match="group sums must be 2-D and finite"):
                 order_rows(sums)
         for m in (0, -1):
             with pytest.raises(NMPruneError, match="groups of width"):
@@ -307,8 +342,8 @@ class TestSharedOrder:
 
 
 class TestChunkedOrder:
-    """order_rows orders a chunk of groups at a time, _TOPK_CHUNK // rows
-    groups per chunk; the order must not depend on where the chunks split."""
+    """order_rows merges a block of rows at a time, _TOPK_CHUNK // groups rows
+    per block; the order must not depend on where the blocks split."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8).map(lambda h: 2 * h), st.integers(1, 24),
            st.integers(1, 7), st.integers(0, 30), st.sampled_from(["float", "integer"]),
@@ -323,11 +358,11 @@ class TestChunkedOrder:
         else:  # integer sums tie often
             scores = rng.integers(0, 3, size=shape).astype(float)
         sums = helpers.group_sums(scores, m)
-        whole = order_rows(sums, count)  # the default chunk holds every group here
+        whole = order_rows(sums, count)  # the default chunk holds every row here
         want = helpers.order_rows_oracle(scores, m)[:, :count]  # count may exceed f_out
-        # one group per chunk, then per_chunk groups, which leaves a partial
-        # tail whenever per_chunk does not divide the group count
-        for chunk in (f_out, per_chunk * f_out + f_out - 1):
+        # one row per block, then per_chunk rows, which leaves a partial
+        # tail whenever per_chunk does not divide the row count
+        for chunk in (groups, per_chunk * groups + groups - 1):
             with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
                 got = order_rows(sums, count)
             assert got.dtype == np.int64 and got.tobytes() == whole.tobytes()

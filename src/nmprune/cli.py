@@ -82,7 +82,7 @@ def _cmd_prune(args) -> int:
     sidecar = args.out + ".perm.json"
     if os.path.isdir(sidecar) and not os.path.islink(sidecar):  # no sidecar step can succeed
         raise NMPruneError(f"cannot write {sidecar}: {os.strerror(errno.EISDIR)}")
-    w, norms, _ = _read_layer(args)
+    w, norms = _read_layer(args)[:2]  # the batch is freed here: prune needs only its norms
     # W is read twice: to score it, then to permute or prune it
     res = prune_with_method(w, norms, cfg, args.method)
     w, mask, perm = res.weights, np.asarray(res.mask, dtype=np.uint8), res.permutation

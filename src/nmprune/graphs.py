@@ -38,8 +38,8 @@ class DegreeLawReport:
     ``violation`` says which law fails first, or is None when both hold.
     """
 
-    min_in_degree: int
-    min_out_degree: int
+    min_in_degree: int | None  # None when the mask's degrees are not counts
+    min_out_degree: int | None
     c_bound: Fraction
     violation: str | None
 
@@ -103,8 +103,8 @@ def degree_laws(counts: MaskCounts, cfg: PruneConfig) -> DegreeLawReport:
         j = int(bad_in[0])
         violation = f"input {j} has degree {int(in_deg[j])}, below the guaranteed floor {floor}"
     return DegreeLawReport(
-        min_in_degree=int(in_deg.min()),
-        min_out_degree=int(out_deg.min()),
+        min_in_degree=int(in_deg.min()) if counts.counted else None,
+        min_out_degree=int(out_deg.min()) if counts.counted else None,
         c_bound=min(Fraction(cfg.b, f_in), Fraction(f_in * (cfg.m - cfg.n), f_out * cfg.m)),
         violation=violation,
     )

@@ -95,18 +95,18 @@ def reconstruction_error(w, mask, z) -> float:
     w, mask = w if isinstance(w, BlockSource) else np.asarray(w), np.asarray(mask)
     if len(w.shape) != 2 or tuple(w.shape) != mask.shape:
         raise NMPruneError(f"mask shape {mask.shape} does not match weights shape {tuple(w.shape)}")
-    z64, denom, _ = _reference(w, np.asarray(z))
-    return math.sqrt(_masked_sums(w, mask, z64)[0]) / denom
+    z64, denom, _ = _reference(weight_blocks(w), np.asarray(z), w.shape[1])
+    return math.sqrt(_masked_sums(weight_blocks(w), mask, z64)[0]) / denom
 
 
-def _masked_sums(w, mask, z64):
+def _masked_sums(blocks, mask, z64):
     """(||R Z||_F², sum |K|) in float64, widened a row block at a time from
-    weight_blocks, with K = W * mask and R = W - K, or R = K = W without a
-    mask; z64 None means identity inputs, ||R||_F². For a 0/1 mask, R and K
-    hold W's cells off and on the mask, up to the sign of a zero."""
+    W's (rows, block) pairs, with K = W * mask and R = W - K, or R = K = W
+    without a mask; z64 None means identity inputs, ||R||_F². For a 0/1 mask,
+    R and K hold W's cells off and on the mask, up to the sign of a zero."""
     squares = total = 0.0
     buf = np.empty((2, 0, 0))
-    for rows, block in weight_blocks(w):
+    for rows, block in blocks:
         # K and R in one buffer reused from block to block: a fresh pair per
         # block let glibc trim the heap and fault it back in between blocks
         if buf.shape[1] < len(block):
@@ -124,16 +124,16 @@ def _masked_sums(w, mask, z64):
     return squares, total
 
 
-def _reference(w, z, rows=None):
-    """The checked float64 batch, rows in ``rows`` order if given, ||W Z||_F and
-    sum |W|; z None means identity inputs: no batch and ||W||_F."""
+def _reference(blocks, z, cols: int, rows=None):
+    """The float64 batch, checked against W's ``cols``, rows in ``rows`` order if given, then
+    ||W Z||_F and sum |W| of W's (rows, block) pairs; z None: identity inputs, ||W||_F."""
     z64 = None
     if z is not None:
         z = np.asarray(z)
-        if z.ndim != 2 or z.shape[0] != w.shape[1]:
+        if z.ndim != 2 or z.shape[0] != cols:
             raise NMPruneError("calibration batch rows must match the weight columns")
         z64 = np.asarray(z if rows is None else z[rows], dtype=np.float64)
-    squares, total = _masked_sums(w, None, z64)
+    squares, total = _masked_sums(blocks, None, z64)
     if squares == 0.0:
         what = "weights are" if z is None else "reference output is"
         raise NMPruneError(f"{what} identically zero")
@@ -238,11 +238,17 @@ class _ScoredLayer:
         self._overlay = overlay_blocks(base, w_perm, sums, rows, self.n, self.m)
         return base
 
+    def _blocks(self, permuted: bool):
+        """A layout's (rows, block) pairs: W's, checked as they are read, or W_perm's
+        row_blocks slices, gathered from W's checked blocks and not checked again."""
+        return (((r, self.w_perm[r]) for r in row_blocks(*self.shape)) if permuted
+                else weight_blocks(self.w))
+
     def _reference(self, permuted: bool):
         """A layout's float64 batch (None for identity inputs) and reference norm."""
         if permuted not in self._refs:
             rows = self.perm.forward if permuted else None
-            self._refs[permuted] = _reference(self.w_perm if permuted else self.w, self.z, rows)
+            self._refs[permuted] = _reference(self._blocks(permuted), self.z, self.shape[1], rows)
         return self._refs[permuted]
 
     def report(self, method: str, cfg: PruneConfig) -> MethodReport:
@@ -250,7 +256,7 @@ class _ScoredLayer:
         mask = self.mask(method, cfg)  # refuses a bad width or method before any pass
         permuted = method in _PERMUTED
         z64, denom, total = self._reference(permuted)
-        squares, kept = _masked_sums(self.w_perm if permuted else self.w, mask, z64)
+        squares, kept = _masked_sums(self._blocks(permuted), mask, z64)
         in_deg = mask.sum(axis=0)
         lemma = verify_degree_laws(mask, cfg).violation is None if method == "eggs" else None
         total = self._sums[3] if permuted else total  # sum |W| of W, never of W_perm

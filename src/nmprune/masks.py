@@ -228,10 +228,12 @@ def apply_mask(w, mask) -> np.ndarray:
 
 class MaskCounts(NamedTuple):
     """What count_mask finds in a 2-D mask: check_nm_pattern's verdict (None
-    when it passes) and each output's and input's degree, as int64 sums."""
+    when it passes), each output's and input's degree, as int64 sums, and
+    whether those are counts: not when an entry is NaN or infinite."""
     nm_violation: str | None
     out_degrees: np.ndarray
     in_degrees: np.ndarray
+    counted: bool = True
 
 
 def _bad_window(ones, start: int, n: int, m: int) -> str | None:
@@ -255,10 +257,10 @@ def count_mask(shape, blocks, n: int, m: int) -> MaskCounts:
     The verdict is the first of: an entry other than 0 or 1 anywhere, a column
     count that m does not divide, the first window without exactly m-n ones.
     A degree sums the entries, each cast to int64, so the blocks' sums add up
-    to the whole mask's.
+    to the whole mask's; a NaN or infinite entry has no such cast.
     """
     rows, cols = shape
-    binary, violation = True, None
+    binary, counted, violation = True, True, None
     out_deg = np.zeros(rows, dtype=np.int64)
     in_deg = np.zeros(cols, dtype=np.int64)
     start = 0
@@ -266,8 +268,10 @@ def count_mask(shape, blocks, n: int, m: int) -> MaskCounts:
         stop = start + len(block)
         ones = (block == 1).view(np.uint8)
         binary = binary and np.count_nonzero(block) == np.count_nonzero(ones)
-        out_deg[start:stop] = block.sum(axis=1, dtype=np.int64)
-        in_deg += block.sum(axis=0, dtype=np.int64)
+        counted = counted and (binary or bool(np.isfinite(block).all()))
+        with np.errstate(invalid="ignore"):  # the cast of a NaN or infinite entry
+            out_deg[start:stop] = block.sum(axis=1, dtype=np.int64)
+            in_deg += block.sum(axis=0, dtype=np.int64)
         if violation is None and not cols % m:
             violation = _bad_window(ones, start, n, m)
         start = stop
@@ -275,7 +279,7 @@ def count_mask(shape, blocks, n: int, m: int) -> MaskCounts:
         violation = "mask entries must be 0 or 1"
     elif cols % m:
         violation = f"{cols} columns not divisible by window width {m}"
-    return MaskCounts(violation, out_deg, in_deg)
+    return MaskCounts(violation, out_deg, in_deg, counted)
 
 
 def check_nm_pattern(mask, n: int, m: int) -> None:
@@ -284,7 +288,6 @@ def check_nm_pattern(mask, n: int, m: int) -> None:
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise VerificationError("mask must be 2-D")
-    with np.errstate(invalid="ignore"):  # a NaN spoils only the degrees, which go unused here
-        counts = count_mask(arr.shape, (arr[r] for r in row_blocks(*arr.shape)), n, m)
+    counts = count_mask(arr.shape, (arr[r] for r in row_blocks(*arr.shape)), n, m)
     if counts.nm_violation:
         raise VerificationError(counts.nm_violation)

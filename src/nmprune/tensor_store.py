@@ -6,7 +6,7 @@ then a raw row-major payload region. Offsets are relative to the start of
 the payload region. Only float32 ("f32") and uint8 ("u8") entries exist.
 
 ``load_bundle`` returns a Bundle, a mapping of names to arrays that reads
-each entry only when it is asked for; ``save_bundle`` takes any mapping of
+each entry each time it is asked for; ``save_bundle`` takes any mapping of
 names to arrays, checks each name and dtype as it writes, and also takes a
 BlockSource for an array it streams.
 """
@@ -76,8 +76,8 @@ def _identity(st: os.stat_result) -> tuple:
 class Bundle(Mapping):
     """The entries of a container file whose header load_bundle has checked.
 
-    Indexing an entry reads its payload and keeps it, as a dict would, and
-    ``rows`` streams it without keeping it.
+    Each index reads the entry's payload, ``rows`` streams it, and the Bundle
+    keeps nothing but the header's records: only the caller keeps an entry.
     Every read first checks that the file is still the one whose header was
     checked (same device, inode, size and mtime) and refuses it otherwise.
     """
@@ -85,12 +85,14 @@ class Bundle(Mapping):
     def __init__(self, path, stamp: tuple, records: dict):
         self._path, self._stamp = path, stamp
         self._records = records  # name -> (file dtype, shape, file offset, nbytes)
-        self._kept: dict[str, np.ndarray] = {}
 
     def __getitem__(self, name) -> np.ndarray:
-        if name not in self._kept:
-            self._kept[name] = self._read(name)
-        return self._kept[name]
+        dtype, shape, _, nbytes = self._records[name]
+        arr = np.empty(shape, dtype=dtype)
+        with self._open(name) as fh:
+            if fh.readinto(arr.data) != nbytes:
+                raise FormatError(f"entry {name!r}: truncated payload")
+        return arr.astype(dtype.newbyteorder("="), copy=False)
 
     def __contains__(self, name) -> bool:
         return name in self._records
@@ -117,14 +119,6 @@ class Bundle(Mapping):
             raise FormatError(f"entry {name!r}: the file changed after its header was checked")
         fh.seek(offset)
         return fh
-
-    def _read(self, name) -> np.ndarray:
-        dtype, shape, _, nbytes = self._records[name]
-        arr = np.empty(shape, dtype=dtype)
-        with self._open(name) as fh:
-            if fh.readinto(arr.data) != nbytes:
-                raise FormatError(f"entry {name!r}: truncated payload")
-        return arr.astype(dtype.newbyteorder("="), copy=False)
 
     def _stream(self, name):
         dtype, shape, _, _ = self._records[name]

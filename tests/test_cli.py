@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import weakref
 from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
@@ -296,6 +297,24 @@ class TestVerify:
         report = json.loads(captured.out)
         assert report["lemma1_pass"] is False
         assert report["a_I"] is None and report["a_O"] is None
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mask_reports_no_degrees(self, tmp_path, capsys, value):
+        # a NaN or infinite entry is not 0 or 1, and leaves no degree to count: the
+        # minima print null, and no numpy warning of the int64 cast gets through
+        mask = np.array([[1, 1, 0, 0]] * 4, dtype=np.float32)
+        mask[2, 1] = value
+        path = tmp_path / "non-finite.tensors"
+        save_bundle({"mask": mask}, path)
+        assert run("verify", "--in", str(path), "--n", "2", "--m", "4", "--b", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: mask entries must be 0 or 1",
+            "expansion enumeration skipped: the mask is not binary",
+        ]
+        report = json.loads(captured.out)
+        assert report["min_in_degree"] is None and report["min_out_degree"] is None
+        assert report["lemma1_pass"] is False and report["a_I"] is None
 
     def test_boolean_header_count_is_pipeline_error(self, tmp_path, capsys):
         header = json.dumps({"mask": {"dtype": "u8", "shape": [True, 4], "offset": 0,
@@ -667,10 +686,12 @@ class TestScoredOnce:
         assert run(*argv, "--in", str(path), "--n", "2", "--m", "4") == 0
         assert passes == {"abs_blocks": 2}
 
-    @staticmethod
-    def reads(tmp_path, monkeypatch, argv, z) -> dict:
+    @classmethod
+    def reads(cls, tmp_path, monkeypatch, argv, z) -> dict:
         """How often ``argv`` opens each entry of a layer bundle whose Z is the
-        calibration batch, its norms vector or, for z None, absent."""
+        calibration batch, its norms vector or, for z None, absent. W's row
+        blocks are checked once per read of W, and W_perm's never: it is
+        gathered from W's checked blocks."""
         monkeypatch.chdir(tmp_path)
         path = gen_layer(tmp_path, dims="32x32", profile="dead-columns", k=3)
         layer = load_bundle(path)
@@ -680,7 +701,9 @@ class TestScoredOnce:
         opened, open_entry = [], tensor_store.Bundle._open
         monkeypatch.setattr(tensor_store.Bundle, "_open",
                             lambda bundle, name: opened.append(name) or open_entry(bundle, name))
+        checks = cls.count(monkeypatch, metrics.check_weights)
         assert run(*argv, "--in", str(path), "--n", "2", "--m", "4") == 0
+        assert checks == {"check_weights": opened.count("W")}  # 32x32: one block per read
         return {name: opened.count(name) for name in opened}
 
     @pytest.mark.parametrize("argv, reads", [
@@ -754,6 +777,31 @@ class TestMemory:
         code, peak = helpers.traced_peak(main, argv)
         assert code == 0 and peak < 15 * 2**20
 
+    @pytest.mark.parametrize("method", nmprune.METHODS)
+    def test_prune_frees_the_batch_before_reading_w(self, tmp_path, monkeypatch, method):
+        # prune takes the batch's norms and drops the batch: the Bundle, which W's
+        # row blocks keep open, holds no entry, so Z is gone before any pass over W
+        path = gen_layer(tmp_path, dims="32x32")
+        batches, alive = [], []
+        index, open_entry = tensor_store.Bundle.__getitem__, tensor_store.Bundle._open
+
+        def indexed(bundle, name):
+            entry = index(bundle, name)
+            if name == "Z":
+                batches.append(weakref.ref(entry))
+            return entry
+
+        def opened(bundle, name):
+            if name == "W":
+                alive.append(batches[0]() is not None)
+            return open_entry(bundle, name)
+
+        monkeypatch.setattr(tensor_store.Bundle, "__getitem__", indexed)
+        monkeypatch.setattr(tensor_store.Bundle, "_open", opened)
+        assert run("prune", "--in", str(path), "--out", str(tmp_path / "out.t"),
+                   "--method", method, "--n", "2", "--m", "4", "--b", "2") == 0
+        assert len(batches) == 1 and alive == [False, False]
+
     def test_verify(self, layers, tmp_path, capsys):
         out = tmp_path / "eggs.t"
         assert run("prune", "--in", str(layers / "1024x1024"), "--out", str(out),
@@ -770,11 +818,11 @@ class TestDeadChannels:
     eggs keeps the dead input channel connected."""
 
     def test_every_command_runs_and_eggs_keeps_the_channel(self, tmp_path, capsys):
-        bundle = load_bundle(gen_layer(tmp_path, dims="16x16", seed=5))
-        bundle["W"][:, 5] = 0.0
-        bundle["W"][7] = 0.0
+        layer = dict(load_bundle(gen_layer(tmp_path, dims="16x16", seed=5)))
+        layer["W"][:, 5] = 0.0
+        layer["W"][7] = 0.0
         src = tmp_path / "dead.tensors"
-        save_bundle(bundle, src)
+        save_bundle(layer, src)
         nm = ["--n", "2", "--m", "4", "--b", "2"]
         outs = {}
         for method in ("ria", "eggs"):

@@ -255,8 +255,8 @@ class TestAbsoluteSum:
                         "growing": [k * (k + 1) // 2 for k in range(f_out)]}[given_as]
                 source = BlockSource(w.dtype, w.shape, np.split(w, [c for c in cuts if 0 < c < f_out]))
             sums = (metrics.layer_sums(source, ActivationNorms(np.ones(f_in)))[3],
-                    harness._reference(source, z)[2],
-                    harness._masked_sums(source, None, None)[1])
+                    harness._reference(metrics.weight_blocks(source), z, f_in)[2],
+                    harness._masked_sums(metrics.weight_blocks(source), None, None)[1])
         assert len({s.hex() for s in sums}) == 1, sums
 
 

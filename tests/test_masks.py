@@ -25,6 +25,7 @@ from nmprune import (
 )
 from nmprune.masks import (connectivity_select, count_mask, diagonal_select, eggs_prune,
                           importance_select)
+from nmprune.graphs import degree_laws
 from nmprune.metrics import ria
 from nmprune.permute import apply_to_columns, build_permutation
 
@@ -498,7 +499,7 @@ class TestCheckNmPattern:
         with pytest.raises(VerificationError, match="6 columns not divisible by window width 4"):
             check_nm_pattern(np.array([[1, 1, 0, 0, 1, 0]] * 4, dtype=np.uint8), 2, 4)
 
-    @pytest.mark.parametrize("value", [0.5, np.nan, -1.0])
+    @pytest.mark.parametrize("value", [0.5, np.nan, -1.0, np.inf, -np.inf])
     def test_non_binary_float_rejected(self, value):
         mask = np.array([[1.0, -0.0, 1.0, 0.0]], dtype=np.float32)
         check_nm_pattern(mask, 2, 4)
@@ -589,6 +590,19 @@ class TestCountMask:
         got = self.check(mask)
         assert got.nm_violation == "mask entries must be 0 or 1"
         assert got.out_degrees[8] == 7  # a degree sums the entries
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.0, 0.5])
+    def test_a_non_finite_entry_leaves_no_degree_counts(self, value):
+        # a late NaN or infinite entry: no warning of its int64 cast, and no minimum degree
+        mask = np.tile(np.array([1, 1, 0, 0], dtype=np.float32), (9, 3))
+        mask[8, 5] = value
+        got = count_mask(mask.shape, self.blocks(mask), 2, 4)
+        assert got.nm_violation == "mask entries must be 0 or 1"
+        assert got.counted is bool(np.isfinite(value))
+        laws = degree_laws(got, PruneConfig(2, 4, 1))
+        # row 8 swaps a 1 for the entry, cast to int64 as int() does
+        want = (0, min(6, 5 + int(value))) if got.counted else (None, None)
+        assert (laws.min_in_degree, laws.min_out_degree) == want
 
     @pytest.mark.parametrize("shape", [(0, 8), (0, 0), (5, 0)])
     def test_no_rows_or_no_columns(self, shape):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
-from nmprune import metrics
+from nmprune import metrics, tensor_store
 from nmprune import (
     FormatError,
     NMPruneError,
@@ -225,12 +225,24 @@ class TestOnDemand:
                      "w": rng.standard_normal((9, 5)).astype(np.float32)}, path)
         return path
 
-    def test_indexing_reads_once_and_keeps(self, path):
+    def test_each_index_reads_the_file_and_keeps_nothing(self, path, tmp_path):
         bundle = load_bundle(path)
-        assert bundle["w"] is bundle["w"] and "w" in bundle and "x" not in bundle
+        opened, open_entry = [], tensor_store.Bundle._open
+        with mock.patch.object(tensor_store.Bundle, "_open",
+                               lambda bundle, name: opened.append(name) or open_entry(bundle, name)):
+            first, second = bundle["w"], bundle["w"]
+        assert opened == ["w", "w"] and first is not second
+        assert first.tobytes() == second.tobytes()
+        assert "w" in bundle and "x" not in bundle
         assert sorted(bundle) == ["mask", "w"] and len(bundle) == 2
         with pytest.raises(KeyError):
             bundle["x"]
+        # an entry read before the file changed is not handed out again
+        save_bundle({"mask": bundle["mask"], "w": first}, tmp_path / "new.tensors")
+        os.replace(tmp_path / "new.tensors", path)
+        for _ in range(2):
+            with pytest.raises(FormatError, match="^entry 'w': the file changed"):
+                bundle["w"]
 
     @pytest.mark.parametrize("name", ["mask", "w"])
     def test_rows_over_several_blocks_equal_the_whole_read(self, path, tmp_path, name):

@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NMPruneError, VerificationError
-from .masks import MaskCounts, PruneConfig
+from .masks import MaskCounts, PruneConfig, count_mask
+from .metrics import row_blocks
 
 # 2**22 subsets is the enumeration ceiling: a 16 MiB uint32 table per side
 ENUM_VERTEX_LIMIT = 22
@@ -69,22 +70,21 @@ def verify_degree_laws(mask, cfg: PruneConfig) -> DegreeLawReport:
     """Check the exact output-degree law and the input-degree floor.
 
     Every output must have degree (f_in / m) * (m - n); every input must
-    have degree >= min(b, f_out // m). The report's ``violation`` names the
-    first offending vertex, outputs first, or a column count that m does not
-    divide; it is None when both laws hold. ``c_bound`` is the smaller of
-    the sides' endpoints b / f_in and f_in (m - n) / (f_out m). A mask that
-    is not 2-D, or has no rows or no columns, raises NMPruneError.
+    have degree >= min(b, f_out // m). ``violation`` names the first offending
+    vertex, outputs first, a column count that m does not divide, or, with null
+    minima, count_mask's verdict on a NaN or infinite entry; it is None when
+    both laws hold. ``c_bound`` is min(b / f_in, f_in (m - n) / (f_out m)). A
+    mask that is not 2-D, or has no rows or no columns, raises NMPruneError.
     """
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise NMPruneError("mask must be 2-D")
-    # the degrees alone, as whole-array sums: verify_degree_laws needs no window counts
-    return degree_laws(MaskCounts(None, arr.sum(axis=1, dtype=np.int64),
-                                  arr.sum(axis=0, dtype=np.int64)), cfg)
+    return degree_laws(count_mask(arr.shape, (arr[r] for r in row_blocks(*arr.shape)),
+                                  cfg.n, cfg.m), cfg)
 
 
 def degree_laws(counts: MaskCounts, cfg: PruneConfig) -> DegreeLawReport:
-    """verify_degree_laws' report from a mask's degrees (count_mask's or whole-array sums)."""
+    """verify_degree_laws' report from a mask's MaskCounts; count_mask's verdict if not counts."""
     out_deg, in_deg = counts.out_degrees, counts.in_degrees
     f_out, f_in = len(out_deg), len(in_deg)
     if not f_out or not f_in:
@@ -94,7 +94,9 @@ def degree_laws(counts: MaskCounts, cfg: PruneConfig) -> DegreeLawReport:
     bad_out = np.flatnonzero(out_deg != expected_out)
     bad_in = np.flatnonzero(in_deg < floor)
     violation = None
-    if f_in % cfg.m:
+    if not counts.counted:
+        violation = counts.nm_violation
+    elif f_in % cfg.m:
         violation = f"{f_in} columns not divisible by window width {cfg.m}"
     elif bad_out.size:
         i = int(bad_out[0])
@@ -138,9 +140,12 @@ def brute_force_expansion(g: BipartiteGraph, c) -> ExpansionReport:
     Raises NMPruneError when a side that has admissible subsets exceeds
     the enumeration ceiling, or unless 0 < c < 1.
     """
-    frac = Fraction(c)
-    if not 0 < frac < 1:
-        raise NMPruneError(f"subset fraction must be in (0, 1), got {c}")
+    try:
+        frac = Fraction(c)
+        if not 0 < frac < 1:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):  # nan and "x" are ValueErrors, inf overflows
+        raise NMPruneError(f"subset fraction must be in (0, 1), got {c}") from None
     max_in = int(frac * g.n_inputs)
     max_out = int(frac * g.n_outputs)
     if max_in >= 1 and g.n_inputs > ENUM_VERTEX_LIMIT:

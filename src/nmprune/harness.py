@@ -10,8 +10,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, NMPruneError
-from .graphs import verify_degree_laws
-from .masks import PruneConfig, overlay_blocks, ria_select, select_blocks
+from .graphs import degree_laws
+from .masks import MaskCounts, PruneConfig, overlay_blocks, ria_select, select_blocks
 from .metrics import (DEFAULT_ALPHA, ActivationNorms, BlockSource, abs_blocks, layer_sums,
                       row_blocks, wanda_blocks, weight_blocks, weight_shape)
 from .partition import assign_blocks
@@ -90,7 +90,7 @@ def reconstruction_error(w, mask, z) -> float:
     """Relative Frobenius error of the masked layer on calibration inputs.
 
     ||W Z - (W * mask) Z||_F / ||W Z||_F, in float64, of W as an array or a
-    BlockSource. Raises NMPruneError when W is not finite or W Z is zero.
+    BlockSource. Raises NMPruneError when W or Z is not finite or W Z is zero.
     """
     w, mask = w if isinstance(w, BlockSource) else np.asarray(w), np.asarray(mask)
     if len(w.shape) != 2 or tuple(w.shape) != mask.shape:
@@ -133,6 +133,8 @@ def _reference(blocks, z, cols: int, rows=None):
         if z.ndim != 2 or z.shape[0] != cols:
             raise NMPruneError("calibration batch rows must match the weight columns")
         z64 = np.asarray(z if rows is None else z[rows], dtype=np.float64)
+        if not np.isfinite(z64).all():
+            raise NMPruneError("calibration batch must be finite")
     squares, total = _masked_sums(blocks, None, z64)
     if squares == 0.0:
         what = "weights are" if z is None else "reference output is"
@@ -257,8 +259,9 @@ class _ScoredLayer:
         permuted = method in _PERMUTED
         z64, denom, total = self._reference(permuted)
         squares, kept = _masked_sums(self._blocks(permuted), mask, z64)
-        in_deg = mask.sum(axis=0)
-        lemma = verify_degree_laws(mask, cfg).violation is None if method == "eggs" else None
+        in_deg = mask.sum(axis=0, dtype=np.int64)
+        lemma = None if method != "eggs" else degree_laws(
+            MaskCounts(None, mask.sum(axis=1, dtype=np.int64), in_deg), cfg).violation is None
         total = self._sums[3] if permuted else total  # sum |W| of W, never of W_perm
         return MethodReport(method, math.sqrt(squares) / denom, int((in_deg == 0).sum()),
                             int(in_deg.min()), kept / total, lemma)

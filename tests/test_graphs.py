@@ -16,6 +16,7 @@ from nmprune import (
     mask_to_graph,
     verify_degree_laws,
 )
+from nmprune.graphs import DegreeLawReport
 from nmprune.masks import eggs_prune
 
 
@@ -101,6 +102,20 @@ class TestVerifyDegreeLaws:
         report = verify_degree_laws(mask, PruneConfig(2, 4, b=1))
         assert report.violation == "6 columns not divisible by window width 4"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_has_no_degrees(self, value):
+        # counted as verify counts it: no warning of the int64 cast, no minimum degree
+        mask = np.tile(np.array([1, 1, 0, 0], dtype=np.float32), (4, 1))
+        mask[2, 3] = value
+        report = verify_degree_laws(mask, PruneConfig(2, 4, b=1))
+        assert report == DegreeLawReport(None, None, Fraction(1, 4), "mask entries must be 0 or 1")
+
+    def test_a_finite_entry_that_is_not_0_or_1_is_counted(self):
+        mask = np.tile(np.array([1, 1, 0, 0], dtype=np.float32), (4, 1))
+        mask[0, 0] = 2.0
+        report = verify_degree_laws(mask, PruneConfig(2, 4, b=1))
+        assert report == DegreeLawReport(0, 2, Fraction(1, 4), "output 0 has degree 3, expected 2")
+
     def test_floor_two(self):
         w, act = helpers.random_layer(6, 8, 8)
         cfg = PruneConfig(2, 4, b=2)
@@ -174,6 +189,12 @@ class TestBruteForceExpansion:
             brute_force_expansion(g, Fraction(3, 2))
         with pytest.raises(NMPruneError, match=r"subset fraction must be in \(0, 1\)"):
             brute_force_expansion(g, 0)
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), "x"])
+    def test_c_that_is_not_a_fraction(self, c):
+        g = mask_to_graph(np.eye(2, dtype=np.uint8))
+        with pytest.raises(NMPruneError, match=rf"subset fraction must be in \(0, 1\), got {c}$"):
+            brute_force_expansion(g, c)
 
 
 REFUSALS = [

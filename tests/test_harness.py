@@ -22,7 +22,7 @@ from nmprune import (
     prune_with_method,
     reconstruction_error,
 )
-from nmprune import harness, metrics
+from nmprune import graphs, harness, metrics
 from nmprune.harness import sweep_blocks
 from nmprune.metrics import BlockSource
 from nmprune.masks import importance_select
@@ -337,6 +337,25 @@ class TestSharedLayer:
                 want = helpers.outcome(helpers.compare_methods_oracle, *args)
                 assert helpers.outcome(compare_methods, *args) == want
 
+    def test_reports_do_not_call_the_public_checker(self, monkeypatch):
+        # lemma 1 is judged from the degrees the report sums, not by verify_degree_laws
+        w, z = gen_synthetic(5, 16, 32, "dead-columns", k=4)
+        norms, cfg = norms_from_batch(z), PruneConfig(2, 4, 2)
+
+        def reports():
+            return (compare_methods(w, norms, cfg, METHODS, z),
+                    sweep_blocks(w, norms, 2, 4, range(5), z))
+
+        want = reports()
+        assert [r.lemma1_pass for r in want[1]] == [True] * 5
+
+        def checker(*args):
+            raise AssertionError("verify_degree_laws was called")
+
+        monkeypatch.setattr(graphs, "verify_degree_laws", checker)
+        monkeypatch.setattr(harness, "verify_degree_laws", checker, raising=False)
+        assert reports() == want
+
     def test_without_norms(self):
         w, z = gen_synthetic(3, 8, 8, "gaussian")
         for methods in (["magnitude"], ["magnitude", "eggs"]):
@@ -441,6 +460,16 @@ REFUSALS = [
     pytest.param(lambda: reconstruction_error(np.array([[1.0, np.nan]]), np.ones((1, 2)),
                                               np.ones((2, 1))),
                  NMPruneError, "weights must be finite", id="non-finite-w-error"),
+    # every batch is read by harness._reference, which refuses a NaN or infinite entry
+    pytest.param(lambda: reconstruction_error(np.ones((4, 4)), np.ones((4, 4)),
+                                              np.full((4, 2), np.nan)),
+                 NMPruneError, "calibration batch must be finite", id="non-finite-batch-error"),
+    pytest.param(lambda: compare_methods(np.ones((4, 4)), ActivationNorms(np.ones(4)),
+                                         PruneConfig(2, 4), ["ria"], np.full((4, 2), np.inf)),
+                 NMPruneError, "calibration batch must be finite", id="non-finite-batch-compare"),
+    pytest.param(lambda: sweep_blocks(np.ones((4, 4)), ActivationNorms(np.ones(4)), 2, 4,
+                                      range(2), np.full((4, 2), -np.inf)),
+                 NMPruneError, "calibration batch must be finite", id="non-finite-batch-sweep"),
     pytest.param(lambda: prune_with_method(np.ones((4, 4)), None, PruneConfig(2, 4), "random"),
                  ConfigError, "unknown method 'random'", id="unknown-method"),
     pytest.param(lambda: prune_with_method(np.ones((4, 6)), ActivationNorms(np.ones(6)),

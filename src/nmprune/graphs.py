@@ -142,10 +142,10 @@ def brute_force_expansion(g: BipartiteGraph, c) -> ExpansionReport:
     """
     try:
         frac = Fraction(c)
-        if not 0 < frac < 1:
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):  # nan and "x" are ValueErrors, inf overflows
-        raise NMPruneError(f"subset fraction must be in (0, 1), got {c}") from None
+    except (TypeError, ValueError, OverflowError):  # nan and "x" raise ValueError, inf overflows
+        frac = None
+    if frac is None or not 0 < frac < 1:
+        raise NMPruneError(f"subset fraction must be in (0, 1), got {c}")
     max_in = int(frac * g.n_inputs)
     max_out = int(frac * g.n_outputs)
     if max_in >= 1 and g.n_inputs > ENUM_VERTEX_LIMIT:

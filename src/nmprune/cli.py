@@ -25,12 +25,13 @@ from .harness import (
     PROFILES,
     compare_methods,
     gen_synthetic,
+    layout_blocks,
     norms_from_batch,
     prune_with_method,
     sweep_blocks,
 )
 from .masks import PruneConfig, apply_mask, count_mask
-from .metrics import DEFAULT_ALPHA, ActivationNorms, BlockSource, row_blocks, weight_blocks
+from .metrics import DEFAULT_ALPHA, ActivationNorms, BlockSource, row_blocks
 from .permute import save_permutation, unpermute_mask
 from .tensor_store import load_bundle, save_bundle, write_atomic
 
@@ -86,12 +87,11 @@ def _cmd_prune(args) -> int:
     # W is read twice: to score it, then to permute or prune it
     res = prune_with_method(w, norms, cfg, args.method)
     w, mask, perm = res.weights, np.asarray(res.mask, dtype=np.uint8), res.permutation
-    # W from the bundle is checked as it is read; W_perm was gathered from checked blocks
-    blocks = weight_blocks(w) if perm is None else ((r, w[r]) for r in row_blocks(*mask.shape))
-    pruned = (apply_mask(block, mask[rows]) for rows, block in blocks)
+    pruned = (apply_mask(block, mask[rows]) for rows, block in layout_blocks(w, perm is not None))
     entries = {"mask": mask, "W_pruned": BlockSource(np.float32, mask.shape, pruned)}
-    if perm is not None:
-        entries["W_perm"] = np.asarray(w, dtype=np.float32)  # like W_pruned, for a uint8 W too
+    if perm is not None:  # both float32, for a uint8 W too: save_bundle casts block by block
+        entries["W_perm"] = BlockSource(np.float32, mask.shape,
+                                        (block for _, block in layout_blocks(w, True)))
         unpermuted = (unpermute_mask(mask[rows], perm) for rows in row_blocks(*mask.shape))
         entries["mask_unpermuted"] = BlockSource(np.uint8, mask.shape, unpermuted)
     save_bundle(entries, args.out)

@@ -90,11 +90,13 @@ def reconstruction_error(w, mask, z) -> float:
     """Relative Frobenius error of the masked layer on calibration inputs.
 
     ||W Z - (W * mask) Z||_F / ||W Z||_F, in float64, of W as an array or a
-    BlockSource. Raises NMPruneError when W or Z is not finite or W Z is zero.
+    BlockSource. Raises NMPruneError when W, Z or a float mask is not finite or W Z is zero.
     """
     w, mask = w if isinstance(w, BlockSource) else np.asarray(w), np.asarray(mask)
     if len(w.shape) != 2 or tuple(w.shape) != mask.shape:
         raise NMPruneError(f"mask shape {mask.shape} does not match weights shape {tuple(w.shape)}")
+    if mask.dtype.kind == "f" and not np.isfinite(mask).all():  # a uint8 mask pays nothing
+        raise NMPruneError("mask must be finite")
     z64, denom, _ = _reference(weight_blocks(w), np.asarray(z), w.shape[1])
     return math.sqrt(_masked_sums(weight_blocks(w), mask, z64)[0]) / denom
 
@@ -140,6 +142,12 @@ def _reference(blocks, z, cols: int, rows=None):
         what = "weights are" if z is None else "reference output is"
         raise NMPruneError(f"{what} identically zero")
     return z64, math.sqrt(squares), total
+
+
+def layout_blocks(weights, permuted: bool):
+    """W's (rows, block) pairs, checked as read, or the permuted array's row slices, unchecked."""
+    return (((r, weights[r]) for r in row_blocks(*weights.shape)) if permuted
+            else weight_blocks(weights))
 
 
 @dataclass(frozen=True)
@@ -240,25 +248,19 @@ class _ScoredLayer:
         self._overlay = overlay_blocks(base, w_perm, sums, rows, self.n, self.m)
         return base
 
-    def _blocks(self, permuted: bool):
-        """A layout's (rows, block) pairs: W's, checked as they are read, or W_perm's
-        row_blocks slices, gathered from W's checked blocks and not checked again."""
-        return (((r, self.w_perm[r]) for r in row_blocks(*self.shape)) if permuted
-                else weight_blocks(self.w))
-
     def _reference(self, permuted: bool):
         """A layout's float64 batch (None for identity inputs) and reference norm."""
         if permuted not in self._refs:
-            rows = self.perm.forward if permuted else None
-            self._refs[permuted] = _reference(self._blocks(permuted), self.z, self.shape[1], rows)
+            w, rows = (self.w_perm, self.perm.forward) if permuted else (self.w, None)
+            self._refs[permuted] = _reference(layout_blocks(w, permuted), self.z, w.shape[1], rows)
         return self._refs[permuted]
 
     def report(self, method: str, cfg: PruneConfig) -> MethodReport:
         """One method's error, input degrees and retained magnitude."""
         mask = self.mask(method, cfg)  # refuses a bad width or method before any pass
-        permuted = method in _PERMUTED
+        w, permuted = (self.w_perm, True) if method in _PERMUTED else (self.w, False)
         z64, denom, total = self._reference(permuted)
-        squares, kept = _masked_sums(self._blocks(permuted), mask, z64)
+        squares, kept = _masked_sums(layout_blocks(w, permuted), mask, z64)
         in_deg = mask.sum(axis=0, dtype=np.int64)
         lemma = None if method != "eggs" else degree_laws(
             MaskCounts(None, mask.sum(axis=1, dtype=np.int64), in_deg), cfg).violation is None

@@ -15,19 +15,21 @@ import numpy as np
 from .errors import NMPruneError
 from .metrics import BlockSource, row_blocks
 
+_BAD_SUMS = "group sums must be 2-D and finite, in row blocks that tile their shape"
+
 
 def order_rows(sums, count: int | None = None) -> np.ndarray:
     """Per pruning group, row indices sorted ascending by the row's score sum
     over the group; ties keep the lower row index. ``sums`` holds those
     finite sums, shape (rows, groups): an array, or a BlockSource of its row
-    blocks, such as masks.ria_select makes as it scores, read in order only
-    if a row is asked for. Each group keeps only the first ``count`` rows of
-    its order (all by default) as the blocks come: shape (groups, min(count, rows)).
+    blocks, such as masks.ria_select makes as it scores, read and checked in
+    order only if a row is asked for. Each group keeps only the first ``count``
+    rows of its order (all by default) as the blocks come: shape (groups, min(count, rows)).
     """
     if not isinstance(sums, BlockSource):
         s = np.asarray(sums, dtype=np.float64)
-        if s.ndim != 2 or not np.isfinite(s).all():
-            raise NMPruneError("group sums must be 2-D and finite")
+        if s.ndim != 2:
+            raise NMPruneError(_BAD_SUMS)
         sums = BlockSource(s.dtype, s.shape, (s[part] for part in row_blocks(*s.shape)))
     f_out, groups = sums.shape
     count = f_out if count is None else min(max(count, 0), f_out)
@@ -35,8 +37,12 @@ def order_rows(sums, count: int | None = None) -> np.ndarray:
     kept = np.full((groups, count), np.inf), np.empty((groups, count), dtype=np.int64)
     start = 0
     for block in sums.blocks if count else ():
+        if np.shape(block)[1:] != (groups,) or not np.isfinite(block).all():
+            raise NMPruneError(_BAD_SUMS)
         _merge(*kept, block, start, count)
         start += len(block)
+    if count and start != f_out:  # a stream too long or too short
+        raise NMPruneError(_BAD_SUMS)
     return kept[1]
 
 

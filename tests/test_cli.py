@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from contextlib import nullcontext
 from fractions import Fraction
@@ -259,6 +260,33 @@ class TestPruneReadsWTwice:
                        "--n", "2", "--m", "4", "--b", "2") == 0
             outs.append((out.read_bytes(), capsys.readouterr().out))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("method", ["ria", "eggs"])
+    def test_uint8_w_has_no_float32_copy(self, tmp_path, monkeypatch, method):
+        # W_perm is streamed into the bundle as W_pruned is, each block cast to float32
+        # as it is written: once the mask is made, prune allocates nothing of the size
+        # of W in float32 (4 MiB here); W_perm itself stays uint8
+        rng = np.random.default_rng(29)
+        src, out = tmp_path / "layer.t", tmp_path / "out.t"
+        save_bundle({"W": rng.integers(0, 256, (1024, 1024)).astype(np.uint8),
+                     "Z": rng.standard_normal((1024, 4)).astype(np.float32)}, src)
+        pruned = harness.prune_with_method
+
+        def then_trace(*args):
+            res = pruned(*args)
+            assert res.weights.dtype == np.uint8
+            tracemalloc.start()
+            return res
+
+        monkeypatch.setattr("nmprune.cli.prune_with_method", then_trace)
+        try:
+            assert run("prune", "--in", str(src), "--out", str(out), "--method", method,
+                       "--n", "2", "--m", "4", "--b", "2") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert load_bundle(out)["W_perm"].dtype == np.float32
 
     def test_caller_array_is_not_permuted(self):
         w, z = nmprune.gen_synthetic(4, 8, 8)

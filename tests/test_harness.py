@@ -443,6 +443,13 @@ class TestMemory:
         assert peak < 8 * 2**20
 
 
+def ones_but(value):
+    """An 8x8 all-ones float32 mask with ``value`` in one cell."""
+    mask = np.ones((8, 8), dtype=np.float32)
+    mask[3, 5] = value
+    return mask
+
+
 NOT_A_MATRIX = "weights must be a 2-D matrix with at least one row and column"
 REFUSALS = [
     pytest.param(lambda: gen_synthetic(0, 0, 4), ConfigError, "dimensions must be at least 1",
@@ -464,6 +471,10 @@ REFUSALS = [
     pytest.param(lambda: reconstruction_error(np.ones((4, 4)), np.ones((4, 4)),
                                               np.full((4, 2), np.nan)),
                  NMPruneError, "calibration batch must be finite", id="non-finite-batch-error"),
+    # a float mask is checked finite before the error passes; it gave nan
+    *[pytest.param(lambda v=v: reconstruction_error(np.ones((8, 8)), ones_but(v), np.ones((8, 2))),
+                   NMPruneError, "mask must be finite", id=f"non-finite-mask-error[{v}]")
+      for v in (np.nan, np.inf, -np.inf)],
     pytest.param(lambda: compare_methods(np.ones((4, 4)), ActivationNorms(np.ones(4)),
                                          PruneConfig(2, 4), ["ria"], np.full((4, 2), np.inf)),
                  NMPruneError, "calibration batch must be finite", id="non-finite-batch-compare"),

@@ -14,6 +14,8 @@ from nmprune.masks import ria_select
 from nmprune.metrics import BlockSource, layer_sums, rri, weight_blocks
 from nmprune.partition import assign_blocks, order_rows, plan_groups
 
+BAD_SUMS = "group sums must be 2-D and finite, in row blocks that tile their shape"
+
 
 def kernel_plan(w, m, plan, act=None):
     """What ``plan``, in plan_groups' place, returns from the rri group sums that
@@ -179,6 +181,23 @@ class TestOrderRows:
             raise AssertionError("read")
             yield
         assert order_rows(BlockSource(np.dtype(np.float64), (5, 3), blocks()), 0).shape == (3, 0)
+
+    @pytest.mark.parametrize("blocks", [
+        pytest.param([np.ones((2, 3)), np.array([[1.0, np.nan, 1.0]])], id="nan"),
+        pytest.param([np.ones((2, 3)), np.array([[1.0, np.inf, 1.0]])], id="inf"),
+        pytest.param([np.array([[1.0, -np.inf, 1.0]]), np.ones((2, 3))], id="-inf"),
+        pytest.param([np.ones((2, 3))], id="short"),
+        pytest.param([np.ones((3, 3)), np.ones((1, 3))], id="long"),
+        pytest.param([np.ones((1, 3)), np.ones((2, 2))], id="narrow"),
+    ])
+    def test_block_source_checked_as_read(self, blocks):
+        # every block read is checked for its width and finiteness, and the blocks
+        # must tile the declared rows: no uninitialized or out-of-range row comes back
+        source = BlockSource(np.dtype(np.float64), (3, 3), blocks)
+        refused = ((NMPruneError, BAD_SUMS), [])
+        assert helpers.outcome(order_rows, source) == refused
+        assert helpers.outcome(order_rows, source, 1) == refused
+        assert helpers.outcome(plan_groups, source, 1, 1) == refused
 
     def test_range_checked(self):
         for sums in (np.ones(8), np.ones((2, 2, 2)), np.array([[1.0], [np.inf]]),

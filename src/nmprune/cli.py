@@ -31,7 +31,7 @@ from .harness import (
     sweep_blocks,
 )
 from .masks import PruneConfig, apply_mask, count_mask
-from .metrics import DEFAULT_ALPHA, ActivationNorms, BlockSource, row_blocks
+from .metrics import DEFAULT_ALPHA, ActivationNorms, BlockSource
 from .permute import save_permutation, unpermute_mask
 from .tensor_store import load_bundle, save_bundle, write_atomic
 
@@ -92,7 +92,7 @@ def _cmd_prune(args) -> int:
     if perm is not None:  # both float32, for a uint8 W too: save_bundle casts block by block
         entries["W_perm"] = BlockSource(np.float32, mask.shape,
                                         (block for _, block in layout_blocks(w, True)))
-        unpermuted = (unpermute_mask(mask[rows], perm) for rows in row_blocks(*mask.shape))
+        unpermuted = (unpermute_mask(block, perm) for _, block in layout_blocks(mask, True))
         entries["mask_unpermuted"] = BlockSource(np.uint8, mask.shape, unpermuted)
     save_bundle(entries, args.out)
     if perm is not None:
@@ -118,7 +118,7 @@ def _cmd_verify(args) -> int:
     source = bundle.rows("mask")
     if len(source.shape) != 2:
         raise NMPruneError("mask tensor must be 2-D")
-    counts = count_mask(source.shape, source.blocks, cfg.n, cfg.m)
+    counts = count_mask(source, cfg.n, cfg.m)
     laws = degree_laws(counts, cfg)
     violation = counts.nm_violation or laws.violation
     if violation:

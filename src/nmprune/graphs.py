@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import NMPruneError, VerificationError
 from .masks import MaskCounts, PruneConfig, count_mask
-from .metrics import row_blocks
 
 # 2**22 subsets is the enumeration ceiling: a 16 MiB uint32 table per side
 ENUM_VERTEX_LIMIT = 22
@@ -79,8 +78,7 @@ def verify_degree_laws(mask, cfg: PruneConfig) -> DegreeLawReport:
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise NMPruneError("mask must be 2-D")
-    return degree_laws(count_mask(arr.shape, (arr[r] for r in row_blocks(*arr.shape)),
-                                  cfg.n, cfg.m), cfg)
+    return degree_laws(count_mask(arr, cfg.n, cfg.m), cfg)
 
 
 def degree_laws(counts: MaskCounts, cfg: PruneConfig) -> DegreeLawReport:

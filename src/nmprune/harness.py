@@ -13,7 +13,7 @@ from .errors import ConfigError, NMPruneError
 from .graphs import degree_laws
 from .masks import MaskCounts, PruneConfig, overlay_blocks, ria_select, select_blocks
 from .metrics import (DEFAULT_ALPHA, ActivationNorms, BlockSource, abs_blocks, layer_sums,
-                      row_blocks, wanda_blocks, weight_blocks, weight_shape)
+                      row_blocks, tiled_blocks, wanda_blocks, weight_blocks, weight_shape)
 from .partition import assign_blocks
 from .permute import ChannelPermutation, build_permutation, permuted_blocks
 
@@ -145,9 +145,9 @@ def _reference(blocks, z, cols: int, rows=None):
 
 
 def layout_blocks(weights, permuted: bool):
-    """W's (rows, block) pairs, checked as read, or the permuted array's row slices, unchecked."""
-    return (((r, weights[r]) for r in row_blocks(*weights.shape)) if permuted
-            else weight_blocks(weights))
+    """W's (rows, block) pairs, checked as read, or a permuted-layout array's, unchecked."""
+    return (tiled_blocks(weights, "permuted row blocks do not tile the matrix's shape")
+            if permuted else weight_blocks(weights))
 
 
 @dataclass(frozen=True)

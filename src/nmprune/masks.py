@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NMPruneError, VerificationError
 from .metrics import (ActivationNorms, BlockSource, layer_sums, ria_blocks, ria_cells,
-                      row_blocks, weight_blocks)
+                      row_blocks, tiled_blocks, weight_blocks)
 from .partition import plan_groups
 
 
@@ -251,30 +251,27 @@ def _bad_window(ones, start: int, n: int, m: int) -> str | None:
     return f"row {start + i} window {k}: {int(counts[i, k])} ones, expected {m - n}"
 
 
-def count_mask(shape, blocks, n: int, m: int) -> MaskCounts:
-    """Check and count a 2-D mask of ``shape`` in one pass over its row blocks, in order.
+def count_mask(mask, n: int, m: int) -> MaskCounts:
+    """Check and count a 2-D mask, an array or a BlockSource, in one pass over its tiled_blocks.
 
     The verdict is the first of: an entry other than 0 or 1 anywhere, a column
     count that m does not divide, the first window without exactly m-n ones.
     A degree sums the entries, each cast to int64, so the blocks' sums add up
     to the whole mask's; a NaN or infinite entry has no such cast.
     """
-    rows, cols = shape
+    rows, cols = mask.shape
     binary, counted, violation = True, True, None
     out_deg = np.zeros(rows, dtype=np.int64)
     in_deg = np.zeros(cols, dtype=np.int64)
-    start = 0
-    for block in blocks:
-        stop = start + len(block)
+    for part, block in tiled_blocks(mask, "mask row blocks do not tile the mask's shape"):
         ones = (block == 1).view(np.uint8)
         binary = binary and np.count_nonzero(block) == np.count_nonzero(ones)
         counted = counted and (binary or bool(np.isfinite(block).all()))
         with np.errstate(invalid="ignore"):  # the cast of a NaN or infinite entry
-            out_deg[start:stop] = block.sum(axis=1, dtype=np.int64)
+            out_deg[part] = block.sum(axis=1, dtype=np.int64)
             in_deg += block.sum(axis=0, dtype=np.int64)
         if violation is None and not cols % m:
-            violation = _bad_window(ones, start, n, m)
-        start = stop
+            violation = _bad_window(ones, part.start, n, m)
     if not binary:
         violation = "mask entries must be 0 or 1"
     elif cols % m:
@@ -288,6 +285,6 @@ def check_nm_pattern(mask, n: int, m: int) -> None:
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise VerificationError("mask must be 2-D")
-    counts = count_mask(arr.shape, (arr[r] for r in row_blocks(*arr.shape)), n, m)
+    counts = count_mask(arr, n, m)
     if counts.nm_violation:
         raise VerificationError(counts.nm_violation)

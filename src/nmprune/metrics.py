@@ -96,22 +96,31 @@ def row_blocks(count: int, width: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def weight_blocks(w):
-    """W's row blocks, each checked by check_weights as it comes: yields (rows,
-    block). A 2-D array is sliced along row_blocks; a BlockSource is read anew
-    on every call. Every pass over W, in prune, eval and sweep, goes through here."""
-    f_out, f_in = weight_shape(w)
-    blocks = w.blocks if isinstance(w, BlockSource) else map(
+def tiled_blocks(source, error: str):
+    """(rows, block) pairs of a 2-D array, cut along row_blocks, or of a BlockSource, in
+    order; NMPruneError(error) unless each block has the matrix's width and they tile its rows."""
+    if not isinstance(source, BlockSource):
+        arr = np.asarray(source)
         # numpy sums a single column pairwise, as one run, so it stays one block
-        np.asarray(w).__getitem__, [slice(0, f_out)] if f_in == 1 else row_blocks(f_out, f_in))
+        parts = [slice(0, len(arr))] if arr.shape[1] == 1 else row_blocks(*arr.shape)
+        source = BlockSource(arr.dtype, arr.shape, map(arr.__getitem__, parts))
+    count, width = source.shape
     start = 0
-    for block in blocks:
-        if np.shape(block)[1:] != (f_in,) or start + len(block) > f_out:
-            raise NMPruneError("weight row blocks do not tile the matrix's shape")
-        yield slice(start, start + len(block)), check_weights(block)
+    for block in source.blocks:
+        if np.shape(block)[1:] != (width,) or start + len(block) > count:
+            raise NMPruneError(error)
+        yield slice(start, start + len(block)), block
         start += len(block)
-    if start != f_out:
-        raise NMPruneError("weight row blocks do not tile the matrix's shape")
+    if start != count:
+        raise NMPruneError(error)
+
+
+def weight_blocks(w):
+    """W's tiled_blocks, each checked by check_weights as it comes; a BlockSource is read
+    anew on every call. Every pass over W, in prune, eval and sweep, goes through here."""
+    weight_shape(w)
+    for rows, block in tiled_blocks(w, "weight row blocks do not tile the matrix's shape"):
+        yield rows, check_weights(block)
 
 
 def abs_blocks(blocks):
@@ -149,7 +158,10 @@ def layer_sums(w, act: ActivationNorms):
     _check_norms_length(act, col_sums.shape[0])
     if act.alpha < 0 and np.any(act.norms == 0.0):
         raise NMPruneError("zero activation norm cannot be raised to a negative alpha")
-    scale = act.norms**act.alpha
+    with np.errstate(over="ignore"):  # refused just below, with no numpy warning first
+        scale = act.norms**act.alpha
+    if not np.isfinite(scale).all():
+        raise NMPruneError("activation norms**alpha must be finite")
     return _divisors(col_sums), scale, scale * (rri_sums + (col_sums != 0.0)), total
 
 

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import NMPruneError
-from .metrics import BlockSource, row_blocks
+from .metrics import BlockSource, row_blocks, tiled_blocks
 
 _BAD_SUMS = "group sums must be 2-D and finite, in row blocks that tile their shape"
 
@@ -27,22 +27,17 @@ def order_rows(sums, count: int | None = None) -> np.ndarray:
     rows of its order (all by default) as the blocks come: shape (groups, min(count, rows)).
     """
     if not isinstance(sums, BlockSource):
-        s = np.asarray(sums, dtype=np.float64)
-        if s.ndim != 2:
+        sums = np.asarray(sums, dtype=np.float64)
+        if sums.ndim != 2:
             raise NMPruneError(_BAD_SUMS)
-        sums = BlockSource(s.dtype, s.shape, (s[part] for part in row_blocks(*s.shape)))
     f_out, groups = sums.shape
     count = f_out if count is None else min(max(count, 0), f_out)
     # +inf stands for a row not seen yet; made first, below the pass's buffers
     kept = np.full((groups, count), np.inf), np.empty((groups, count), dtype=np.int64)
-    start = 0
-    for block in sums.blocks if count else ():
-        if np.shape(block)[1:] != (groups,) or not np.isfinite(block).all():
+    for rows, block in tiled_blocks(sums, _BAD_SUMS) if count else ():
+        if not np.isfinite(block).all():
             raise NMPruneError(_BAD_SUMS)
-        _merge(*kept, block, start, count)
-        start += len(block)
-    if count and start != f_out:  # a stream too long or too short
-        raise NMPruneError(_BAD_SUMS)
+        _merge(*kept, block, rows.start, count)
     return kept[1]
 
 

@@ -43,15 +43,18 @@ def _check_entry(name, entry) -> BlockSource:
 
 
 def _payload(name, source: BlockSource, nbytes: int):
-    """The source's blocks as little-endian bytes, refused unless they hold ``nbytes``."""
+    """The source's blocks as little-endian bytes, refused unless each has the entry's
+    trailing shape and together they hold ``nbytes``."""
     for block in source.blocks:
         raw = np.ascontiguousarray(block, dtype=source.dtype.newbyteorder("<"))
         nbytes -= raw.nbytes
-        if nbytes < 0:
+        if nbytes < 0 or raw.shape[1:] != tuple(source.shape[1:]):
             break
         yield raw.data
-    if nbytes:
-        raise NMPruneError(f"entry {name!r}: row blocks do not fill its shape exactly")
+    else:
+        if not nbytes:
+            return
+    raise NMPruneError(f"entry {name!r}: row blocks do not fill its shape exactly")
 
 
 def _is_count(value) -> bool:

@@ -144,8 +144,8 @@ def ria_rri_oracle(w, act):
 
     Checks the layer first and raises what the library raises, in the same
     order: non-finite weights, the norms length, a zero norm under a
-    negative alpha. An all-zero row or column sum divides as 1, so the
-    cells of a dead line score 0.
+    negative alpha, norms**alpha that overflows. An all-zero row or column
+    sum divides as 1, so the cells of a dead line score 0.
     """
     a = np.abs(np.asarray(w, dtype=np.float64))
     if not np.isfinite(a).all():
@@ -154,9 +154,12 @@ def ria_rri_oracle(w, act):
         raise NMPruneError(f"activation norms length {len(act)} != input channels {a.shape[1]}")
     if act.alpha < 0 and (act.norms == 0).any():
         raise NMPruneError("zero activation norm cannot be raised to a negative alpha")
+    with np.errstate(over="ignore"):
+        scale = act.norms**act.alpha
+    if not np.isfinite(scale).all():
+        raise NMPruneError("activation norms**alpha must be finite")
     row_sums = divisors_oracle(a.sum(axis=1))
     col_sums = divisors_oracle(a.sum(axis=0))
-    scale = act.norms**act.alpha
     return (a / row_sums[:, None] + a / col_sums[None, :]) * scale[None, :], a / row_sums[:, None]
 
 

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from contextlib import nullcontext
 from fractions import Fraction
@@ -623,6 +624,38 @@ class TestAlpha:
                         ["sweep", "--b-range", "0..1"]):
             assert run(*command, "--in", str(path), "--n", "2", "--m", "4", "--alpha", "nan") == 2
             assert capsys.readouterr().err == "error: alpha must be finite\n"
+
+
+    @pytest.mark.parametrize("command", [
+        ["prune", "--out", "x.t", "--method", "ria", "--n", "2", "--m", "4"],
+        ["prune", "--out", "x.t", "--method", "eggs", "--n", "2", "--m", "4"],
+        ["eval", "--n", "2", "--m", "4"],
+        ["sweep", "--b-range", "0..2", "--n", "2", "--m", "4"],
+    ])
+    def test_overflowing_alpha_is_one_refusal(self, tmp_path, capsys, command):
+        # a gen layer's norms are about sqrt(32), so norms**1000 overflows to inf
+        path = gen_layer(tmp_path)
+        capsys.readouterr()
+        argv = [command[0], "--in", str(path), *command[1:], "--alpha", "1000"]
+        argv = [str(tmp_path / a) if a == "x.t" else a for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a numpy warning would print a line of its own
+            assert run(*argv) == 1
+        assert capsys.readouterr().err == "error: activation norms**alpha must be finite\n"
+
+    @pytest.mark.parametrize("method", ["magnitude", "wanda"])
+    def test_overflowing_alpha_is_ignored_where_unused(self, tmp_path, capsys, method):
+        path = gen_layer(tmp_path)
+        outs = []
+        for alpha in ("0.5", "1000"):
+            outs.append(tmp_path / f"{alpha}.t")
+            assert run("prune", "--in", str(path), "--out", str(outs[-1]), "--method", method,
+                       "--n", "2", "--m", "4", "--alpha", alpha) == 0
+            assert run("eval", "--in", str(path), "--methods", method, "--n", "2", "--m", "4",
+                       "--alpha", alpha) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        runs = capsys.readouterr().out.splitlines()
+        assert len(runs) == 2 and runs[0] == runs[1]
 
 
 class TestScoredOnce:

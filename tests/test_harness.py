@@ -22,7 +22,7 @@ from nmprune import (
     prune_with_method,
     reconstruction_error,
 )
-from nmprune import graphs, harness, metrics
+from nmprune import graphs, harness, masks, metrics
 from nmprune.harness import sweep_blocks
 from nmprune.metrics import BlockSource
 from nmprune.masks import importance_select
@@ -522,3 +522,21 @@ REFUSALS = [
 @pytest.mark.parametrize("call, error, message", REFUSALS)
 def test_refusals(call, error, message):
     assert helpers.outcome(call)[0] == (error, message)
+
+
+@pytest.mark.parametrize("call", [
+    lambda w, norms: prune_with_method(w, norms, PruneConfig(2, 4), "ria"),
+    lambda w, norms: prune_with_method(w, norms, PruneConfig(2, 4), "eggs"),
+    lambda w, norms: compare_methods(w, norms, PruneConfig(2, 4)),
+    lambda w, norms: masks.eggs_prune(w, norms, PruneConfig(2, 4)),
+    lambda w, norms: metrics.ria(w, norms),
+], ids=["prune-ria", "prune-eggs", "compare", "eggs_prune", "ria"])
+def test_overflowing_alpha_is_refused_before_any_warning(call):
+    # a gen layer's norms are about sqrt(32), so norms**1000 overflows to inf
+    w, z = gen_synthetic(1, 64, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NMPruneError) as info:
+            call(w, norms_from_batch(z, 1000.0))
+    assert type(info.value) is NMPruneError
+    assert str(info.value) == "activation norms**alpha must be finite"

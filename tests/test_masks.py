@@ -26,7 +26,7 @@ from nmprune import (
 from nmprune.masks import (connectivity_select, count_mask, diagonal_select, eggs_prune,
                           importance_select)
 from nmprune.graphs import degree_laws
-from nmprune.metrics import ria
+from nmprune.metrics import BlockSource, ria
 from nmprune.permute import apply_to_columns, build_permutation
 
 
@@ -553,8 +553,7 @@ class TestCheckNmPattern:
         want, out_deg, in_deg = helpers.count_mask_oracle(mask, n, m)
         with mock.patch.object(metrics, "_TOPK_CHUNK", chunk):
             got = helpers.outcome(check_nm_pattern, mask, n, m)[0]
-            counts = count_mask(mask.shape, (mask[r] for r in metrics.row_blocks(*mask.shape)),
-                                n, m)
+            counts = count_mask(mask, n, m)
         assert got == (None if want is None else (VerificationError, want))
         assert counts.nm_violation == want
         assert counts.out_degrees.dtype == counts.in_degrees.dtype == np.int64
@@ -575,7 +574,7 @@ class TestCountMask:
 
     def check(self, mask, n=2, m=4):
         want = helpers.count_mask_oracle(mask, n, m)
-        got = count_mask(mask.shape, self.blocks(mask), n, m)
+        got = count_mask(BlockSource(mask.dtype, mask.shape, self.blocks(mask)), n, m)
         assert got.nm_violation == want[0]
         np.testing.assert_array_equal(got.out_degrees, want[1])
         np.testing.assert_array_equal(got.in_degrees, want[2])
@@ -596,13 +595,23 @@ class TestCountMask:
         # a late NaN or infinite entry: no warning of its int64 cast, and no minimum degree
         mask = np.tile(np.array([1, 1, 0, 0], dtype=np.float32), (9, 3))
         mask[8, 5] = value
-        got = count_mask(mask.shape, self.blocks(mask), 2, 4)
+        got = count_mask(BlockSource(mask.dtype, mask.shape, self.blocks(mask)), 2, 4)
         assert got.nm_violation == "mask entries must be 0 or 1"
         assert got.counted is bool(np.isfinite(value))
         laws = degree_laws(got, PruneConfig(2, 4, 1))
         # row 8 swaps a 1 for the entry, cast to int64 as int() does
         want = (0, min(6, 5 + int(value))) if got.counted else (None, None)
         assert (laws.min_in_degree, laws.min_out_degree) == want
+
+    @pytest.mark.parametrize("shapes", [[(2, 8)], [(4, 8), (1, 8)], [(1, 8), (3, 4)]],
+                             ids=["short", "long", "narrow"])
+    def test_blocks_that_do_not_tile_the_mask_are_refused(self, shapes):
+        # a (4, 8) mask of blocks whose every row passes 2:4
+        mask = BlockSource(np.dtype(np.uint8), (4, 8), [
+            np.tile(np.array([1, 1, 0, 0], dtype=np.uint8), (rows, cols // 4))
+            for rows, cols in shapes])
+        assert helpers.outcome(count_mask, mask, 2, 4) == (
+            (NMPruneError, "mask row blocks do not tile the mask's shape"), [])
 
     @pytest.mark.parametrize("shape", [(0, 8), (0, 0), (5, 0)])
     def test_no_rows_or_no_columns(self, shape):

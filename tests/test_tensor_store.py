@@ -203,6 +203,19 @@ class TestBlockSource:
             save_bundle({"w": BlockSource(np.float32, (2, 2), [np.zeros((1, 2))])}, target)
         assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"old"
 
+    @pytest.mark.parametrize("shapes", [[(2, 8)], [(1, 8), (1, 8)], [(4, 4), (1, 8)],
+                                        [(4, 4), (0, 8)]],
+                             ids=["one-block", "two-blocks", "after-full", "empty-after-full"])
+    def test_a_block_of_another_width_is_refused(self, tmp_path, shapes):
+        # 16 values in (2, 8) or two (1, 8) blocks fill a (4, 4) entry's bytes exactly
+        target = tmp_path / "x.tensors"
+        target.write_bytes(b"old")
+        blocks = [np.zeros(shape, dtype=np.float32) for shape in shapes]
+        with pytest.raises(NMPruneError) as info:
+            save_bundle({"w": BlockSource(np.float32, (4, 4), blocks)}, target)
+        assert str(info.value) == "entry 'w': row blocks do not fill its shape exactly"
+        assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"old"
+
     def test_unsupported_dtype_rejected(self, tmp_path):
         source = BlockSource(np.float64, (1,), [np.zeros(1)])
         with pytest.raises(NMPruneError) as info:
